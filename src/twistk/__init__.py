@@ -13,8 +13,6 @@ from .algebra import (
     convolve,
     identify_matrix_algebra,
     involution,
-    lambda_matrix,
-    rho_bar_matrix,
     trace,
 )
 from .groups import FiniteGroup, build, cyclic, dihedral, direct_product, quaternion, symmetric

@@ -241,31 +241,7 @@ def trace(f: AlgebraElement) -> PhaseSum:
     return f.coeff(f.group.identity)
 
 
-# -- representations, float path ----------------------------------------------
-
-
-def _phase_to_complex(x: RotationNumber) -> complex:
-    return complex(np.exp(2j * np.pi * float(x.rat))) if not x.coeffs else x.evaluate()
-
-
-def lambda_matrix(sigma: FiniteMultiplier, a: int) -> np.ndarray:
-    """Left regular projective representation: lambda(a) delta_b = sigma(a,b) delta_ab."""
-    g = sigma.group
-    n = g.order
-    mat = np.zeros((n, n), dtype=complex)
-    for b in range(n):
-        mat[g.mul(a, b), b] = _phase_to_complex(sigma.value(a, b))
-    return mat
-
-
-def rho_bar_matrix(sigma: FiniteMultiplier, a: int) -> np.ndarray:
-    """Right regular conjugate representation: (rho_bar(a) xi)(c) = conj(sigma(c,a)) xi(ca)."""
-    g = sigma.group
-    n = g.order
-    mat = np.zeros((n, n), dtype=complex)
-    for c in range(n):
-        mat[c, g.mul(c, a)] = _phase_to_complex(-sigma.value(c, a))
-    return mat
+# -- regular representations ---------------------------------------------------
 
 
 class GenPermMatrix:
@@ -273,7 +249,8 @@ class GenPermMatrix:
 
     Column b holds its row index and the phase exponent of the entry.
     Products and equality are exact; this is the zero-tolerance path for
-    the commutation identities of the regular representations.
+    the commutation identities of the regular representations, and
+    to_array gives the complex matrix the numeric center oracle uses.
     """
 
     __slots__ = ("cols",)
@@ -309,16 +286,18 @@ class GenPermMatrix:
         n = len(self.cols)
         mat = np.zeros((n, n), dtype=complex)
         for b, (row, phase) in enumerate(self.cols):
-            mat[row, b] = _phase_to_complex(phase)
+            mat[row, b] = phase.evaluate()
         return mat
 
 
 def lambda_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
+    """Left regular projective representation: lambda(a) delta_b = sigma(a,b) delta_ab."""
     g = sigma.group
     return GenPermMatrix((g.mul(a, b), sigma.value(a, b)) for b in g.elements())
 
 
 def rho_bar_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
+    """Right regular conjugate representation: (rho_bar(a) xi)(c) = conj(sigma(c,a)) xi(ca)."""
     g = sigma.group
     ainv = g.inv(a)
     return GenPermMatrix((g.mul(b, ainv), -sigma.value(g.mul(b, ainv), a)) for b in g.elements())
@@ -336,7 +315,7 @@ def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8, gap: fl
     between the "zero" and "nonzero" groups.
     """
     n = sigma.group.order
-    lam = np.stack([lambda_matrix(sigma, a) for a in range(n)])  # (n, n, n)
+    lam = np.stack([lambda_exact(sigma, a).to_array() for a in range(n)])  # (n, n, n)
     prod = np.einsum("aij,gjk->agik", lam, lam)
     comm = prod - prod.transpose(1, 0, 2, 3)  # [lambda(a), lambda(g)] at (a, g)
     mat = comm.transpose(0, 2, 3, 1).reshape(n * n * n, n)

@@ -30,6 +30,7 @@ from .lattices import G3Multiplier, LatticeMultiplier, g3_condition_k, condition
 from .multipliers import FiniteMultiplier, validate
 from .products import ProductMultiplier, f_degeneracy
 from .regularity import regular_classes
+from .torus import MissingHint
 
 COMMANDS = ("validate", "condition-k", "center", "regular-classes", "f-degeneracy", "decompose")
 
@@ -203,6 +204,8 @@ def run(spec: JobSpec) -> tuple[int, dict]:
         out = _report_base(spec)
         out.update({"error": "ill-conditioned", "detail": str(exc)})
         return 1, out
+    except MissingHint as exc:
+        raise JobError(f"{spec.command} needs a float hint for symbol {exc.args[0]!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

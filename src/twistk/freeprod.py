@@ -120,13 +120,6 @@ class FreeProduct:
     def inverse(self, x: FPWord) -> FPWord:
         return tuple(self.inverse_letter(l) for l in reversed(x))
 
-    def power(self, x: FPWord, p: int) -> FPWord:
-        base = x if p >= 0 else self.inverse(x)
-        out: FPWord = ()
-        for _ in range(abs(p)):
-            out = self.multiply(out, base)
-        return out
-
     def factor_images(self, x: FPWord) -> tuple[int, int]:
         """The images of x under the projection G1 * G2 -> G1 x G2."""
         p1 = self.g1.identity
@@ -167,10 +160,6 @@ class FreeProduct:
         if p2 != self.g2.identity:
             tail.append((2, self.g2.inv(p2)))
         return self.multiply(w, self.word(tail))
-
-
-def word_length(x: FPWord) -> int:
-    return len(x)
 
 
 def reduce_pair(fp: FreeProduct, x: FPWord, y: FPWord) -> tuple[FPWord, FPWord]:
@@ -322,14 +311,6 @@ class FreeProductMultiplier(Multiplier):
 
 def free_product_multiplier(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier) -> FreeProductMultiplier:
     return FreeProductMultiplier(sigma1, sigma2)
-
-
-def tau(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, x: FPWord, y: FPWord) -> RotationNumber:
-    return FreeProductMultiplier(sigma1, sigma2).tau(x, y)
-
-
-def beta(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, x: FPWord) -> RotationNumber:
-    return FreeProductMultiplier(sigma1, sigma2).beta(x)
 
 
 # -- decomposition of a given normalized multiplier -----------------------------

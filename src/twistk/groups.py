@@ -210,11 +210,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, names)
 
 
-def product_split(index: int, order2: int) -> tuple[int, int]:
-    """Invert the direct_product packing."""
-    return divmod(index, order2)
-
-
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n: elements (i, s) with s in {0,1}, (i,s)(j,t) = (i + (-1)^s j, s+t)."""
     if n < 1:

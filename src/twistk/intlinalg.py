@@ -1,15 +1,17 @@
-"""Exact linear algebra over Q and Z.
+"""Exact linear algebra over Q and Z, with one elimination routine: the
+Hermite form.
 
-Rational rank / kernel by fraction-free-ish Gaussian elimination, and
-Hermite / Smith normal forms over the integers with minimal-
-absolute-value pivoting to keep entry growth in check.  Everything runs
-on Python big integers and Fraction, so results are exact.
+The Hermite normal form uses minimal-absolute-value pivoting to keep
+entry growth in check; integer kernels and ranks over Q are read off it
+(a rational matrix first has its denominators cleared, which changes
+neither its kernel nor its rank).  Everything runs on Python big
+integers and Fraction, so results are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -28,91 +30,6 @@ def _copy_int_matrix(rows) -> Matrix:
 
 def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a matrix given as rows of Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                factor = m[i][col] / p
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def rational_kernel(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} over Q, as a list of column vectors."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(m[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        m[rank] = [a / p for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-def rational_solve(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over Q, or None if inconsistent."""
-    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a_rows, b)]
-    ncols = len(a_rows[0]) if a_rows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        m[rank] = [a / p for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b_ for a, b_ in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
 
 
 def hermite_normal_form(rows) -> tuple[Matrix, Matrix]:
@@ -177,85 +94,10 @@ def integer_kernel(rows, ncols: int | None = None) -> list[list[int]]:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(a[0])
     if not a:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+        return _identity(ncols)
     at = [[a[i][j] for i in range(len(a))] for j in range(ncols)]
     h, u = hermite_normal_form(at)
     return [u[i] for i in range(ncols) if not any(h[i])]
-
-
-def smith_normal_form(rows) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (D, S, T) with D = S A T diagonal,
-    S, T unimodular and each diagonal entry dividing the next."""
-    d = _copy_int_matrix(rows)
-    m = len(d)
-    n = len(d[0]) if m else 0
-    s = _identity(m)
-    t = _identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
-        s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
-
-    def addmul_col(dst, src, q):
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in t:
-            row[dst] -= q * row[src]
-
-    k = 0
-    while k < min(m, n):
-        entries = [(abs(d[i][j]), i, j) for i in range(k, m) for j in range(k, n) if d[i][j]]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        swap_rows(k, pi)
-        swap_cols(k, pj)
-        if d[k][k] < 0:
-            d[k] = [-x for x in d[k]]
-            s[k] = [-x for x in s[k]]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, m):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    addmul_row(i, k, q)
-                    if d[i][k]:
-                        swap_rows(k, i)
-                        if d[k][k] < 0:
-                            d[k] = [-x for x in d[k]]
-                            s[k] = [-x for x in s[k]]
-                        dirty = True
-            for j in range(k + 1, n):
-                if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    addmul_col(j, k, q)
-                    if d[k][j]:
-                        swap_cols(k, j)
-                        if d[k][k] < 0:
-                            d[k] = [-x for x in d[k]]
-                            s[k] = [-x for x in s[k]]
-                        dirty = True
-        # divisibility: fold any non-multiple into the pivot and redo
-        bad = next(
-            ((i, j) for i in range(k + 1, m) for j in range(k + 1, n) if d[i][j] % d[k][k]),
-            None,
-        )
-        if bad is not None:
-            addmul_row(k, bad[0], -1)
-            continue
-        k += 1
-    return d, s, t
 
 
 def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -265,11 +107,8 @@ def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     return [[int(Fraction(x) * scale) for x in row] for row in rows]
 
 
-def primitive_vector(v: Sequence[int]) -> list[int]:
-    """Divide an integer vector by the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return [x // g for x in v]
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q: the number of nonzero rows of the Hermite form of the
+    denominator-cleared matrix."""
+    h, _ = hermite_normal_form(clear_denominators(rows))
+    return sum(1 for row in h if any(row))

@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .freeprod import FPWord, FreeProduct, FreeProductMultiplier
 from .groups import FiniteGroup
-from .lattices import G3Multiplier, LatticeMultiplier, MuMatrix, Theta, _MU_KEYS
+from .lattices import G3Multiplier, LatticeMultiplier, MuMatrix, Theta
 from .multipliers import (
     FiniteMultiplier,
     KleinMultiplier,
@@ -29,25 +29,16 @@ class SchemaError(ValueError):
     pass
 
 
-def _require(data: Mapping, key: str):
+def _require(data, key: str):
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
     if key not in data:
         raise SchemaError(f"missing field {key!r}")
     return data[key]
 
 
-def decode_rotation(data) -> RotationNumber:
-    try:
-        return RotationNumber.from_json(data)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SchemaError(f"bad rotation number {data!r}: {exc}") from None
-
-
 def decode_group(data) -> FiniteGroup:
-    table = _require(data, "table")
-    try:
-        return FiniteGroup(table, data.get("names"))
-    except ValueError as exc:
-        raise SchemaError(f"bad group: {exc}") from None
+    return FiniteGroup(_require(data, "table"), data.get("names"))
 
 
 def _decode_basis(data) -> IrrationalBasis:
@@ -56,68 +47,55 @@ def _decode_basis(data) -> IrrationalBasis:
     return IrrationalBasis(labels, hints)
 
 
+def _rotations(rows) -> list[list[RotationNumber]]:
+    return [[RotationNumber.from_json(v) for v in row] for row in rows]
+
+
+def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier]:
+    factors = (_decode(_require(data, "sigma1")), _decode(_require(data, "sigma2")))
+    if not all(isinstance(sigma, FiniteMultiplier) for sigma in factors):
+        raise SchemaError(f"{kind} factors must be finite multipliers")
+    return factors
+
+
 def decode_multiplier(data) -> Multiplier:
+    """Decode a multiplier spec; every malformed spec raises SchemaError."""
+    try:
+        return _decode(data)
+    except SchemaError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad multiplier spec: {type(exc).__name__}: {exc}") from None
+
+
+def _decode(data) -> Multiplier:
     kind = _require(data, "type")
     if kind == "klein":
-        try:
-            return KleinMultiplier(int(_require(data, "n")), int(_require(data, "k")))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        return KleinMultiplier(int(_require(data, "n")), int(_require(data, "k")))
     if kind == "trivial":
         return trivial_multiplier(decode_group(_require(data, "group")))
     if kind == "table":
-        group = decode_group(_require(data, "group"))
-        values = [[decode_rotation(v) for v in row] for row in _require(data, "values")]
-        try:
-            return TableMultiplier(group, values)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        return TableMultiplier(decode_group(_require(data, "group")), _rotations(_require(data, "values")))
     if kind == "direct_product":
-        sigma1 = decode_multiplier(_require(data, "sigma1"))
-        sigma2 = decode_multiplier(_require(data, "sigma2"))
-        if not isinstance(sigma1, FiniteMultiplier) or not isinstance(sigma2, FiniteMultiplier):
-            raise SchemaError("direct_product factors must be finite multipliers")
-        ftable = [[decode_rotation(v) for v in row] for row in _require(_require(data, "f"), "table")]
-        try:
-            f = Bihomomorphism(sigma1.group, sigma2.group, ftable)
-            return ProductMultiplier(sigma1, sigma2, f)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        sigma1, sigma2 = _finite_factors(data, kind)
+        f = Bihomomorphism(sigma1.group, sigma2.group, _rotations(_require(_require(data, "f"), "table")))
+        return ProductMultiplier(sigma1, sigma2, f)
     if kind == "torus":
-        n = int(_require(data, "n"))
-        basis = _decode_basis(data)
         entries = {}
         for key, value in _require(data, "theta").items():
-            try:
-                i, j = (int(part) for part in str(key).split(","))
-            except ValueError:
-                raise SchemaError(f"bad theta key {key!r}; expected 'i,j' (1-based)") from None
-            entries[(i - 1, j - 1)] = decode_rotation(value)
-        try:
-            return LatticeMultiplier(Theta(n, entries, basis))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+            i, j = (int(part) for part in str(key).split(","))
+            entries[(i - 1, j - 1)] = RotationNumber.from_json(value)
+        return LatticeMultiplier(Theta(int(_require(data, "n")), entries, _decode_basis(data)))
     if kind == "g3":
-        basis = _decode_basis(data)
         mu = {}
         for key, value in _require(data, "mu").items():
             key = str(key)
             if len(key) != 2 or not key.isdigit():
                 raise SchemaError(f"bad mu key {key!r}; expected 'ij'")
-            mu[(int(key[0]), int(key[1]))] = decode_rotation(value)
-        try:
-            return G3Multiplier(MuMatrix(mu, basis))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+            mu[(int(key[0]), int(key[1]))] = RotationNumber.from_json(value)
+        return G3Multiplier(MuMatrix(mu, _decode_basis(data)))
     if kind == "free_product":
-        sigma1 = decode_multiplier(_require(data, "sigma1"))
-        sigma2 = decode_multiplier(_require(data, "sigma2"))
-        if not isinstance(sigma1, FiniteMultiplier) or not isinstance(sigma2, FiniteMultiplier):
-            raise SchemaError("free_product factors must be finite multipliers")
-        try:
-            return FreeProductMultiplier(sigma1, sigma2)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        return FreeProductMultiplier(*_finite_factors(data, kind))
     raise SchemaError(f"unknown multiplier type {kind!r}")
 
 

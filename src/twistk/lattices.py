@@ -130,32 +130,22 @@ def is_regular_lattice(theta: Theta, a: Sequence[int]) -> bool:
     )
 
 
-def _split_components(
-    matrix: Sequence[Sequence[RotationNumber]], labels: Sequence[str]
-) -> tuple[list[list[Fraction]], dict[str, list[list[Fraction]]]]:
-    """Write a RotationNumber matrix as M0 + sum_k M_k t_k with rational parts."""
-    n_rows = len(matrix)
-    n_cols = len(matrix[0])
-    m0 = [[Fraction(0)] * n_cols for _ in range(n_rows)]
-    comps = {label: [[Fraction(0)] * n_cols for _ in range(n_rows)] for label in labels}
-    for i in range(n_rows):
-        for j in range(n_cols):
-            v = matrix[i][j]
-            m0[i][j] = v.rat
-            for label, c in v.coeffs:
-                comps[label][i][j] = c
-    return m0, comps
+def _kernel_witness(rows: Sequence[Sequence[RotationNumber]], labels: Sequence[str]) -> Vector | None:
+    """A nonzero integer vector c with every component of R c integral, or None.
 
-
-def _scaled_witness(v: Sequence[int], m0_t_rows: Sequence[Sequence[Fraction]]) -> Vector:
-    """Scale an integer kernel vector so the rational component clears.
-
-    v has zero pairing against every irrational component; multiplying by
-    the lcm of the denominators of (rational pairing of v) lands every
-    component in Z while the irrational part stays zero.
+    Split R = R0 + sum_k R_k t_k over the basis symbols.  c must lie in
+    the kernel of every R_k, which the Hermite form gives over Z (the
+    stacked R_k with denominators cleared).  Scaling the first kernel
+    vector by the lcm of the denominators of R0 c lands every component
+    in Z while the symbol parts stay zero.
     """
-    pairing = [sum(row[i] * v[i] for i in range(len(v))) for row in m0_t_rows]
-    scale = lcm(*(p.denominator for p in pairing)) if pairing else 1
+    n = len(rows[0])
+    stacked = [[dict(v.coeffs).get(label, 0) for v in row] for label in labels for row in rows]
+    kernel = integer_kernel(clear_denominators(stacked), ncols=n)
+    if not kernel:
+        return None
+    v = kernel[0]
+    scale = lcm(*(sum(row[j].rat * v[j] for j in range(n)).denominator for row in rows))
     return tuple(scale * x for x in v)
 
 
@@ -168,20 +158,13 @@ def condition_k_lattice(theta: Theta) -> LatticeDecision:
     return a denominator-cleared witness vector, re-verified pointwise.
     """
     n = theta.n
-    matrix = [[ZERO] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]  # M^T: a^T M = M^T a
     for (i, j), t in theta.entries.items():
-        matrix[i][j] = t
-        matrix[j][i] = -t
-    m0, comps = _split_components(matrix, theta.basis.labels)
-    stacked: list[list[Fraction]] = []
-    for label in theta.basis.labels:
-        mk = comps[label]
-        stacked.extend([[mk[i][j] for i in range(n)] for j in range(n)])  # rows of M_k^T
-    kernel = integer_kernel(clear_denominators(stacked), ncols=n)
-    if not kernel:
+        rows[j][i] = t
+        rows[i][j] = -t
+    witness = _kernel_witness(rows, theta.basis.labels)
+    if witness is None:
         return LatticeDecision(True, None)
-    m0_t = [[m0[i][j] for i in range(n)] for j in range(n)]
-    witness = _scaled_witness(kernel[0], m0_t)
     if not is_regular_lattice(theta, witness):
         raise RuntimeError(f"scaling lemma failed for witness {witness}; decision procedure bug")
     return LatticeDecision(False, witness)
@@ -345,14 +328,9 @@ def g3_condition_k(mu: MuMatrix) -> LatticeDecision:
     mismatch raises instead of being patched over.
     """
     rows = mu.row_matrix()
-    m0, comps = _split_components(rows, mu.basis.labels)
-    stacked: list[list[Fraction]] = []
-    for label in mu.basis.labels:
-        stacked.extend(comps[label])
-    kernel = integer_kernel(clear_denominators(stacked), ncols=3)
-    if not kernel:
+    witness = _kernel_witness(rows, mu.basis.labels)
+    if witness is None:
         return LatticeDecision(True, None)
-    witness = _scaled_witness(kernel[0], m0)
     for i in range(3):
         row_phase = sum(
             (rows[i][j].scale(witness[j]) for j in range(3) if witness[j]), ZERO

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -165,10 +165,3 @@ HALF = RotationNumber(Fraction(1, 2))
 def rot(rat: RationalLike = 0, irr: Mapping[str, RationalLike] | None = None) -> RotationNumber:
     """Convenience constructor: rot("1/3"), rot(0, {"t": 1}), rot(Fraction(2, 5))."""
     return RotationNumber(Fraction(rat), {} if irr is None else {l: Fraction(c) for l, c in irr.items()})
-
-
-def rot_sum(values: Iterable[RotationNumber]) -> RotationNumber:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total

@@ -145,6 +145,24 @@ def test_cli_malformed_input_exits_2(capsys):
     assert code == 2
 
 
+def test_cli_center_symbolic_table_refuses(capsys):
+    # a coboundary with a symbolic exponent: valid, but a table carries no
+    # float hints, so the numeric center oracle cannot evaluate it
+    data = {
+        "type": "table",
+        "group": cyclic(2).to_json(),
+        "values": [
+            [{"rat": "0", "irr": {}}, {"rat": "0", "irr": {}}],
+            [{"rat": "0", "irr": {}}, {"rat": "0", "irr": {"t": "2"}}],
+        ],
+    }
+    code, out, err = _run(capsys, ["center", "--inline", json.dumps(data)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "hint" in err
+    code, _, _ = _run(capsys, ["validate", "--inline", json.dumps(data)])
+    assert code == 0
+
+
 def test_cli_unsupported_combination_exits_2(capsys):
     data = {
         "type": "free_product",
