@@ -45,7 +45,7 @@ def main():
         sigma = tk.klein(n, k)
         combinatorial = len(center_basis(sigma))
         numeric = center_dimension_numeric(sigma)
-        ident = identify_matrix_algebra(sigma)
+        ident = identify_matrix_algebra(sigma.group.order, numeric) if numeric == combinatorial else None
         tag = f"M_{ident}(C)" if ident else "not a full matrix algebra"
         print(
             f"  (n={n}, k={k}, gcd={gcd(k, n)}): center dim {combinatorial} (combinatorial)"

@@ -10,6 +10,7 @@ count; it is an oracle independent of the combinatorial machinery.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -309,16 +310,18 @@ def rho_bar_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
 def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8, gap: float = 10.0) -> int:
     """dim { x in span(lambda(G)) : lambda(a) x = x lambda(a) for all a }.
 
-    Stacks the commutator operators c -> [lambda(a), sum_g c_g lambda(g)]
-    over all a and counts singular values below tol.  Refuses (raises
+    delta_e is separating for span(lambda(G)), so this stacks the maps
+    c -> [lambda(a), sum_g c_g lambda(g)] delta_e over all a (an |G|^2 x |G|
+    system) and counts singular values below tol.  Refuses (raises
     IllConditioned) when the spectrum shows no clean gap of ratio >= gap
     between the "zero" and "nonzero" groups.
     """
     n = sigma.group.order
+    e = sigma.group.identity
     lam = np.stack([lambda_exact(sigma, a).to_array() for a in range(n)])  # (n, n, n)
-    prod = np.einsum("aij,gjk->agik", lam, lam)
-    comm = prod - prod.transpose(1, 0, 2, 3)  # [lambda(a), lambda(g)] at (a, g)
-    mat = comm.transpose(0, 2, 3, 1).reshape(n * n * n, n)
+    prod = np.einsum("aij,gj->agi", lam, lam[:, :, e])  # lambda(a) lambda(g) delta_e
+    comm = prod - prod.transpose(1, 0, 2)  # [lambda(a), lambda(g)] delta_e at (a, g)
+    mat = comm.transpose(0, 2, 1).reshape(n * n, n)
     svals = np.linalg.svd(mat, compute_uv=False)
     zeros = svals[svals < tol]
     nonzeros = svals[svals >= tol]
@@ -335,22 +338,11 @@ def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8, gap: fl
     return int(zeros.size)
 
 
-def identify_matrix_algebra(sigma: FiniteMultiplier, tol: float = 1e-8) -> int | None:
-    """n when the twisted algebra is the full n x n matrix algebra, else None.
-
-    Requires |G| = n^2 and a trivial center by both the combinatorial and
-    the numeric route; semisimplicity is automatic for a finite
-    dimensional algebra closed under the involution.
-    """
-    from .regularity import regular_classes
-
-    order = sigma.group.order
-    n = int(round(order**0.5))
-    if n * n != order:
-        return None
-    combinatorial = sum(1 for _, flag in regular_classes(sigma).classes if flag)
-    if combinatorial != 1:
-        return None
-    if center_dimension_numeric(sigma, tol=tol) != 1:
+def identify_matrix_algebra(order: int, center_dimension: int) -> int | None:
+    """n when the twisted algebra of a group of this order with a center of
+    this dimension is the full n x n matrix algebra (|G| = n^2 and a trivial
+    center; semisimplicity is automatic under the involution), else None."""
+    n = math.isqrt(order)
+    if n * n != order or center_dimension != 1:
         return None
     return n

@@ -3,8 +3,11 @@ decision or validation, emit a JSON report on stdout and a one-line
 human summary on stderr.
 
 Exit codes: 0 when the decision was computed (whatever the boolean came
-out to be), 1 when a validation failed (the report carries the witness),
-2 on malformed input or an unsupported command/input combination.
+out to be); 1 when a validation failed (the report carries the witness)
+or a decision refused (the report carries an "error" field): the input
+is no multiplier (regularity varies on a class, or the two center
+dimensions disagree) or the numeric oracle is ill-conditioned; 2 on
+malformed input or an unsupported command/input combination.
 Reports are byte-identical for identical job specs: all randomness is
 seeded, keys are sorted, and exact numbers are strings.
 """
@@ -29,7 +32,7 @@ from .io import (
 from .lattices import G3Multiplier, LatticeMultiplier, g3_condition_k, condition_k_lattice
 from .multipliers import FiniteMultiplier, validate
 from .products import ProductMultiplier, f_degeneracy
-from .regularity import regular_classes
+from .regularity import ClassInconsistency, regular_classes
 from .torus import MissingHint
 
 COMMANDS = ("validate", "condition-k", "center", "regular-classes", "f-degeneracy", "decompose")
@@ -109,16 +112,13 @@ def _run_center(spec: JobSpec, sigma) -> tuple[int, dict]:
         raise JobError("center requires a finite multiplier")
     report = regular_classes(sigma)
     combinatorial = sum(1 for _, flag in report.classes if flag)
-    tol = float(spec.tol)
-    numeric = center_dimension_numeric(sigma, tol=tol)
+    numeric = center_dimension_numeric(sigma, tol=float(spec.tol))
     out = _report_base(spec)
-    out.update(
-        {
-            "combinatorial": combinatorial,
-            "numeric": numeric,
-            "matrix_algebra": identify_matrix_algebra(sigma, tol=tol),
-        }
-    )
+    out.update({"combinatorial": combinatorial, "numeric": numeric})
+    if combinatorial != numeric:
+        out.update({"error": "center routes disagree", "matrix_algebra": None})
+        return 1, out
+    out["matrix_algebra"] = identify_matrix_algebra(sigma.group.order, combinatorial)
     return 0, out
 
 
@@ -200,9 +200,10 @@ def run(spec: JobSpec) -> tuple[int, dict]:
     sigma = decode_multiplier(spec.data)
     try:
         return _RUNNERS[spec.command](spec, sigma)
-    except IllConditioned as exc:
+    except (IllConditioned, ClassInconsistency) as exc:
+        error = "ill-conditioned" if isinstance(exc, IllConditioned) else "not a multiplier"
         out = _report_base(spec)
-        out.update({"error": "ill-conditioned", "detail": str(exc)})
+        out.update({"error": error, "detail": str(exc)})
         return 1, out
     except MissingHint as exc:
         raise JobError(f"{spec.command} needs a float hint for symbol {exc.args[0]!r}") from None

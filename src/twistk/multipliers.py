@@ -128,7 +128,8 @@ class KleinMultiplier(FiniteMultiplier):
             raise ValueError("klein multiplier needs 0 <= k < n")
         self.n = n
         self.k = k
-        self.group = direct_product(cyclic(n), cyclic(n))
+        z = cyclic(n)
+        self.group = direct_product(z, z)
 
     def coords(self, a: int) -> tuple[int, int]:
         return divmod(a, self.n)

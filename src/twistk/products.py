@@ -105,13 +105,17 @@ def bihom_from_characters(
     return Bihomomorphism(g1, g2, table)
 
 
+def _check_domains(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> None:
+    if f.g1.table != sigma1.group.table or f.g2.table != sigma2.group.table:
+        raise DomainMismatch("bihomomorphism groups do not match the factor multipliers")
+
+
 class ProductMultiplier(FiniteMultiplier):
     """sigma((a1,a2),(b1,b2)) = sigma1(a1,b1) + sigma2(a2,b2) + f(b1,a2)
     on G1 x G2 (row-major packing)."""
 
     def __init__(self, sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism):
-        if f.g1.table != sigma1.group.table or f.g2.table != sigma2.group.table:
-            raise DomainMismatch("bihomomorphism groups do not match the factor multipliers")
+        _check_domains(sigma1, sigma2, f)
         self.sigma1 = sigma1
         self.sigma2 = sigma2
         self.f = f
@@ -196,28 +200,27 @@ def f_degeneracy(
       2. a2 b2 = b2 a2 and f(a1, b2) != sigma2(a2,b2) conj(sigma2(b2,a2)).
     Equivalent to condition K for the assembled multiplier; a failing
     class is reported as the witness.
+
+    The classes of G1 x G2 are the C1 x C2, taken in the product's class
+    order, and "some b" splits into some b1 for 1. or some b2 for 2.
     """
-    sigma = ProductMultiplier(sigma1, sigma2, f)
-    g = sigma.group
+    _check_domains(sigma1, sigma2, f)
     g1, g2 = sigma1.group, sigma2.group
-    for cls in g.conjugacy_classes():
-        if len(cls) == 1 and cls.representative == g.identity:
-            continue
-        found = False
-        for a in cls.members:
-            a1, a2 = sigma.split(a)
-            for b in g.elements():
-                b1, b2 = sigma.split(b)
-                if g1.commutes(a1, b1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1):
-                    found = True
-                    break
-                if g2.commutes(a2, b2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return DegeneracyReport(False, cls.members)
+
+    def admits_b(a1: int, a2: int) -> bool:
+        return any(
+            g1.commutes(a1, b1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1)
+            for b1 in g1.elements()
+        ) or any(
+            g2.commutes(a2, b2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2)
+            for b2 in g2.elements()
+        )
+
+    trivial = ((g1.identity,), (g2.identity,))
+    for c1 in g1.conjugacy_classes():
+        for c2 in g2.conjugacy_classes():
+            if (c1.members, c2.members) != trivial and not any(admits_b(a1, a2) for a1 in c1 for a2 in c2):
+                return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
     return DegeneracyReport(True, None)
 
 

@@ -66,9 +66,12 @@ def test_criterion_02_matrix_algebra_identification():
         for k in range(n):
             if gcd(k, n) != 1:
                 continue
-            got = tk.identify_matrix_algebra(tk.klein(n, k), tol=NUMERIC_TOL)
-            if got != n:
-                violations.append((n, k, got))
+            sigma = tk.klein(n, k)
+            combinatorial = sum(1 for _, flag in regular_classes(sigma).classes if flag)
+            numeric = center_dimension_numeric(sigma, tol=NUMERIC_TOL)
+            got = tk.identify_matrix_algebra(sigma.group.order, numeric)
+            if (combinatorial, numeric, got) != (1, 1, n):
+                violations.append((n, k, combinatorial, numeric, got))
     ok = not violations
     _line(2, ok, "coprime cases identified as full n x n matrix algebras (tol 1e-8, gap >= 10)")
     assert not violations, violations

@@ -1,8 +1,14 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from catalog import finite_catalog, klein_catalog
 
 from twistk.algebra import (
     AlgebraElement,
@@ -178,14 +184,46 @@ def test_center_dimension_numeric():
     assert center_dimension_numeric(trivial_multiplier(symmetric(3))) == 3
 
 
+def _full_commutator_svals(sigma):
+    """Reference oracle: singular values of all |G|^2 commutators
+    [lambda(a), lambda(g)] stacked into an |G|^3 x |G| system (|G|^4 memory)."""
+    n = sigma.group.order
+    lam = np.stack([lambda_exact(sigma, a).to_array() for a in range(n)])
+    prod = np.einsum("aij,gjk->agik", lam, lam)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    return np.linalg.svd(comm.transpose(0, 2, 3, 1).reshape(-1, n), compute_uv=False)
+
+
+def test_center_dimension_matches_full_commutators():
+    entries = finite_catalog()
+    names = {name for name, _ in entries}
+    assert all(name in names for name, _ in klein_catalog())
+    for name, sigma in entries:
+        assert sigma.group.order <= 36
+        expected = int(np.sum(_full_commutator_svals(sigma) < 1e-8))
+        assert center_dimension_numeric(sigma) == expected, name
+
+
+def test_center_dimension_peak_memory():
+    sigma = klein(7, 1)
+    tracemalloc.start()
+    try:
+        assert center_dimension_numeric(sigma) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_center_dimension_ill_conditioned():
     s = klein(2, 1)
     n = s.group.order
+    e = s.group.identity
     lam = np.stack([lambda_exact(s, a).to_array() for a in range(n)])
-    prod = np.einsum("aij,gjk->agik", lam, lam)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    svals = np.linalg.svd(comm.transpose(0, 2, 3, 1).reshape(-1, n), compute_uv=False)
-    genuine = svals[svals > 1e-8].min()  # 4 sqrt(2); a tol that swallows it
+    prod = np.einsum("aij,gj->agi", lam, lam[:, :, e])
+    comm = prod - prod.transpose(1, 0, 2)
+    svals = np.linalg.svd(comm.transpose(0, 2, 1).reshape(-1, n), compute_uv=False)
+    genuine = svals[svals > 1e-8].min()  # 2 sqrt(2); a tol that swallows it
     # without a clean 10x gap must be refused rather than guessed at
     with pytest.raises(IllConditioned):
         center_dimension_numeric(s, tol=genuine * 6)
@@ -193,11 +231,11 @@ def test_center_dimension_ill_conditioned():
 
 
 def test_identify_matrix_algebra():
-    assert identify_matrix_algebra(klein(3, 1)) == 3
-    assert identify_matrix_algebra(klein(4, 2)) is None
-    assert identify_matrix_algebra(trivial_multiplier(cyclic(1))) == 1
-    assert identify_matrix_algebra(trivial_multiplier(cyclic(6))) is None  # |G| not a square
-    assert identify_matrix_algebra(trivial_multiplier(cyclic(4))) is None  # square but central
+    assert identify_matrix_algebra(9, center_dimension_numeric(klein(3, 1))) == 3
+    assert identify_matrix_algebra(16, center_dimension_numeric(klein(4, 2))) is None
+    assert identify_matrix_algebra(1, 1) == 1
+    assert identify_matrix_algebra(6, 1) is None  # |G| not a square
+    assert identify_matrix_algebra(4, center_dimension_numeric(trivial_multiplier(cyclic(4)))) is None  # central
 
 
 def test_delta_e_separating_on_lambda_span():

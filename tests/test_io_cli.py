@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import twistk as tk
+import twistk.cli
+import twistk.regularity
 from twistk.cli import main
 from twistk.freeprod import FreeProduct, FreeProductMultiplier
 from twistk.groups import cyclic, symmetric
@@ -128,6 +131,50 @@ def test_cli_validate_broken_table_exits_1(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False and report["witness"] is not None
+
+
+def test_cli_center_routes_disagree_exits_1(capsys):
+    # sigma(1, 0) broken: the identity stops being regular (combinatorial 0)
+    # while the numeric oracle still counts one dimension
+    data = encode_multiplier(tk.klein(2, 1).to_table())
+    data["values"][1][0] = {"rat": "1/3", "irr": {}}
+    code, out, err = _run(capsys, ["center", "--inline", json.dumps(data)])
+    assert code == 1 and len(err.splitlines()) == 1
+    report = json.loads(out)
+    assert report["combinatorial"] == 0 and report["numeric"] == 1
+    assert report["error"] == "center routes disagree" and report["matrix_algebra"] is None
+    assert "witness" not in report
+
+
+def test_cli_class_inconsistency_exits_1(capsys):
+    # sigma(t, e) broken for one transposition t of S3: t is no longer
+    # regular while the other two transpositions in its class still are
+    data = encode_multiplier(trivial_multiplier(symmetric(3)))
+    data["values"][1][0] = {"rat": "1/2", "irr": {}}
+    for command in ("center", "condition-k", "regular-classes"):
+        code, out, err = _run(capsys, [command, "--inline", json.dumps(data)])
+        assert code == 1 and len(err.splitlines()) == 1, command
+        report = json.loads(out)
+        assert report["error"] == "not a multiplier" and "mixes regular" in report["detail"], command
+
+
+def test_cli_center_computes_each_dimension_once(capsys, monkeypatch):
+    calls = {"regular_classes": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    classes = counted("regular_classes", twistk.regularity.regular_classes)
+    monkeypatch.setattr(twistk.cli, "regular_classes", classes)
+    monkeypatch.setattr(twistk.regularity, "regular_classes", classes)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    code, out, _ = _run(capsys, ["center", "--inline", json.dumps({"type": "klein", "n": 3, "k": 1})])
+    assert code == 0 and json.loads(out)["matrix_algebra"] == 3
+    assert calls == {"regular_classes": 1, "svd": 1}
 
 
 def test_cli_validate_torus_fuzz(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from twistk.groups import cyclic, direct_product, symmetric
 from twistk.multipliers import trivial_multiplier, validate
 from twistk.products import (
     Bihomomorphism,
+    DegeneracyReport,
     InvalidBihomomorphism,
     ProductMultiplier,
     assemble,
@@ -131,6 +133,44 @@ def test_f_degeneracy_matches_condition_k_sample():
     for name, s1, s2, f in product_triples()[:12]:
         sigma = assemble(s1, s2, f)
         assert f_degeneracy(s1, s2, f).nondegenerate == condition_k(sigma), name
+
+
+def _f_degeneracy_reference(sigma1, sigma2, f):
+    """The criterion scanned over the assembled product group's own classes
+    and elements, as a reference for the factor-wise f_degeneracy."""
+    sigma = ProductMultiplier(sigma1, sigma2, f)
+    g = sigma.group
+    g1, g2 = sigma1.group, sigma2.group
+    for cls in g.conjugacy_classes():
+        if len(cls) == 1 and cls.representative == g.identity:
+            continue
+        found = False
+        for a in cls.members:
+            a1, a2 = sigma.split(a)
+            for b in g.elements():
+                b1, b2 = sigma.split(b)
+                if g1.commutes(a1, b1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1):
+                    found = True
+                    break
+                if g2.commutes(a2, b2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2):
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            return DegeneracyReport(False, cls.members)
+    return DegeneracyReport(True, None)
+
+
+def test_f_degeneracy_matches_product_group_reference():
+    cyclic_cases = [
+        (f"Z{n1}xZ{n2},f={m}", trivial_multiplier(cyclic(n1)), trivial_multiplier(cyclic(n2)), cyclic_bihom(n1, n2, m))
+        for n1, n2 in ((2, 4), (4, 4), (3, 6), (6, 9), (5, 5), (8, 4))
+        for m in range(math.gcd(n1, n2))
+    ]
+    for name, s1, s2, f in product_triples() + cyclic_cases:
+        assert f_degeneracy(s1, s2, f) == _f_degeneracy_reference(s1, s2, f), name
+    assert {f_degeneracy(s1, s2, f).nondegenerate for _, s1, s2, f in cyclic_cases} == {True, False}
 
 
 def test_two_of_three_identity_element():
