@@ -306,14 +306,16 @@ def rho_bar_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
 
 # -- numeric center oracle ------------------------------------------------------
 
+GAP = 10.0
 
-def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8, gap: float = 10.0) -> int:
+
+def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8) -> int:
     """dim { x in span(lambda(G)) : lambda(a) x = x lambda(a) for all a }.
 
     delta_e is separating for span(lambda(G)), so this stacks the maps
     c -> [lambda(a), sum_g c_g lambda(g)] delta_e over all a (an |G|^2 x |G|
     system) and counts singular values below tol.  Refuses (raises
-    IllConditioned) when the spectrum shows no clean gap of ratio >= gap
+    IllConditioned) when the spectrum shows no clean gap of ratio >= GAP
     between the "zero" and "nonzero" groups.
     """
     n = sigma.group.order
@@ -327,11 +329,11 @@ def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8, gap: fl
     nonzeros = svals[svals >= tol]
     if zeros.size == 0:
         raise IllConditioned("no singular value below tol; the center contains the identity")
-    if zeros.max() * gap > tol:
+    if zeros.max() * GAP > tol:
         raise IllConditioned(
-            f"a 'zero' singular value {zeros.max():.3e} sits within {gap}x of tol {tol:.3e}"
+            f"a 'zero' singular value {zeros.max():.3e} sits within {GAP}x of tol {tol:.3e}"
         )
-    if nonzeros.size and nonzeros.min() < gap * zeros.max():
+    if nonzeros.size and nonzeros.min() < GAP * zeros.max():
         raise IllConditioned(
             f"singular values cluster at tol: {nonzeros.min():.3e} vs {zeros.max():.3e}"
         )

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .freeprod import FPWord, FreeProduct, FreeProductMultiplier
-from .groups import FiniteGroup
+from .groups import FiniteGroup, build
 from .lattices import G3Multiplier, LatticeMultiplier, MuMatrix, Theta
 from .multipliers import (
     FiniteMultiplier,
@@ -37,8 +37,17 @@ def _require(data, key: str):
     return data[key]
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; int() would truncate a float and accept a bool."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def decode_group(data) -> FiniteGroup:
-    return FiniteGroup(_require(data, "table"), data.get("names"))
+    """A group table from JSON, proven in full by ``groups.build``."""
+    rows = _require(data, "table")
+    return build([[_integer(x, "table entry") for x in row] for row in rows], data.get("names"))
 
 
 def _decode_basis(data) -> IrrationalBasis:
@@ -71,7 +80,8 @@ def decode_multiplier(data) -> Multiplier:
 def _decode(data) -> Multiplier:
     kind = _require(data, "type")
     if kind == "klein":
-        return KleinMultiplier(int(_require(data, "n")), int(_require(data, "k")))
+        n, k = (_integer(_require(data, key), key) for key in ("n", "k"))
+        return KleinMultiplier(n, k)
     if kind == "trivial":
         return trivial_multiplier(decode_group(_require(data, "group")))
     if kind == "table":
@@ -85,7 +95,7 @@ def _decode(data) -> Multiplier:
         for key, value in _require(data, "theta").items():
             i, j = (int(part) for part in str(key).split(","))
             entries[(i - 1, j - 1)] = RotationNumber.from_json(value)
-        return LatticeMultiplier(Theta(int(_require(data, "n")), entries, _decode_basis(data)))
+        return LatticeMultiplier(Theta(_integer(_require(data, "n"), "n"), entries, _decode_basis(data)))
     if kind == "g3":
         mu = {}
         for key, value in _require(data, "mu").items():

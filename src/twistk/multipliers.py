@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .groups import FiniteGroup, cyclic, direct_product
 from .torus import ZERO, RotationNumber, rot
@@ -84,9 +84,7 @@ class FiniteMultiplier(Multiplier):
 
     def to_table(self) -> "TableMultiplier":
         n = self.group.order
-        return TableMultiplier(
-            self.group, [[self.value(a, b) for b in range(n)] for a in range(n)], check=False
-        )
+        return TableMultiplier(self.group, [[self.value(a, b) for b in range(n)] for a in range(n)])
 
     def is_normalized(self) -> bool:
         g = self.group
@@ -96,16 +94,12 @@ class FiniteMultiplier(Multiplier):
 class TableMultiplier(FiniteMultiplier):
     """Dense |G| x |G| table of exponents."""
 
-    def __init__(self, group: FiniteGroup, values: Sequence[Sequence[RotationNumber]], check: bool = False):
+    def __init__(self, group: FiniteGroup, values: Sequence[Sequence[RotationNumber]]):
         n = group.order
         if len(values) != n or any(len(row) != n for row in values):
             raise DomainMismatch("table shape does not match group order")
         self.group = group
         self.values = tuple(tuple(row) for row in values)
-        if check:
-            report = validate(self)
-            if not report.ok:
-                raise ValueError(f"not a multiplier: {report.reason} at {report.witness}")
 
     def value(self, a: int, b: int) -> RotationNumber:
         return self.values[a][b]
@@ -256,11 +250,9 @@ def validate(
 class SimilarityWitness:
     """The function beta: G -> T of a coboundary, with beta(e) = 1."""
 
-    def __init__(self, beta: Mapping | Sequence | Callable):
+    def __init__(self, beta: Sequence | Callable):
         if callable(beta):
             self._fn = beta
-        elif isinstance(beta, Mapping):
-            self._fn = lambda a: beta.get(a, ZERO)
         else:
             values = tuple(beta)
             self._fn = lambda a: values[a]

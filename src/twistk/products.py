@@ -145,26 +145,19 @@ def restriction(sigma: ProductMultiplier, factor: int) -> list[list[RotationNumb
     return [[sigma.value(a2, b2) for b2 in g.elements()] for a2 in g.elements()]
 
 
-def regularity_identity_check(
-    sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism, a: int, b: int
-) -> bool:
+def regularity_identity_check(sigma: ProductMultiplier, a: int, b: int) -> bool:
     """The product phase identity at one pair:
 
     sigma(a,b) - sigma(b,a) + f(a1,b2) - f(b1,a2)
       = (sigma1(a1,b1) - sigma1(b1,a1)) + (sigma2(a2,b2) - sigma2(b2,a2)).
 
-    Both sides are evaluated independently; true for all valid inputs.
-    The assembled values are computed from the components directly so the
-    check needs no product-group construction.
+    The left side reads the assembled multiplier, the right side only the
+    factors; true for all valid inputs.
     """
-    n2 = sigma2.group.order
-    a1, a2 = divmod(a, n2)
-    b1, b2 = divmod(b, n2)
-
-    def assembled(x1, x2, y1, y2):
-        return sigma1.value(x1, y1) + sigma2.value(x2, y2) + f.value(y1, x2)
-
-    lhs = assembled(a1, a2, b1, b2) - assembled(b1, b2, a1, a2) + f.value(a1, b2) - f.value(b1, a2)
+    sigma1, sigma2, f = sigma.sigma1, sigma.sigma2, sigma.f
+    a1, a2 = sigma.split(a)
+    b1, b2 = sigma.split(b)
+    lhs = sigma.value(a, b) - sigma.value(b, a) + f.value(a1, b2) - f.value(b1, a2)
     rhs = (
         sigma1.value(a1, b1)
         - sigma1.value(b1, a1)
@@ -236,13 +229,11 @@ class TwoOfThreeReport:
         return (self.sigma_regular, self.factor_regular, self.f_symmetric, self.f_trivial)
 
 
-def two_of_three(
-    sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism, a: int
-) -> TwoOfThreeReport:
+def two_of_three(sigma: ProductMultiplier, a: int) -> TwoOfThreeReport:
     """Evaluate the regularity lemma's four conditions at a and audit it:
     any two of (i), (ii), (iii) must imply the third, and (iii) <=> (iv).
     A violation raises LemmaViolation (must be unreachable)."""
-    sigma = ProductMultiplier(sigma1, sigma2, f)
+    sigma1, sigma2, f = sigma.sigma1, sigma.sigma2, sigma.f
     g = sigma.group
     a1, a2 = sigma.split(a)
     cond_i = is_regular_element(sigma, a)

@@ -116,7 +116,7 @@ def test_criterion_05_phase_identities_exhaustive():
         g = sigma.group
         for a in g.elements():
             for b in g.elements():
-                if not regularity_identity_check(s1, s2, f, a, b):
+                if not regularity_identity_check(sigma, a, b):
                     violations.append(("product-identity", name, (a, b)))
     ok = not violations
     _line(5, ok, "conjugation and product phase identities, exhaustive on the finite catalogs")
@@ -318,7 +318,7 @@ def test_criterion_09_product_degeneracy_equivalence():
         if f_degeneracy(s1, s2, f).nondegenerate != condition_k(sigma):
             violations.append(("equivalence", name))
         for a in sigma.group.elements():
-            two_of_three(s1, s2, f, a)  # LemmaViolation would escape and fail the test
+            two_of_three(sigma, a)  # LemmaViolation would escape and fail the test
     ok = not violations
     _line(9, ok, f"product degeneracy criterion == condition K on {len(triples)} triples; lemma audit clean")
     assert not violations, violations

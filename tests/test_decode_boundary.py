@@ -4,7 +4,9 @@ Small valid specs of every multiplier type are mutated deterministically:
 every key at every depth is dropped, every value is swapped for a bad one,
 and whole specs are replaced by scalars.  Each case runs through cli.main;
 the outcome must be an exit code in {0, 1, 2} with exactly one stderr line
-and no exception escaping.
+and no exception escaping.  Deterministic cases pin exit 2 for numbers
+that are not JSON integers and for non-associative tables in every slot
+where a group table enters.
 """
 
 import copy
@@ -94,3 +96,60 @@ def test_valid_specs_decode(capsys):
     for kind, data in SPECS.items():
         assert main(["validate", "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"]) == 0, kind
         capsys.readouterr()
+
+
+def _exits_2_naming(argv, capsys, name):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", argv
+    assert len(err.splitlines()) == 1 and name in err, (argv, err)
+
+
+def _z2_table(a, b, c, d):
+    return {"type": "trivial", "group": {"table": [[a, b], [c, d]]}}
+
+
+NON_INTEGER = {
+    "table entry float": _z2_table(0, 1.9, 1.2, 0),
+    "table entry integral float": _z2_table(0, 1.0, 1, 0),
+    "table entry bool": _z2_table(False, True, True, False),
+    "table entry string": _z2_table(0, "1", 1, 0),
+    "klein n float": {"type": "klein", "n": 3.9, "k": 1},
+    "klein k float": {"type": "klein", "n": 3, "k": 1.0},
+    "klein n bool": {"type": "klein", "n": True, "k": 0},
+    "klein k string": {"type": "klein", "n": 3, "k": "1"},
+    "torus n float": {"type": "torus", "n": 2.7, "theta": {"1,2": _rot("1/3")}, "basis": []},
+    "torus n bool": {"type": "torus", "n": True, "theta": {}, "basis": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER))
+def test_non_integer_numbers_refused(case, capsys):
+    # int() would read 1.9 as 1, 3.9 as 3 and True as 1
+    for command in COMMANDS:
+        argv = [command, "--inline", json.dumps(NON_INTEGER[case]), "--fuzz", "20", "--box", "2"]
+        _exits_2_naming(argv, capsys, "integer")
+
+
+# the order-5 loop of test_build_rejects_nonassociative: a Latin square with
+# an identity and two-sided inverses that is not associative
+LOOP = {"table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}
+
+
+def _outside_loop_specs():
+    loop_trivial = {"type": "trivial", "group": LOOP}
+    yield {"type": "table", "group": LOOP, "values": [[_rot()] * 5 for _ in range(5)]}
+    yield loop_trivial
+    zeros = [[_rot()] * 2 for _ in range(5)]
+    yield {"type": "direct_product", "sigma1": loop_trivial, "sigma2": _z2_trivial(), "f": {"table": zeros}}
+    yield {"type": "direct_product", "sigma1": _z2_trivial(), "sigma2": loop_trivial,
+           "f": {"table": [list(row) for row in zip(*zeros)]}}
+    yield {"type": "free_product", "sigma1": loop_trivial, "sigma2": _z2_trivial()}
+    yield {"type": "free_product", "sigma1": _z2_trivial(), "sigma2": loop_trivial}
+
+
+def test_every_outside_table_is_proven(capsys):
+    for data in _outside_loop_specs():
+        for command in COMMANDS:
+            argv = [command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"]
+            _exits_2_naming(argv, capsys, "NotAssociative")

@@ -1,7 +1,12 @@
 import random
-from itertools import permutations
+import sys
+from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from catalog import product_triples
 
 from twistk.groups import (
     FiniteGroup,
@@ -16,6 +21,9 @@ from twistk.groups import (
     symmetric,
     trivial,
 )
+from twistk.io import decode_group
+from twistk.multipliers import abelian_group, klein
+from twistk.products import ProductMultiplier
 
 
 def test_build_z2():
@@ -137,5 +145,25 @@ def test_names_and_json():
     assert g.name(g.identity) == "r0"
     assert g.index_of("sr1") == g.names.index("sr1")
     data = g.to_json()
-    g2 = FiniteGroup.from_json(data)
+    g2 = decode_group(data)
     assert g2.table == g.table and g2.names == g.names
+
+
+def test_library_constructors_are_groups():
+    # construction does not scan associativity, so the tables the library
+    # builds itself are proven here, through the same build that proves
+    # decoded tables
+    bases = [cyclic(n) for n in range(1, 13)] + [dihedral(n) for n in range(1, 11)]
+    bases += [symmetric(n) for n in range(1, 5)] + [quaternion(), trivial()]
+    groups = bases + [
+        direct_product(g1, g2)
+        for g1, g2 in combinations_with_replacement(bases, 2)
+        if g1.order * g2.order <= 64
+    ]
+    groups += [klein(n, k).group for n in range(2, 7) for k in range(n)]
+    groups.append(abelian_group((2, 4, 3)))
+    groups += [ProductMultiplier(s1, s2, f).group for _, s1, s2, f in product_triples()]
+    for g in groups:
+        proven = build(g.table, g.names)
+        assert (proven.identity, proven.names) == (g.identity, g.names)
+        assert [proven.inv(a) for a in proven.elements()] == [g.inv(a) for a in g.elements()]

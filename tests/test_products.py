@@ -103,7 +103,7 @@ def test_regularity_identity_trivial_cases():
     f = trivial_bihom(s1.group, s2.group)
     sigma = assemble(s1, s2, f)
     for a in sigma.group.elements():
-        assert regularity_identity_check(s1, s2, f, a, a)
+        assert regularity_identity_check(sigma, a, a)
 
 
 def test_regularity_identity_exhaustive_sample():
@@ -112,7 +112,7 @@ def test_regularity_identity_exhaustive_sample():
         g = sigma.group
         for a in g.elements():
             for b in g.elements():
-                assert regularity_identity_check(s1, s2, f, a, b), (name, a, b)
+                assert regularity_identity_check(sigma, a, b), (name, a, b)
 
 
 def test_f_degeneracy_slawny_case():
@@ -177,7 +177,7 @@ def test_two_of_three_identity_element():
     s1 = tk.klein(2, 1)
     s2 = trivial_multiplier(cyclic(3))
     f = trivial_bihom(s1.group, s2.group)
-    report = two_of_three(s1, s2, f, 0)
+    report = two_of_three(assemble(s1, s2, f), 0)
     assert report.truth_vector() == (True, True, True, True)
 
 
@@ -187,7 +187,7 @@ def test_two_of_three_trivial_f_links_conditions():
     f = trivial_bihom(s1.group, s2.group)
     sigma = assemble(s1, s2, f)
     for a in sigma.group.elements():
-        report = two_of_three(s1, s2, f, a)
+        report = two_of_three(sigma, a)
         assert report.f_symmetric  # f = 1 makes (iii) vacuous
         assert report.sigma_regular == report.factor_regular
 
@@ -196,7 +196,7 @@ def test_two_of_three_no_violation_sample():
     for name, s1, s2, f in product_triples()[:12]:
         sigma = assemble(s1, s2, f)
         for a in sigma.group.elements():
-            two_of_three(s1, s2, f, a)  # raises LemmaViolation on failure
+            two_of_three(sigma, a)  # raises LemmaViolation on failure
 
 
 def test_f_conjugacy_class_corollary_direction():
