@@ -8,7 +8,15 @@ or a decision refused (the report carries an "error" field): the input
 is no multiplier (regularity varies on a class, or the two center
 dimensions disagree) or the numeric oracle is ill-conditioned; 2 on
 malformed input or an unsupported command/input combination.
-Reports are byte-identical for identical job specs: all randomness is
+
+Exit 2 also refuses numbers out of range, before the input is decoded:
+--tol must be a positive rational, --fuzz and --box at least 1.  It
+refuses specs too large for a dense table, before any table is built:
+klein n*n, torus n, or |G1|*|G2| of a direct_product above
+io.MAX_ORDER (1024).
+
+The parser is built once, at import; its parsed arguments are the job.
+Reports are byte-identical for identical jobs: all randomness is
 seeded, keys are sorted, and exact numbers are strings.
 """
 
@@ -18,8 +26,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import IllConditioned, center_dimension_numeric, identify_matrix_algebra
 from .freeprod import FreeProductMultiplier, SimilarityFailure, decompose
@@ -38,29 +44,18 @@ from .torus import MissingHint
 COMMANDS = ("validate", "condition-k", "center", "regular-classes", "f-degeneracy", "decompose")
 
 
-@dataclass
-class JobSpec:
-    command: str
-    data: dict
-    tol: Fraction = Fraction(1, 100000000)
-    fuzz: int = 10000
-    box: int = 3
-    seed: int = 0
-    pretty: bool = False
-
-
 class JobError(ValueError):
     """Malformed job: wrong schema or unsupported command/input pairing."""
 
 
-def _report_base(spec: JobSpec) -> dict:
-    return {"command": spec.command, "seed": spec.seed}
+def _report_base(args: argparse.Namespace) -> dict:
+    return {"command": args.command, "seed": args.seed}
 
 
-def _run_validate(spec: JobSpec, sigma) -> tuple[int, dict]:
-    rng = random.Random(spec.seed)
-    report = validate(sigma, rng=rng, triples=spec.fuzz, box=spec.box)
-    out = _report_base(spec)
+def _run_validate(args: argparse.Namespace, sigma) -> tuple[int, dict]:
+    rng = random.Random(args.seed)
+    report = validate(sigma, rng=rng, triples=args.fuzz, box=args.box)
+    out = _report_base(args)
     out.update(
         {
             "ok": report.ok,
@@ -75,8 +70,8 @@ def _run_validate(spec: JobSpec, sigma) -> tuple[int, dict]:
     return (0 if report.ok else 1), out
 
 
-def _run_condition_k(spec: JobSpec, sigma) -> tuple[int, dict]:
-    out = _report_base(spec)
+def _run_condition_k(args: argparse.Namespace, sigma) -> tuple[int, dict]:
+    out = _report_base(args)
     if isinstance(sigma, LatticeMultiplier):
         decision = condition_k_lattice(sigma.theta)
         out.update(decision.to_json())
@@ -86,34 +81,26 @@ def _run_condition_k(spec: JobSpec, sigma) -> tuple[int, dict]:
         out.update(decision.to_json())
         return 0, out
     if isinstance(sigma, FiniteMultiplier):
-        report = regular_classes(sigma)
-        witness = next(
-            (
-                cls
-                for cls, flag in report.classes
-                if flag and (len(cls) > 1 or cls.representative != sigma.group.identity)
-            ),
-            None,
-        )
+        witness = regular_classes(sigma).witness
         out.update(
             {
-                "condition_k": report.condition_k,
-                "witness_class": {"rep": witness.representative, "members": list(witness.members)}
-                if witness
-                else None,
+                "condition_k": witness is None,
+                "witness_class": None
+                if witness is None
+                else {"rep": witness.representative, "members": list(witness.members)},
             }
         )
         return 0, out
     raise JobError("condition-k is not defined for this input type")
 
 
-def _run_center(spec: JobSpec, sigma) -> tuple[int, dict]:
+def _run_center(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FiniteMultiplier):
         raise JobError("center requires a finite multiplier")
     report = regular_classes(sigma)
     combinatorial = sum(1 for _, flag in report.classes if flag)
-    numeric = center_dimension_numeric(sigma, tol=float(spec.tol))
-    out = _report_base(spec)
+    numeric = center_dimension_numeric(sigma, tol=float(args.tol))
+    out = _report_base(args)
     out.update({"combinatorial": combinatorial, "numeric": numeric})
     if combinatorial != numeric:
         out.update({"error": "center routes disagree", "matrix_algebra": None})
@@ -122,36 +109,36 @@ def _run_center(spec: JobSpec, sigma) -> tuple[int, dict]:
     return 0, out
 
 
-def _run_regular_classes(spec: JobSpec, sigma) -> tuple[int, dict]:
+def _run_regular_classes(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FiniteMultiplier):
         raise JobError("regular-classes requires a finite multiplier")
-    out = _report_base(spec)
+    out = _report_base(args)
     out.update(regular_classes(sigma).to_json())
     return 0, out
 
 
-def _run_f_degeneracy(spec: JobSpec, sigma) -> tuple[int, dict]:
+def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, ProductMultiplier):
         raise JobError("f-degeneracy requires a direct_product input")
     report = f_degeneracy(sigma.sigma1, sigma.sigma2, sigma.f)
-    out = _report_base(spec)
+    out = _report_base(args)
     out.update(report.to_json())
     out["condition_k"] = regular_classes(sigma).condition_k
     return 0, out
 
 
-def _run_decompose(spec: JobSpec, sigma) -> tuple[int, dict]:
+def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FreeProductMultiplier):
         raise JobError("decompose requires a free_product input")
-    rng = random.Random(spec.seed)
-    out = _report_base(spec)
+    rng = random.Random(args.seed)
+    out = _report_base(args)
     try:
         result = decompose(
             sigma.value,
             sigma.fp.g1,
             sigma.fp.g2,
-            max_len=max(spec.box, 2),
-            pairs=spec.fuzz,
+            max_len=max(args.box, 2),
+            pairs=args.fuzz,
             rng=rng,
         )
     except SimilarityFailure as exc:
@@ -166,14 +153,9 @@ def _run_decompose(spec: JobSpec, sigma) -> tuple[int, dict]:
             }
         )
         return 1, out
-    restrictions_match = all(
-        result.sigma1.value(a, b) == sigma.sigma1.value(a, b)
-        for a in sigma.fp.g1.elements()
-        for b in sigma.fp.g1.elements()
-    ) and all(
-        result.sigma2.value(a, b) == sigma.sigma2.value(a, b)
-        for a in sigma.fp.g2.elements()
-        for b in sigma.fp.g2.elements()
+    restrictions_match = (
+        result.sigma1.values == sigma.sigma1.to_table().values
+        and result.sigma2.values == sigma.sigma2.to_table().values
     )
     out.update(
         {
@@ -195,18 +177,18 @@ _RUNNERS = {
 }
 
 
-def run(spec: JobSpec) -> tuple[int, dict]:
+def run(args: argparse.Namespace, data) -> tuple[int, dict]:
     """Execute one job; returns (exit code, report dict)."""
-    sigma = decode_multiplier(spec.data)
+    sigma = decode_multiplier(data)
     try:
-        return _RUNNERS[spec.command](spec, sigma)
+        return _RUNNERS[args.command](args, sigma)
     except (IllConditioned, ClassInconsistency) as exc:
         error = "ill-conditioned" if isinstance(exc, IllConditioned) else "not a multiplier"
-        out = _report_base(spec)
+        out = _report_base(args)
         out.update({"error": error, "detail": str(exc)})
         return 1, out
     except MissingHint as exc:
-        raise JobError(f"{spec.command} needs a float hint for symbol {exc.args[0]!r}") from None
+        raise JobError(f"{args.command} needs a float hint for symbol {exc.args[0]!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,24 +197,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact decisions for twisted group algebras: validation, "
         "condition K, centers, product degeneracy, free product decomposition.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--input", help="path to a multiplier description (JSON)")
-        src.add_argument("--inline", help="multiplier description as an inline JSON string")
-        p.add_argument("--tol", default="1/100000000", help="tolerance as a rational string")
-        p.add_argument("--fuzz", type=int, default=10000, help="random triples / sampled pairs")
-        p.add_argument("--box", type=int, default=3, help="coordinate box (or word length) bound")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (reports are reproducible)")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="compact JSON (default)")
-        fmt.add_argument("--pretty", action="store_true", help="indented JSON")
+    parser.add_argument("command", choices=COMMANDS, help="the decision or validation to run")
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", help="path to a multiplier description (JSON)")
+    src.add_argument("--inline", help="multiplier description as an inline JSON string")
+    parser.add_argument("--tol", default="1/100000000", help="positive tolerance as a rational string")
+    parser.add_argument("--fuzz", type=int, default=10000, help="random triples / sampled pairs, at least 1")
+    parser.add_argument("--box", type=int, default=3, help="coordinate box (or word length) bound, at least 1")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (reports are reproducible)")
+    parser.add_argument("--pretty", action="store_true", help="indented JSON instead of compact")
     return parser
 
 
+_PARSER = _build_parser()
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    if args.tol <= 0:
+        raise JobError(f"--tol must be positive, got {args.tol}")
+    for name in ("fuzz", "box"):
+        if getattr(args, name) < 1:
+            raise JobError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.input is not None:
             with open(args.input) as fh:
@@ -243,31 +232,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        tol = parse_fraction(args.tol)
-    except SchemaError as exc:
-        print(f"bad job: {exc}", file=sys.stderr)
-        return 2
-    spec = JobSpec(
-        command=args.command,
-        data=data,
-        tol=tol,
-        fuzz=args.fuzz,
-        box=args.box,
-        seed=args.seed,
-        pretty=args.pretty,
-    )
-    try:
-        code, report = run(spec)
+        args.tol = parse_fraction(args.tol)
+        _check_ranges(args)
+        code, report = run(args, data)
     except (SchemaError, JobError) as exc:
         print(f"bad job: {exc}", file=sys.stderr)
         return 2
-    if spec.pretty:
+    if args.pretty:
         text = json.dumps(report, sort_keys=True, indent=2)
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     print(text)
     summary = {0: "ok", 1: "FAILED"}.get(code, "error")
-    print(f"{spec.command}: {summary} (seed={spec.seed})", file=sys.stderr)
+    print(f"{args.command}: {summary} (seed={args.seed})", file=sys.stderr)
     return code
 
 

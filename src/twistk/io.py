@@ -4,6 +4,9 @@ Every exact number crosses the wire as a string "p/q"; floats appear
 only in the optional evaluation hints.  The multiplier schema is
 variant-tagged by "type": klein | table | trivial | direct_product |
 torus | g3 | free_product.
+
+A spec whose dense table or matrix would exceed MAX_ORDER on a side is
+refused before anything of that size is built.
 """
 
 from __future__ import annotations
@@ -25,8 +28,18 @@ from .products import Bihomomorphism, ProductMultiplier
 from .torus import IrrationalBasis, RotationNumber
 
 
+# 4x the largest order the benchmark decides; condition-k on klein(32, 1)
+# takes about a second.  One value is in use, so it is not a flag.
+MAX_ORDER = 1024
+
+
 class SchemaError(ValueError):
     pass
+
+
+def _check_order(order: int, what: str) -> None:
+    if order > MAX_ORDER:
+        raise SchemaError(f"{what} is {order}, above the size cap MAX_ORDER = {MAX_ORDER}")
 
 
 def _require(data, key: str):
@@ -81,6 +94,7 @@ def _decode(data) -> Multiplier:
     kind = _require(data, "type")
     if kind == "klein":
         n, k = (_integer(_require(data, key), key) for key in ("n", "k"))
+        _check_order(n * n, "klein group order n*n")
         return KleinMultiplier(n, k)
     if kind == "trivial":
         return trivial_multiplier(decode_group(_require(data, "group")))
@@ -88,14 +102,17 @@ def _decode(data) -> Multiplier:
         return TableMultiplier(decode_group(_require(data, "group")), _rotations(_require(data, "values")))
     if kind == "direct_product":
         sigma1, sigma2 = _finite_factors(data, kind)
+        _check_order(sigma1.group.order * sigma2.group.order, "direct product order |G1|*|G2|")
         f = Bihomomorphism(sigma1.group, sigma2.group, _rotations(_require(_require(data, "f"), "table")))
         return ProductMultiplier(sigma1, sigma2, f)
     if kind == "torus":
+        n = _integer(_require(data, "n"), "n")
+        _check_order(n, "torus rank n")
         entries = {}
         for key, value in _require(data, "theta").items():
             i, j = (int(part) for part in str(key).split(","))
             entries[(i - 1, j - 1)] = RotationNumber.from_json(value)
-        return LatticeMultiplier(Theta(_integer(_require(data, "n"), "n"), entries, _decode_basis(data)))
+        return LatticeMultiplier(Theta(n, entries, _decode_basis(data)))
     if kind == "g3":
         mu = {}
         for key, value in _require(data, "mu").items():

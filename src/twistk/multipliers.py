@@ -125,9 +125,6 @@ class KleinMultiplier(FiniteMultiplier):
         z = cyclic(n)
         self.group = direct_product(z, z)
 
-    def coords(self, a: int) -> tuple[int, int]:
-        return divmod(a, self.n)
-
     def value(self, a: int, b: int) -> RotationNumber:
         _, a2 = divmod(a, self.n)
         b1, _ = divmod(b, self.n)

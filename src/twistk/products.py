@@ -62,10 +62,6 @@ class Bihomomorphism:
                         raise InvalidBihomomorphism(
                             f"not multiplicative in slot 2 at ({a1};{a2},{b2})"
                         )
-        if any(t[self.g1.identity][a2] for a2 in self.g2.elements()):
-            raise InvalidBihomomorphism("f(e, .) != 1")
-        if any(t[a1][self.g2.identity] for a1 in self.g1.elements()):
-            raise InvalidBihomomorphism("f(., e) != 1")
 
     def value(self, a1: int, a2: int) -> RotationNumber:
         return self.table[a1][a2]

@@ -29,9 +29,16 @@ class NotRegular(ValueError):
 
 @dataclass
 class RegularityReport:
+    """Per-class flags; ``witness`` is the first nontrivial regular class in
+    class order, or None, and condition K holds exactly when it is None."""
+
     classes: tuple[tuple[ConjugacyClass, bool], ...]
-    condition_k: bool
+    witness: ConjugacyClass | None
     regular_element_count: int
+
+    @property
+    def condition_k(self) -> bool:
+        return self.witness is None
 
     def regular_classes(self) -> list[ConjugacyClass]:
         return [cls for cls, flag in self.classes if flag]
@@ -66,7 +73,7 @@ def regular_classes(sigma: FiniteMultiplier) -> RegularityReport:
     g = sigma.group
     flagged = []
     regular_count = 0
-    condition_k = True
+    witness = None
     for cls in g.conjugacy_classes():
         flags = {m: is_regular_element(sigma, m) for m in cls.members}
         values = set(flags.values())
@@ -78,10 +85,9 @@ def regular_classes(sigma: FiniteMultiplier) -> RegularityReport:
         flagged.append((cls, flag))
         if flag:
             regular_count += len(cls)
-            nontrivial = len(cls) > 1 or cls.representative != g.identity
-            if nontrivial:
-                condition_k = False
-    return RegularityReport(tuple(flagged), condition_k, regular_count)
+            if witness is None and (len(cls) > 1 or cls.representative != g.identity):
+                witness = cls
+    return RegularityReport(tuple(flagged), witness, regular_count)
 
 
 def condition_k(sigma: FiniteMultiplier) -> bool:

@@ -5,8 +5,9 @@ every key at every depth is dropped, every value is swapped for a bad one,
 and whole specs are replaced by scalars.  Each case runs through cli.main;
 the outcome must be an exit code in {0, 1, 2} with exactly one stderr line
 and no exception escaping.  Deterministic cases pin exit 2 for numbers
-that are not JSON integers and for non-associative tables in every slot
-where a group table enters.
+that are not JSON integers, for non-associative tables in every slot
+where a group table enters, for out-of-range --tol / --fuzz / --box, and
+for specs above the size cap io.MAX_ORDER.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pytest
 
 from twistk.cli import COMMANDS, main
 from twistk.groups import cyclic, direct_product
+from twistk.io import MAX_ORDER
 
 BAD_VALUES = (None, "x", [], {}, -1, "1/0")
 
@@ -153,3 +155,60 @@ def test_every_outside_table_is_proven(capsys):
         for command in COMMANDS:
             argv = [command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"]
             _exits_2_naming(argv, capsys, "NotAssociative")
+
+
+# unchecked, these answer "yes" without evidence (--fuzz 0), refuse as
+# ill-conditioned (--tol 0) or raise ValueError from randrange (--box -1)
+OUT_OF_RANGE = {
+    "box -1 torus": ("validate", "torus", ["--box", "-1"]),
+    "box -1 g3": ("validate", "g3", ["--box", "-1"]),
+    "box -1 free product": ("validate", "free_product", ["--box", "-1"]),
+    "box 0 torus": ("validate", "torus", ["--box", "0"]),
+    "fuzz 0 validate": ("validate", "torus", ["--fuzz", "0"]),
+    "fuzz -5 validate": ("validate", "g3", ["--fuzz", "-5"]),
+    "fuzz 0 decompose": ("decompose", "free_product", ["--fuzz", "0"]),
+    "tol 0": ("center", "klein", ["--tol", "0"]),
+    "tol -1/2": ("center", "klein", ["--tol=-1/2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_options_refused(case, capsys):
+    command, kind, options = OUT_OF_RANGE[case]
+    option = options[0].split("=")[0]
+    _exits_2_naming([command, "--inline", json.dumps(SPECS[kind]), *options], capsys, option)
+
+
+def _zero_table(rows, cols):
+    return [[_rot()] * cols for _ in range(rows)]
+
+
+# tiny specs that ask for a table or matrix just above MAX_ORDER on a side
+# (klein 1089^2 table, 1025 x 1025 torus matrix, 1296^2 product table);
+# small enough that a decoder without the cap answers them in seconds
+OVERSIZED = {
+    "klein n=33": ("condition-k", {"type": "klein", "n": 33, "k": 1}),
+    "torus n=1025": ("condition-k", {"type": "torus", "n": 1025, "theta": {}, "basis": []}),
+    "direct product 36x36": (
+        "f-degeneracy",
+        {
+            "type": "direct_product",
+            "sigma1": {"type": "klein", "n": 6, "k": 1},
+            "sigma2": {"type": "klein", "n": 6, "k": 1},
+            "f": {"table": _zero_table(36, 36)},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_specs_refused(case, capsys):
+    command, data = OVERSIZED[case]
+    _exits_2_naming([command, "--inline", json.dumps(data)], capsys, "MAX_ORDER")
+
+
+def test_largest_klein_still_answered(capsys):
+    assert 32 * 32 == MAX_ORDER
+    assert main(["condition-k", "--inline", json.dumps({"type": "klein", "n": 32, "k": 1})]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["condition_k"] is True and len(err.splitlines()) == 1

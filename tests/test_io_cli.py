@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +292,37 @@ def test_cli_pretty_flag(capsys):
         capsys, ["condition-k", "--inline", json.dumps({"type": "klein", "n": 2, "k": 1}), "--pretty"]
     )
     assert code == 0 and out.startswith("{\n")
+
+
+def test_cli_builds_no_parser_per_job(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = json.dumps({"type": "klein", "n": 3, "k": 1})
+    for command in ("condition-k", "validate", "center"):
+        code, _, _ = _run(capsys, [command, "--inline", spec])
+        assert code == 0
+    assert built == []
+
+
+def _fresh_cli(*argv):
+    src = str(Path(twistk.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "twistk.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_cli_module_in_fresh_interpreter(capsys):
+    argv = ["condition-k", "--inline", json.dumps({"type": "klein", "n": 3, "k": 1})]
+    code, out, _ = _run(capsys, argv)
+    done = _fresh_cli(*argv)
+    assert code == 0 and done.returncode == 0 and done.stdout == out
+    shown = _fresh_cli("--help")
+    assert shown.returncode == 0
+    assert all(command in shown.stdout for command in twistk.cli.COMMANDS)
