@@ -18,7 +18,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .multipliers import FiniteMultiplier
-from .torus import ZERO, IrrationalBasis, RotationNumber
+from .torus import ZERO, IrrationalBasis, MissingHint, RotationNumber
 
 
 class IllConditioned(RuntimeError):
@@ -251,7 +251,8 @@ class GenPermMatrix:
     Column b holds its row index and the phase exponent of the entry.
     Products and equality are exact; this is the zero-tolerance path for
     the commutation identities of the regular representations, and
-    to_array gives the complex matrix the numeric center oracle uses.
+    to_array gives its complex matrix (the numeric center oracle fills
+    the same matrices from the compiled exponents, ``_lambda_stack``).
     """
 
     __slots__ = ("cols",)
@@ -306,6 +307,26 @@ def rho_bar_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
 
 # -- numeric center oracle ------------------------------------------------------
 
+
+def _lambda_stack(sigma: FiniteMultiplier) -> np.ndarray:
+    """lam[a] = lambda(a) as complex matrices: lam[a, ab, b] = e^(2 pi i sigma(a, b)).
+
+    A symbolic entry raises MissingHint, naming the symbol that
+    ``lambda_exact(sigma, a).to_array()`` would have evaluated first."""
+    g = sigma.group
+    n = g.order
+    ex = sigma.exponents()
+    symbolic = np.flatnonzero((ex.array[..., 1:] != 0).any(axis=-1))
+    if symbolic.size:
+        a, b = divmod(int(symbolic[0]), n)
+        raise MissingHint(ex.labels[int(np.flatnonzero(ex.array[a, b, 1:])[0])])
+    lam = np.zeros((n, n, n), dtype=complex)
+    elements = np.arange(n)
+    phases = (ex.array[..., 0] / ex.D).astype(float)
+    lam[elements[:, None], g.array, elements[None, :]] = np.exp(2j * np.pi * phases)
+    return lam
+
+
 GAP = 10.0
 
 
@@ -320,7 +341,7 @@ def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8) -> int:
     """
     n = sigma.group.order
     e = sigma.group.identity
-    lam = np.stack([lambda_exact(sigma, a).to_array() for a in range(n)])  # (n, n, n)
+    lam = _lambda_stack(sigma)
     prod = np.einsum("aij,gj->agi", lam, lam[:, :, e])  # lambda(a) lambda(g) delta_e
     comm = prod - prod.transpose(1, 0, 2)  # [lambda(a), lambda(g)] delta_e at (a, g)
     mat = comm.transpose(0, 2, 1).reshape(n * n, n)

@@ -2,12 +2,22 @@
 decision or validation, emit a JSON report on stdout and a one-line
 human summary on stderr.
 
-Exit codes: 0 when the decision was computed (whatever the boolean came
-out to be); 1 when a validation failed (the report carries the witness)
-or a decision refused (the report carries an "error" field): the input
-is no multiplier (regularity varies on a class, or the two center
-dimensions disagree) or the numeric oracle is ill-conditioned; 2 on
-malformed input or an unsupported command/input combination.
+Exit codes:
+
+- 0 when the decision was computed, whatever the boolean came out to be.
+- 1 when a validation failed (the report carries the witness) or a
+  decision refused (the report carries an "error" field):
+  - "not a multiplier": before condition-k, regular-classes, center or
+    f-degeneracy, a finite input is proven a multiplier through the
+    generating set of its group (``multipliers.require_multiplier``); a
+    table that fails is refused with the violating ``witness`` triple
+    (a, s, c), or identity pair (a, e), and the failed ``reason``
+    (regularity that varies on a class, impossible after that proof, is
+    refused with the same error and a "detail");
+  - "center routes disagree": the combinatorial and numeric center
+    dimensions differ;
+  - "ill-conditioned": the numeric oracle found no clean spectral gap.
+- 2 on malformed input or an unsupported command/input combination.
 
 Exit 2 also refuses numbers out of range, before the input is decoded:
 --tol must be a positive rational, --fuzz and --box at least 1.  It
@@ -36,7 +46,7 @@ from .io import (
     parse_fraction,
 )
 from .lattices import G3Multiplier, LatticeMultiplier, g3_condition_k, condition_k_lattice
-from .multipliers import FiniteMultiplier, validate
+from .multipliers import FiniteMultiplier, NotAMultiplier, require_multiplier, validate
 from .products import ProductMultiplier, f_degeneracy
 from .regularity import ClassInconsistency, regular_classes
 from .torus import MissingHint
@@ -81,6 +91,7 @@ def _run_condition_k(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         out.update(decision.to_json())
         return 0, out
     if isinstance(sigma, FiniteMultiplier):
+        require_multiplier(sigma)
         witness = regular_classes(sigma).witness
         out.update(
             {
@@ -97,6 +108,7 @@ def _run_condition_k(args: argparse.Namespace, sigma) -> tuple[int, dict]:
 def _run_center(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FiniteMultiplier):
         raise JobError("center requires a finite multiplier")
+    require_multiplier(sigma)
     report = regular_classes(sigma)
     combinatorial = sum(1 for _, flag in report.classes if flag)
     numeric = center_dimension_numeric(sigma, tol=float(args.tol))
@@ -112,6 +124,7 @@ def _run_center(args: argparse.Namespace, sigma) -> tuple[int, dict]:
 def _run_regular_classes(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FiniteMultiplier):
         raise JobError("regular-classes requires a finite multiplier")
+    require_multiplier(sigma)
     out = _report_base(args)
     out.update(regular_classes(sigma).to_json())
     return 0, out
@@ -120,6 +133,7 @@ def _run_regular_classes(args: argparse.Namespace, sigma) -> tuple[int, dict]:
 def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, ProductMultiplier):
         raise JobError("f-degeneracy requires a direct_product input")
+    require_multiplier(sigma)
     report = f_degeneracy(sigma.sigma1, sigma.sigma2, sigma.f)
     out = _report_base(args)
     out.update(report.to_json())
@@ -182,6 +196,10 @@ def run(args: argparse.Namespace, data) -> tuple[int, dict]:
     sigma = decode_multiplier(data)
     try:
         return _RUNNERS[args.command](args, sigma)
+    except NotAMultiplier as exc:
+        out = _report_base(args)
+        out.update({"error": "not a multiplier", "reason": exc.reason, "witness": list(exc.witness)})
+        return 1, out
     except (IllConditioned, ClassInconsistency) as exc:
         error = "ill-conditioned" if isinstance(exc, IllConditioned) else "not a multiplier"
         out = _report_base(args)

@@ -2,12 +2,19 @@
 
 Groups are always given by a full order x order table of element indices
 so every downstream check (cocycle identities, regularity scans) can be
-exhaustive and exact.  A table from outside the program is proven once,
-by ``build``: shape, two-sided identity, two-sided inverses and
-associativity.  The library constructors below build groups by
+exhaustive and exact.  Each group keeps its table twice: as tuples for
+single products and as one ``intp`` array, ``array``, on which the scans
+run as numpy operations.
+
+A table from outside the program is proven once, by ``build``: shape,
+two-sided identity, two-sided inverses and associativity over all |G|^3
+triples, scanned in blocks of the left factor so that no temporary holds
+|G|^3 entries.  The library constructors below build groups by
 construction, so ``FiniteGroup`` itself checks the shape and finds the
 identity and inverses but does not scan associativity; the test suite
-proves the library's tables through ``build``.
+proves the library's tables through ``build``.  ``generators`` gives the
+generating set on which ``multipliers.require_multiplier`` proves a
+cocycle.
 """
 
 from __future__ import annotations
@@ -15,6 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+# Entries per temporary in a blockwise |G|^3 scan (1 MiB of int64).
+BLOCK = 1 << 17
 
 
 class GroupTableError(ValueError):
@@ -52,13 +64,15 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise GroupTableError("empty table")
-        tab = []
-        for row in table:
-            r = tuple(row)
-            if len(r) != n or any(not 0 <= x < n for x in r):
-                raise GroupTableError("table is not square over {0..n-1}")
-            tab.append(r)
-        self.table: tuple[tuple[int, ...], ...] = tuple(tab)
+        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
+        if any(len(row) != n for row in self.table):
+            raise GroupTableError("table is not square over {0..n-1}")
+        try:
+            self.array = np.array(self.table, dtype=np.intp)
+        except OverflowError:
+            raise GroupTableError("table is not square over {0..n-1}") from None
+        if self.array.min() < 0 or self.array.max() >= n:
+            raise GroupTableError("table is not square over {0..n-1}")
         self.order = n
         self.identity = self._find_identity()
         self._inverses = self._find_inverses()
@@ -68,40 +82,38 @@ class FiniteGroup:
                 raise GroupTableError("names length != order")
         self.names: tuple[str, ...] = names or tuple(str(i) for i in range(n))
         self._classes: tuple[ConjugacyClass, ...] | None = None
+        self._generators: tuple[int, ...] | None = None
 
     # -- construction checks ----------------------------------------------
 
     def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
-                return e
-        raise NoIdentity("no two-sided identity")
+        t = self.array
+        units = np.arange(self.order)
+        found = np.flatnonzero((t == units).all(axis=1) & (t.T == units).all(axis=1))
+        if found.size == 0:
+            raise NoIdentity("no two-sided identity")
+        return int(found[0])
 
     def _find_inverses(self) -> tuple[int, ...]:
-        e = self.identity
-        inv = []
-        for a in range(self.order):
-            b = next(
-                (b for b in range(self.order) if self.table[a][b] == e and self.table[b][a] == e),
-                None,
-            )
-            if b is None:
-                raise NoInverse(f"element {a} has no two-sided inverse")
-            inv.append(b)
-        return tuple(inv)
+        t = self.array
+        inverse = (t == self.identity) & (t.T == self.identity)
+        missing = np.flatnonzero(~inverse.any(axis=1))
+        if missing.size:
+            raise NoInverse(f"element {missing[0]} has no two-sided inverse")
+        return tuple(inverse.argmax(axis=1).tolist())
 
     def _check_associativity(self) -> None:
-        tab = self.table
-        rng = range(self.order)
-        for a in rng:
-            ta = tab[a]
-            for b in rng:
-                ab = ta[b]
-                tab_ab = tab[ab]
-                tb = tab[b]
-                for c in rng:
-                    if tab_ab[c] != ta[tb[c]]:
-                        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        """(ab)c = a(bc) for all triples, in blocks of a; the first failure in
+        lexicographic order is reported."""
+        t = self.array
+        n = self.order
+        step = max(1, BLOCK // (n * n))
+        for a0 in range(0, n, step):
+            rows = t[a0 : a0 + step]
+            bad = np.flatnonzero(t[rows] != rows[:, t])
+            if bad.size:
+                a, b, c = np.unravel_index(bad[0], (len(rows), n, n))
+                raise NotAssociative(f"({a0 + a}*{b})*{c} != {a0 + a}*({b}*{c})")
 
     # -- basic operations ---------------------------------------------------
 
@@ -141,18 +153,38 @@ class FiniteGroup:
         return tuple(b for b in range(self.order) if self.commutes(a, b))
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
+        """Classes in the order of their smallest members, each member list
+        ascending; the representative is the smallest member."""
         if self._classes is None:
-            seen = [False] * self.order
-            classes = []
-            for a in range(self.order):
-                if seen[a]:
-                    continue
-                orbit = sorted({self.conj(c, a) for c in range(self.order)})
-                for x in orbit:
-                    seen[x] = True
-                classes.append(ConjugacyClass(tuple(orbit), min(orbit)))
-            self._classes = tuple(classes)
+            t = self.array
+            conj = t[t, np.asarray(self._inverses)[:, None]]  # conj[c, a] = c a c^-1
+            smallest = conj.min(axis=0)  # the smallest member of the class of a
+            order = np.argsort(smallest, kind="stable")
+            reps, starts = np.unique(smallest[order], return_index=True)
+            self._classes = tuple(
+                ConjugacyClass(tuple(members.tolist()), int(rep))
+                for rep, members in zip(reps, np.split(order, starts[1:]))
+            )
         return self._classes
+
+    def generators(self) -> tuple[int, ...]:
+        """A greedy generating set S: the smallest element outside the
+        closure of {e} under y -> y s (s in S) joins S, until the closure
+        is the whole group."""
+        if self._generators is None:
+            t = self.array
+            reached = np.zeros(self.order, dtype=bool)
+            reached[self.identity] = True
+            gens: list[int] = []
+            while not reached.all():
+                gens.append(int(np.argmin(reached)))
+                frontier = np.flatnonzero(reached)
+                while frontier.size:
+                    step = np.unique(t[np.ix_(frontier, gens)])
+                    frontier = step[~reached[step]]
+                    reached[frontier] = True
+            self._generators = tuple(gens)
+        return self._generators
 
     def class_of(self, a: int) -> ConjugacyClass:
         for cls in self.conjugacy_classes():
@@ -204,13 +236,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     with tables built on the product.
     """
     n1, n2 = g1.order, g2.order
-    table = []
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = [g1.table[a1][b1] * n2 + g2.table[a2][b2] for b1 in range(n1) for b2 in range(n2)]
-            table.append(row)
+    table = g1.array[:, None, :, None] * n2 + g2.array[None, :, None, :]
     names = [f"({g1.names[a1]},{g2.names[a2]})" for a1 in range(n1) for a2 in range(n2)]
-    return FiniteGroup(table, names)
+    return FiniteGroup(table.reshape(n1 * n2, n1 * n2).tolist(), names)
 
 
 def dihedral(n: int) -> FiniteGroup:

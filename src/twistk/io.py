@@ -70,7 +70,18 @@ def _decode_basis(data) -> IrrationalBasis:
 
 
 def _rotations(rows) -> list[list[RotationNumber]]:
-    return [[RotationNumber.from_json(v) for v in row] for row in rows]
+    """One RotationNumber per distinct entry content: equal entries share
+    one object, which ``compile_values`` then converts once."""
+    seen: dict[tuple, RotationNumber] = {}
+
+    def decode(v) -> RotationNumber:
+        key = (v.get("rat", 0), tuple(v.get("irr", {}).items()))
+        x = seen.get(key)
+        if x is None:
+            x = seen[key] = RotationNumber.from_json(v)
+        return x
+
+    return [[decode(v) for v in row] for row in rows]
 
 
 def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier]:

@@ -5,19 +5,38 @@ A multiplier on G is a function sigma: G x G -> T with
     sigma(a,b) sigma(ab,c) = sigma(a,bc) sigma(b,c),
     sigma(a,e) = sigma(e,a) = 1,
 
-stored here additively as RotationNumber exponents.  Finite-domain
-multipliers are validated exhaustively; infinite families are fuzzed on
-random triples from a bounded box.
+stored here additively as RotationNumber exponents.  Infinite families
+are fuzzed on random triples from a bounded box.
+
+A finite multiplier is compiled once, by ``exponents()``, to integers
+over a common denominator D (``Exponents``): slot 0 of an (|G|, |G|, 1+k)
+array holds the rational part times D, mod D, and slot i the coefficient
+of the i-th declared symbol times D.  Every finite class of H^2(G, T) has
+a representative with values in the |G|-th roots of unity, so D stays
+small in practice; an array whose sums could pass 2^63 holds exact
+Python ints instead of int64, so no comparison ever wraps.  The finite
+proofs run as numpy operations on this array and the group's ``array``:
+
+- ``validate`` checks the identity row and column, then the cocycle
+  identity on all |G|^3 triples, in blocks of a, and reports the first
+  failure in lexicographic order;
+- ``require_multiplier`` checks the identity row and column and the
+  cocycle identity on the |S| |G|^2 triples (a, s, c) with s in the
+  generating set S of ``FiniteGroup.generators``, which proves the
+  identity on all triples.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .groups import FiniteGroup, cyclic, direct_product
+import numpy as np
+
+from .groups import BLOCK, FiniteGroup, cyclic, direct_product
 from .torus import ZERO, RotationNumber, rot
 
 
@@ -27,6 +46,62 @@ class DomainMismatch(ValueError):
 
 class NotNormalized(ValueError):
     """A normalized multiplier was required (sigma(a, a^-1) = 1)."""
+
+
+class NotAMultiplier(ValueError):
+    """A finite table breaks the cocycle identities; ``witness`` is a
+    violating triple (a, b, c) or identity pair (a, e)."""
+
+    def __init__(self, witness: tuple, reason: str):
+        super().__init__(f"{reason} fails at {witness}")
+        self.witness = witness
+        self.reason = reason
+
+
+@dataclass(frozen=True, eq=False)
+class Exponents:
+    """Exponents over a common denominator D: entry x of ``array`` stands
+    for (x[0] + sum_i x[i] * labels[i - 1]) / D, with x[0] in [0, D).
+    ``array`` is int64, or object (exact Python ints) when a sum of four
+    entries could reach 2^63."""
+
+    D: int
+    labels: tuple[str, ...]
+    array: np.ndarray
+
+    def is_zero(self, diff: np.ndarray) -> np.ndarray:
+        """Which exponents of a difference (last axis the slots) are 0 mod 1:
+        slot 0 vanishes mod D and every symbol slot vanishes."""
+        zero = diff[..., 0] % self.D == 0
+        if diff.shape[-1] > 1:
+            zero &= (diff[..., 1:] == 0).all(axis=-1)
+        return zero
+
+
+def exact_dtype(bound: int):
+    """int64 while four entries of magnitude ``bound`` (and D) cannot reach 2^63."""
+    return np.int64 if 4 * bound < 2**63 else object
+
+
+def compile_values(rows: Sequence[Sequence[RotationNumber]]) -> Exponents:
+    """A dense table of exponents compiled: each distinct entry object is
+    converted once, then the table is gathered from them."""
+    flat = [x for row in rows for x in row]
+    ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = [flat[i] for i in first]
+    D = math.lcm(*(x.rat.denominator for x in distinct), *(c.denominator for x in distinct for _, c in x.coeffs))
+    labels = tuple(sorted({label for x in distinct for label, _ in x.coeffs}))
+    slot = {label: i for i, label in enumerate(labels, 1)}
+    unique = []
+    for x in distinct:
+        entry = [x.rat.numerator * (D // x.rat.denominator)] + [0] * len(labels)
+        for label, c in x.coeffs:
+            entry[slot[label]] = c.numerator * (D // c.denominator)
+        unique.append(entry)
+    bound = max(D, *(abs(v) for entry in unique for v in entry))
+    table = np.array(unique, dtype=exact_dtype(bound))[index]
+    return Exponents(D, labels, table.reshape(len(rows), len(rows[0]), 1 + len(labels)))
 
 
 @dataclass
@@ -69,6 +144,17 @@ class FiniteMultiplier(Multiplier):
     """A multiplier on a finite table group; elements are indices."""
 
     group: FiniteGroup
+    _exponents: Exponents | None = None
+
+    def exponents(self) -> Exponents:
+        """The compiled (|G|, |G|, 1+k) form, computed once per instance."""
+        if self._exponents is None:
+            self._exponents = self._compile()
+        return self._exponents
+
+    def _compile(self) -> Exponents:
+        n = self.group.order
+        return compile_values([[self.value(a, b) for b in range(n)] for a in range(n)])
 
     def multiply(self, a: int, b: int) -> int:
         return self.group.mul(a, b)
@@ -104,6 +190,9 @@ class TableMultiplier(FiniteMultiplier):
     def value(self, a: int, b: int) -> RotationNumber:
         return self.values[a][b]
 
+    def _compile(self) -> Exponents:
+        return compile_values(self.values)
+
     def to_table(self) -> "TableMultiplier":
         return self
 
@@ -129,6 +218,11 @@ class KleinMultiplier(FiniteMultiplier):
         _, a2 = divmod(a, self.n)
         b1, _ = divmod(b, self.n)
         return RotationNumber(Fraction(self.k * a2 * b1, self.n))
+
+    def _compile(self) -> Exponents:
+        x = np.arange(self.n * self.n, dtype=np.int64)
+        table = self.k * (x % self.n)[:, None] * (x // self.n)[None, :] % self.n
+        return Exponents(self.n, (), table[:, :, None])
 
 
 def klein(n: int, k: int) -> KleinMultiplier:
@@ -202,25 +296,16 @@ def validate(
     """
     if sigma.is_finite():
         g = sigma.group
-        n = g.order
-        e = g.identity
-        val = sigma.value
-        for a in range(n):
-            if not val(a, e).is_integral() or not val(e, a).is_integral():
-                return ValidationReport(False, n, "exhaustive", (a, e, None), "identity row/column")
-        checked = 0
-        table = [[val(a, b) for b in range(n)] for a in range(n)]
-        mul = g.table
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                s_ab = table[a][b]
-                row_b = mul[b]
-                for c in range(n):
-                    if s_ab + table[ab][c] != table[a][row_b[c]] + table[b][c]:
-                        return ValidationReport(False, checked, "exhaustive", (a, b, c), "cocycle identity")
-                    checked += 1
-        return ValidationReport(True, checked, "exhaustive")
+        n, e = g.order, g.identity
+        ex = sigma.exponents()
+        a = _unit_failure(ex, e)
+        if a is not None:
+            return ValidationReport(False, n, "exhaustive", (a, e, None), "identity row/column")
+        witness = _cocycle_failure(ex, g.array, range(n))
+        if witness is not None:
+            a, b, c = witness
+            return ValidationReport(False, (a * n + b) * n + c, "exhaustive", witness, "cocycle identity")
+        return ValidationReport(True, n**3, "exhaustive")
 
     rng = rng or random.Random(0)
     e = sigma.identity_element()
@@ -239,6 +324,55 @@ def validate(
             return ValidationReport(False, checked, "fuzz", (a, b, c), "cocycle identity")
         checked += 1
     return ValidationReport(True, checked, "fuzz")
+
+
+def _unit_failure(ex: Exponents, e: int) -> int | None:
+    """The first a with sigma(a, e) or sigma(e, a) not 1."""
+    bad = ~(ex.is_zero(ex.array[:, e]) & ex.is_zero(ex.array[e, :]))
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _cocycle_failure(ex: Exponents, t: np.ndarray, middles: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first (a, b, c), b running over ``middles`` in their order, with
+    sigma(a,b) + sigma(ab,c) != sigma(a,bc) + sigma(b,c); scanned in blocks
+    of a so that no temporary holds more than about BLOCK entries."""
+    E = ex.array
+    n = len(t)
+    b = np.asarray(middles, dtype=np.intp)
+    bc, sigma_bc = t[b], E[b]
+    step = max(1, BLOCK // (len(b) * n * E.shape[-1]))
+    for a0 in range(0, n, step):
+        a = np.arange(a0, min(n, a0 + step))
+        defect = E[t[np.ix_(a, b)]]  # sigma(ab, c)
+        defect += E[np.ix_(a, b)][:, :, None]
+        defect -= E[a[:, None, None], bc]
+        defect -= sigma_bc
+        bad = np.flatnonzero(~ex.is_zero(defect))
+        if bad.size:
+            i, j, c = np.unravel_index(bad[0], defect.shape[:3])
+            return int(a[i]), int(b[j]), int(c)
+    return None
+
+
+def require_multiplier(sigma: FiniteMultiplier) -> None:
+    """Raise NotAMultiplier unless sigma is a multiplier, proven through the
+    generating set S of its group.
+
+    The identity row and column are checked, then the cocycle identity on
+    the triples (a, s, c) with s in S.  In the extension T x G with product
+    (x,a)(y,b) = (x+y+sigma(a,b), ab) these say that every (x, s) associates
+    in the middle; the middle elements that associate are closed under
+    products (Light's test) and (x, e) is one of them, so the closure of
+    {e} under y -> y s, which is G, satisfies the identity for all a, c.
+    """
+    g = sigma.group
+    ex = sigma.exponents()
+    a = _unit_failure(ex, g.identity)
+    if a is not None:
+        raise NotAMultiplier((a, g.identity), "identity row/column")
+    witness = _cocycle_failure(ex, g.array, g.generators())
+    if witness is not None:
+        raise NotAMultiplier(witness, "cocycle identity")
 
 
 # -- similarity ---------------------------------------------------------------

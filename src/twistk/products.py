@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .groups import FiniteGroup, cyclic, direct_product
-from .multipliers import DomainMismatch, FiniteMultiplier
+from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, compile_values, exact_dtype
 from .regularity import is_regular_element
 from .torus import ZERO, RotationNumber
 
@@ -31,9 +33,10 @@ class LemmaViolation(RuntimeError):
 class Bihomomorphism:
     """f: G1 x G2 -> T, multiplicative in each variable separately.
 
-    Stored as a dense exponent table and validated exhaustively on
-    construction: f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and symmetrically,
-    which forces f(e, .) = f(., e) = 0.
+    Stored as a dense exponent table, compiled to ``exponents`` (shape
+    (|G1|, |G2|, 1+k)) and validated exhaustively on construction:
+    f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and symmetrically, which forces
+    f(e, .) = f(., e) = 0.
     """
 
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup, table: Sequence[Sequence[RotationNumber]]):
@@ -42,26 +45,22 @@ class Bihomomorphism:
         self.g1 = g1
         self.g2 = g2
         self.table = tuple(tuple(row) for row in table)
+        self.exponents = compile_values(self.table)
         self._validate()
 
     def _validate(self) -> None:
-        t = self.table
-        for a1 in self.g1.elements():
-            for b1 in self.g1.elements():
-                prod = self.g1.mul(a1, b1)
-                for a2 in self.g2.elements():
-                    if t[prod][a2] != t[a1][a2] + t[b1][a2]:
-                        raise InvalidBihomomorphism(
-                            f"not multiplicative in slot 1 at ({a1},{b1};{a2})"
-                        )
-        for a2 in self.g2.elements():
-            for b2 in self.g2.elements():
-                prod = self.g2.mul(a2, b2)
-                for a1 in self.g1.elements():
-                    if t[a1][prod] != t[a1][a2] + t[a1][b2]:
-                        raise InvalidBihomomorphism(
-                            f"not multiplicative in slot 2 at ({a1};{a2},{b2})"
-                        )
+        ex = self.exponents
+        F = ex.array
+        slot1 = F[self.g1.array] - F[:, None] - F[None, :]  # at (a1, b1, a2)
+        bad = np.flatnonzero(~ex.is_zero(slot1))
+        if bad.size:
+            a1, b1, a2 = np.unravel_index(bad[0], slot1.shape[:3])
+            raise InvalidBihomomorphism(f"not multiplicative in slot 1 at ({a1},{b1};{a2})")
+        slot2 = F[:, self.g2.array] - F[:, :, None] - F[:, None, :]  # at (a1, a2, b2)
+        bad = np.flatnonzero(~ex.is_zero(slot2.transpose(1, 2, 0, 3)))
+        if bad.size:
+            a2, b2, a1 = np.unravel_index(bad[0], (self.g2.order, self.g2.order, self.g1.order))
+            raise InvalidBihomomorphism(f"not multiplicative in slot 2 at ({a1};{a2},{b2})")
 
     def value(self, a1: int, a2: int) -> RotationNumber:
         return self.table[a1][a2]
@@ -125,6 +124,28 @@ class ProductMultiplier(FiniteMultiplier):
         a1, a2 = divmod(a, self._n2)
         b1, b2 = divmod(b, self._n2)
         return self.sigma1.value(a1, b1) + self.sigma2.value(a2, b2) + self.f.value(b1, a2)
+
+    def _compile(self) -> Exponents:
+        """E1[a1,b1] + E2[a2,b2] + F[b1,a2], broadcast over a common D and label set."""
+        parts = (self.sigma1.exponents(), self.sigma2.exponents(), self.f.exponents)
+        D = math.lcm(*(p.D for p in parts))
+        labels = tuple(sorted(set().union(*(p.labels for p in parts))))
+        bound = sum(int(abs(p.array).max()) * (D // p.D) for p in parts)
+        dtype = exact_dtype(max(D, bound))
+        e1, e2, f = (_recast(p, D, labels, dtype) for p in parts)
+        n = self.group.order
+        table = e1[:, None, :, None] + e2[None, :, None, :] + f.transpose(1, 0, 2)[None, :, :, None]
+        table = table.reshape(n, n, 1 + len(labels))
+        table[..., 0] %= D
+        return Exponents(D, labels, table)
+
+
+def _recast(ex: Exponents, D: int, labels: tuple[str, ...], dtype) -> np.ndarray:
+    """ex.array over the denominator D (a multiple of ex.D) and the slots of ``labels``."""
+    out = np.zeros(ex.array.shape[:2] + (1 + len(labels),), dtype=dtype)
+    slots = [0] + [1 + labels.index(label) for label in ex.labels]
+    out[..., slots] = ex.array.astype(dtype) * (D // ex.D)
+    return out
 
 
 def assemble(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> ProductMultiplier:

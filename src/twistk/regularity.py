@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import AlgebraElement
 from .groups import ConjugacyClass
 from .multipliers import FiniteMultiplier
@@ -62,26 +64,34 @@ class ClassFunction:
     values: dict[int, RotationNumber]
 
 
+def regular_elements(sigma: FiniteMultiplier) -> np.ndarray:
+    """Boolean array over G: a is regular iff no b with ab = ba has
+    sigma(a, b) != sigma(b, a)."""
+    ex = sigma.exponents()
+    t = sigma.group.array
+    asymmetric = ~ex.is_zero(ex.array - ex.array.transpose(1, 0, 2))
+    return ~(asymmetric & (t == t.T)).any(axis=1)
+
+
 def is_regular_element(sigma: FiniteMultiplier, a: int) -> bool:
-    g = sigma.group
-    val = sigma.value
-    return all(val(a, b) == val(b, a) for b in g.centralizer(a))
+    return bool(regular_elements(sigma)[a])
 
 
 def regular_classes(sigma: FiniteMultiplier) -> RegularityReport:
     """Per-class regularity flags; asserts constancy on each class."""
     g = sigma.group
+    regular = regular_elements(sigma)
     flagged = []
     regular_count = 0
     witness = None
     for cls in g.conjugacy_classes():
-        flags = {m: is_regular_element(sigma, m) for m in cls.members}
-        values = set(flags.values())
-        if len(values) > 1:
+        flags = regular[list(cls.members)]
+        if flags.min() != flags.max():
+            flags = {m: bool(regular[m]) for m in cls.members}
             raise ClassInconsistency(
                 f"class of {cls.representative} mixes regular and non-regular members: {flags}"
             )
-        flag = values.pop()
+        flag = bool(flags[0])
         flagged.append((cls, flag))
         if flag:
             regular_count += len(cls)

@@ -133,6 +133,15 @@ def test_non_integer_numbers_refused(case, capsys):
         _exits_2_naming(argv, capsys, "integer")
 
 
+def test_table_entry_beyond_int64_refused(capsys):
+    # a group table is held as an intp array; an entry outside its range is
+    # a bad table, not an escaped OverflowError
+    for entry in (2**64, -(2**64)):
+        for command in COMMANDS:
+            argv = [command, "--inline", json.dumps(_z2_table(0, entry, 1, 0)), "--fuzz", "20", "--box", "2"]
+            _exits_2_naming(argv, capsys, "not square")
+
+
 # the order-5 loop of test_build_rejects_nonassociative: a Latin square with
 # an identity and two-sided inverses that is not associative
 LOOP = {"table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}

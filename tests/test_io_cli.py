@@ -138,11 +138,16 @@ def test_cli_validate_broken_table_exits_1(capsys):
     assert report["ok"] is False and report["witness"] is not None
 
 
-def test_cli_center_routes_disagree_exits_1(capsys):
+def test_cli_center_routes_disagree_exits_1(capsys, monkeypatch):
     # sigma(1, 0) broken: the identity stops being regular (combinatorial 0)
-    # while the numeric oracle still counts one dimension
+    # while the numeric oracle still counts one dimension.  The multiplier
+    # proof refuses this table first; without it the routes disagree.
     data = encode_multiplier(tk.klein(2, 1).to_table())
     data["values"][1][0] = {"rat": "1/3", "irr": {}}
+    code, out, err = _run(capsys, ["center", "--inline", json.dumps(data)])
+    assert code == 1 and len(err.splitlines()) == 1
+    assert json.loads(out)["witness"] == [1, 0]
+    monkeypatch.setattr(twistk.cli, "require_multiplier", lambda sigma: None)
     code, out, err = _run(capsys, ["center", "--inline", json.dumps(data)])
     assert code == 1 and len(err.splitlines()) == 1
     report = json.loads(out)
@@ -151,11 +156,19 @@ def test_cli_center_routes_disagree_exits_1(capsys):
     assert "witness" not in report
 
 
-def test_cli_class_inconsistency_exits_1(capsys):
+def test_cli_class_inconsistency_exits_1(capsys, monkeypatch):
     # sigma(t, e) broken for one transposition t of S3: t is no longer
-    # regular while the other two transpositions in its class still are
+    # regular while the other two transpositions in its class still are.
+    # The multiplier proof refuses this table first, at the identity pair
+    # (t, e); without it the class inconsistency is refused.
     data = encode_multiplier(trivial_multiplier(symmetric(3)))
     data["values"][1][0] = {"rat": "1/2", "irr": {}}
+    for command in ("center", "condition-k", "regular-classes"):
+        code, out, err = _run(capsys, [command, "--inline", json.dumps(data)])
+        assert code == 1 and len(err.splitlines()) == 1, command
+        report = json.loads(out)
+        assert report["error"] == "not a multiplier" and report["witness"] == [1, 0], command
+    monkeypatch.setattr(twistk.cli, "require_multiplier", lambda sigma: None)
     for command in ("center", "condition-k", "regular-classes"):
         code, out, err = _run(capsys, [command, "--inline", json.dumps(data)])
         assert code == 1 and len(err.splitlines()) == 1, command
