@@ -9,6 +9,11 @@ kernel of the projection onto G1 x G2 is free on the commutators
 rewritten over that alphabet by a coset-tracking scan with transversal
 {g1 g2}, and the multiply-back oracle for the rewriting is a hard
 correctness contract, exercised by the test suite on every path.
+
+The free product multiplier's values are sums of factor table entries:
+tau, beta and the value are integer vector sums over the two compiled
+factor tables, and ``tau``, ``beta`` and ``value`` (the oracles that
+``decompose`` takes) return the RotationNumber of the vector.
 """
 
 from __future__ import annotations
@@ -17,13 +22,17 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .groups import FiniteGroup
 from .multipliers import (
+    Exponents,
     FiniteMultiplier,
     Multiplier,
     NotNormalized,
     SimilarityWitness,
     TableMultiplier,
+    common_frame,
 )
 from .torus import ZERO, RotationNumber
 
@@ -249,7 +258,9 @@ class FreeProductMultiplier(Multiplier):
     pair's meeting letters) symmetrized by the commutator-subgroup
     function beta, so that the result is normalized, restricts to the
     factors, and is trivial on F_X x F_X.  Factor multipliers must be
-    normalized; anything else is rejected at construction.
+    normalized; anything else is rejected at construction.  The compiled
+    parameters are the rows (a, b) of sigma1, then of sigma2, rescaled to
+    lcm(D1, D2) and the union of their labels.
     """
 
     def __init__(self, sigma1: FiniteMultiplier, sigma2: FiniteMultiplier):
@@ -259,39 +270,51 @@ class FreeProductMultiplier(Multiplier):
         self.sigma1 = sigma1
         self.sigma2 = sigma2
         self.fp = FreeProduct(sigma1.group, sigma2.group)
+        parts = (sigma1.exponents(), sigma2.exponents())
+        D, labels = common_frame(parts)
+        tables = [p.recast(D, labels, object) for p in parts]
+        self._exponents = Exponents(D, labels, np.concatenate([t.reshape(-1, 1 + len(labels)) for t in tables]))
+        # _tables[i][a][b]: the vector of sigma_i(a, b)
+        self._tables = (None, *([[tuple(v) for v in row] for row in t.tolist()] for t in tables))
+        self._zero = (0,) * (1 + len(labels))
+
+    def exponents(self) -> Exponents:
+        return self._exponents
 
     # -- the pieces -------------------------------------------------------
+
+    def _tau(self, x: FPWord, y: FPWord) -> Sequence[int]:
+        xw, yw = reduce_pair(self.fp, x, y)
+        if not xw or not yw:
+            return self._zero
+        rf, relem = xw[-1]
+        sf, selem = yw[0]
+        if rf != sf:
+            return self._zero
+        return self._tables[rf][relem][selem]
+
+    def _beta(self, x: FPWord) -> Sequence[int]:
+        if not self.fp.in_kernel(x):
+            return self._zero
+        xw = rewrite_to_X(self.fp, x)
+        if len(xw) <= 1:
+            return self._zero
+        words = [expand_syllable(self.fp, gen, power) for gen, power in xw]
+        return [sum(slot) for slot in zip(*(self._tau(left, right) for left, right in zip(words, words[1:])))]
+
+    def vector(self, x: FPWord, y: FPWord) -> list[int]:
+        xy = self.fp.multiply(x, y)
+        return [p + q - r + s for p, q, r, s in zip(self._beta(x), self._beta(y), self._beta(xy), self._tau(x, y))]
 
     def tau(self, x: FPWord, y: FPWord) -> RotationNumber:
         """sigma_i at the boundary letters of the reduced pair, 1 across
         factors or against the identity."""
-        xw, yw = reduce_pair(self.fp, x, y)
-        if not xw or not yw:
-            return ZERO
-        rf, relem = xw[-1]
-        sf, selem = yw[0]
-        if rf != sf:
-            return ZERO
-        sigma = self.sigma1 if rf == 1 else self.sigma2
-        return sigma.value(relem, selem)
+        return self._exponents.rotation(self._tau(x, y))
 
     def beta(self, x: FPWord) -> RotationNumber:
         """1 off the commutator subgroup; on it, the product of tau over
         consecutive syllable pairs of the reduced commutator word."""
-        if not self.fp.in_kernel(x):
-            return ZERO
-        xw = rewrite_to_X(self.fp, x)
-        if len(xw) <= 1:
-            return ZERO
-        words = [expand_syllable(self.fp, gen, power) for gen, power in xw]
-        total = ZERO
-        for left, right in zip(words, words[1:]):
-            total = total + self.tau(left, right)
-        return total
-
-    def value(self, x: FPWord, y: FPWord) -> RotationNumber:
-        xy = self.fp.multiply(x, y)
-        return self.beta(x) + self.beta(y) - self.beta(xy) + self.tau(x, y)
+        return self._exponents.rotation(self._beta(x))
 
     # -- domain plumbing ---------------------------------------------------
 

@@ -6,6 +6,15 @@ a twisted product).  Condition K for both reduces to the existence of a
 nonzero integer vector killed by the irrational components of an exact
 matrix, decided by an integer kernel computation plus a denominator-
 clearing scaling for the rational component.
+
+The parameters (the theta entries; the eight mu, in the order
+``g3_value`` uses them) are compiled once to ``Exponents``, and
+``vector`` dots the integer coefficients (a_i b_j, or the eight g3
+exponents) with the parameter rows.  M^T and the g3 rows are kept per
+slot over D (slot 0 rational, slot i the i-th compiled label): the
+regularity test and the witness re-checks are integer sums on them, and
+``clear_denominators`` gets the symbol slots as Fraction(x, D) (0 for
+x = 0), the matrix the Hermite form has always been given.
 """
 
 from __future__ import annotations
@@ -13,14 +22,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .intlinalg import clear_denominators, integer_kernel, rational_rank
-from .multipliers import Multiplier
+from .multipliers import Exponents, Multiplier, compile_params
 from .torus import ZERO, IrrationalBasis, RotationNumber
 
 Vector = tuple[int, ...]
+SlotMatrix = list[list[list[int]]]  # [slot][row][column], Python ints over D
 
 
 class RankMismatch(ValueError):
@@ -60,6 +72,17 @@ class Theta:
             if not v.is_integral():
                 ent[(i, j)] = v
         self.entries = ent
+        self.pairs = tuple(ent)  # (i, j) of each parameter row
+        self.exponents = compile_params(ent.values())
+
+    @cached_property
+    def transpose(self) -> SlotMatrix:
+        """M^T per slot, for the antisymmetric M with M_ij = t_ij (i < j)."""
+        mt = [[[0] * self.n for _ in range(self.n)] for _ in range(self.exponents.array.shape[1])]
+        for (i, j), row in zip(self.pairs, self.exponents.array.tolist()):
+            for slot, x in zip(mt, row):
+                slot[j][i], slot[i][j] = x, -x
+        return mt
 
     def entry(self, i: int, j: int) -> RotationNumber:
         return self.entries.get((i, j), ZERO)
@@ -81,28 +104,28 @@ def _check_rank(theta: Theta, vec: Sequence[int]) -> Vector:
     return v
 
 
+def _torus_vector(theta: Theta, a: Vector, b: Vector) -> list[int]:
+    return theta.exponents.combine([a[i] * b[j] for i, j in theta.pairs])
+
+
 def torus_value(theta: Theta, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
     """Exponent sum_{i<j} a_i t_ij b_j."""
-    a = _check_rank(theta, a)
-    b = _check_rank(theta, b)
-    total = ZERO
-    for (i, j), t in theta.entries.items():
-        k = a[i] * b[j]
-        if k:
-            total = total + t.scale(k)
-    return total
+    return theta.exponents.rotation(_torus_vector(theta, _check_rank(theta, a), _check_rank(theta, b)))
 
 
 def commutator_phase(theta: Theta, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
     """Exponent of sigma(a,b) conj(sigma(b,a)): sum_{i<j} t_ij (a_i b_j - b_i a_j)."""
     a = _check_rank(theta, a)
     b = _check_rank(theta, b)
-    total = ZERO
-    for (i, j), t in theta.entries.items():
-        k = a[i] * b[j] - b[i] * a[j]
-        if k:
-            total = total + t.scale(k)
-    return total
+    return theta.exponents.rotation(theta.exponents.combine([a[i] * b[j] - b[i] * a[j] for i, j in theta.pairs]))
+
+
+def _integral(D: int, matrix: SlotMatrix, v: Sequence[int]) -> bool:
+    """Whether every component of R v is integral, R given per slot over D."""
+    rat, *symbols = matrix
+    return all(sum(map(mul, row, v)) % D == 0 for row in rat) and not any(
+        sum(map(mul, row, v)) for rows in symbols for row in rows
+    )
 
 
 def is_regular_lattice(theta: Theta, a: Sequence[int]) -> bool:
@@ -111,41 +134,33 @@ def is_regular_lattice(theta: Theta, a: Sequence[int]) -> bool:
 
     The pairing b -> a^T M b is Z-linear in b, so integrality against the
     standard basis decides regularity against all of Z^n exactly.  The
-    components are accumulated on raw fractions (this sits inside box
-    scans, so object churn matters).
+    components are integer sums on the compiled M^T (this sits inside box
+    scans).
     """
-    a = _check_rank(theta, a)
-    rat = [Fraction(0)] * theta.n
-    irr: list[dict[str, Fraction]] = [{} for _ in range(theta.n)]
-    for (i, j), t in theta.entries.items():
-        for target, k in ((j, a[i]), (i, -a[j])):
-            if not k:
-                continue
-            rat[target] += t.rat * k
-            bucket = irr[target]
-            for label, c in t.coeffs:
-                bucket[label] = bucket.get(label, Fraction(0)) + c * k
-    return all(r.denominator == 1 for r in rat) and all(
-        not any(bucket.values()) for bucket in irr
-    )
+    return _integral(theta.exponents.D, theta.transpose, _check_rank(theta, a))
 
 
-def _kernel_witness(rows: Sequence[Sequence[RotationNumber]], labels: Sequence[str]) -> Vector | None:
+def _kernel_witness(ex: Exponents, matrix: SlotMatrix, labels: Sequence[str]) -> Vector | None:
     """A nonzero integer vector c with every component of R c integral, or None.
 
-    Split R = R0 + sum_k R_k t_k over the basis symbols.  c must lie in
-    the kernel of every R_k, which the Hermite form gives over Z (the
-    stacked R_k with denominators cleared).  Scaling the first kernel
-    vector by the lcm of the denominators of R0 c lands every component
-    in Z while the symbol parts stay zero.
+    R = R0 + sum_k R_k t_k is given per slot over ex.D (``matrix[0]`` is
+    R0 times D, ``matrix[i]`` is R_k times D for the i-th compiled label).
+    c must lie in the kernel of every R_k, which the Hermite form gives
+    over Z (the R_k stacked in the order of the basis ``labels``, a label
+    no entry uses giving zero rows, with denominators cleared).  Scaling
+    the first kernel vector by the lcm of the denominators of R0 c lands
+    every component in Z while the symbol parts stay zero.
     """
-    n = len(rows[0])
-    stacked = [[dict(v.coeffs).get(label, 0) for v in row] for label in labels for row in rows]
+    rat = matrix[0]
+    n = len(rat[0])
+    symbols = dict(zip(ex.labels, matrix[1:]))
+    zero = [[0] * n] * len(rat)
+    stacked = [[x and Fraction(x, ex.D) for x in row] for label in labels for row in symbols.get(label, zero)]
     kernel = integer_kernel(clear_denominators(stacked), ncols=n)
     if not kernel:
         return None
     v = kernel[0]
-    scale = lcm(*(sum(row[j].rat * v[j] for j in range(n)).denominator for row in rows))
+    scale = lcm(*(ex.D // gcd(sum(map(mul, row, v)), ex.D) for row in rat))
     return tuple(scale * x for x in v)
 
 
@@ -157,12 +172,7 @@ def condition_k_lattice(theta: Theta) -> LatticeDecision:
     the Hermite form, and either report condition K (trivial kernel) or
     return a denominator-cleared witness vector, re-verified pointwise.
     """
-    n = theta.n
-    rows = [[ZERO] * n for _ in range(n)]  # M^T: a^T M = M^T a
-    for (i, j), t in theta.entries.items():
-        rows[j][i] = t
-        rows[i][j] = -t
-    witness = _kernel_witness(rows, theta.basis.labels)
+    witness = _kernel_witness(theta.exponents, theta.transpose, theta.basis.labels)
     if witness is None:
         return LatticeDecision(True, None)
     if not is_regular_lattice(theta, witness):
@@ -192,6 +202,12 @@ class LatticeMultiplier(Multiplier):
 
     def value(self, a, b) -> RotationNumber:
         return torus_value(self.theta, a, b)
+
+    def exponents(self) -> Exponents:
+        return self.theta.exponents
+
+    def vector(self, a, b) -> list[int]:
+        return _torus_vector(self.theta, a, b)
 
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(_check_rank(self.theta, a), _check_rank(self.theta, b)))
@@ -225,6 +241,8 @@ def g3_inverse(a: Sequence[int]) -> Vector:
 
 
 _MU_KEYS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+# the parameter rows of a compiled MuMatrix: the order g3_value uses them
+_G3_ORDER = ((1, 3), (2, 2), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (3, 3))
 
 
 class MuMatrix:
@@ -233,7 +251,8 @@ class MuMatrix:
     The ninth value mu_31 is never supplied: it is derived as
     mu_22 - mu_13 (additively) and appears only in the regularity rows,
     where it is exactly the coefficient the central-phase expansion of
-    the cocycle produces (see g3_central_phase and the tests).
+    the cocycle produces (see g3_central_phase and the tests).  ``rows``
+    is ``row_matrix()`` per slot over ``exponents.D``.
     """
 
     def __init__(
@@ -251,6 +270,10 @@ class MuMatrix:
         self.mu = {key: given.get(key, ZERO) for key in _MU_KEYS}
         for v in self.mu.values():
             self.basis.check(v)
+        self.exponents = compile_params(self.mu[key] for key in _G3_ORDER)
+        row = dict(zip(_G3_ORDER, self.exponents.array.tolist()))
+        row[(3, 1)] = [x - y for x, y in zip(row[(2, 2)], row[(1, 3)])]
+        self.rows = [[[row[(i, j)][slot] for j in (1, 2, 3)] for i in (1, 2, 3)] for slot in range(len(row[(3, 1)]))]
 
     def param(self, i: int, j: int) -> RotationNumber:
         if (i, j) == (3, 1):
@@ -270,8 +293,9 @@ class MuMatrix:
         }
 
 
-def g3_value(mu: MuMatrix, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
-    """Exact exponent of sigma_mu(a, b).
+def _g3_vector(mu: MuMatrix, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The eight integer exponents of the mu parameters, in _G3_ORDER,
+    dotted with the parameter rows.
 
     The half-terms like b2 a1 (a1 - 1)/2 are products of consecutive
     integers divided by two, hence integers; all eight exponents are
@@ -283,28 +307,32 @@ def g3_value(mu: MuMatrix, a: Sequence[int], b: Sequence[int]) -> RotationNumber
     """
     a1, a2, a3, a4, a5, a6 = a
     b1, b2, b3, b4, b5, b6 = b
-    exps = {
-        (1, 3): b6 * a1 + b3 * a4,
-        (2, 2): b5 * a2 + b3 * (a1 * a2 - a4),
-        (1, 1): b4 * a1 + b2 * (a1 * (a1 - 1) // 2),
-        (2, 1): a2 * (b4 + a1 * b2) + a1 * (b2 * (b2 - 1) // 2),
-        (1, 2): b5 * a1 + b3 * (a1 * (a1 - 1) // 2),
-        (3, 2): a3 * (b5 + a1 * b3) + a1 * (b3 * (b3 - 1) // 2),
-        (2, 3): b6 * a2 + b3 * (a2 * (a2 - 1) // 2),
-        (3, 3): a3 * (b6 + a2 * b3) + a2 * (b3 * (b3 - 1) // 2),
-    }
-    total = ZERO
-    for key, k in exps.items():
-        if k:
-            total = total + mu.mu[key].scale(k)
-    return total
+    return mu.exponents.combine((
+        b6 * a1 + b3 * a4,
+        b5 * a2 + b3 * (a1 * a2 - a4),
+        b4 * a1 + b2 * (a1 * (a1 - 1) // 2),
+        a2 * (b4 + a1 * b2) + a1 * (b2 * (b2 - 1) // 2),
+        b5 * a1 + b3 * (a1 * (a1 - 1) // 2),
+        a3 * (b5 + a1 * b3) + a1 * (b3 * (b3 - 1) // 2),
+        b6 * a2 + b3 * (a2 * (a2 - 1) // 2),
+        a3 * (b6 + a2 * b3) + a2 * (b3 * (b3 - 1) // 2),
+    ))
+
+
+def g3_value(mu: MuMatrix, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
+    """Exact exponent of sigma_mu(a, b) (see _g3_vector)."""
+    return mu.exponents.rotation(_g3_vector(mu, a, b))
+
+
+def _g3_central_vector(mu: MuMatrix, a: Sequence[int], c: Sequence[int]) -> list[int]:
+    central = (0, 0, 0, c[0], c[1], c[2])
+    return [x - y for x, y in zip(_g3_vector(mu, a, central), _g3_vector(mu, central, a))]
 
 
 def g3_central_phase(mu: MuMatrix, a: Sequence[int], c: Sequence[int]) -> RotationNumber:
     """Phase sigma(a, c~) conj(sigma(c~, a)) for the central element
     c~ = (0, 0, 0, c1, c2, c3), evaluated directly from the cocycle."""
-    central = (0, 0, 0, c[0], c[1], c[2])
-    return g3_value(mu, a, central) - g3_value(mu, central, a)
+    return mu.exponents.rotation(_g3_central_vector(mu, a, c))
 
 
 _G3_PROBES = (
@@ -327,18 +355,14 @@ def g3_condition_k(mu: MuMatrix) -> LatticeDecision:
     witness is re-verified against direct phase evaluations, and a
     mismatch raises instead of being patched over.
     """
-    rows = mu.row_matrix()
-    witness = _kernel_witness(rows, mu.basis.labels)
+    witness = _kernel_witness(mu.exponents, mu.rows, mu.basis.labels)
     if witness is None:
         return LatticeDecision(True, None)
     for i in range(3):
-        row_phase = sum(
-            (rows[i][j].scale(witness[j]) for j in range(3) if witness[j]), ZERO
-        )
-        if not row_phase.is_integral():
+        if not _integral(mu.exponents.D, [slot[i : i + 1] for slot in mu.rows], witness):
             raise RuntimeError(f"witness {witness} fails criterion row {i + 1}")
     for probe in _G3_PROBES:
-        if not g3_central_phase(mu, probe, witness).is_integral():
+        if not mu.exponents.vanishes(_g3_central_vector(mu, probe, witness)):
             raise RuntimeError(
                 f"criterion/phase mismatch: witness {witness} not regular against {probe}"
             )
@@ -351,8 +375,11 @@ class G3Multiplier(Multiplier):
     def __init__(self, mu: MuMatrix):
         self.mu = mu
 
-    def value(self, a, b) -> RotationNumber:
-        return g3_value(self.mu, a, b)
+    def exponents(self) -> Exponents:
+        return self.mu.exponents
+
+    def vector(self, a, b) -> list[int]:
+        return _g3_vector(self.mu, a, b)
 
     def multiply(self, a, b):
         return g3_multiply(a, b)

@@ -5,8 +5,7 @@ A multiplier on G is a function sigma: G x G -> T with
     sigma(a,b) sigma(ab,c) = sigma(a,bc) sigma(b,c),
     sigma(a,e) = sigma(e,a) = 1,
 
-stored here additively as RotationNumber exponents.  Infinite families
-are fuzzed on random triples from a bounded box.
+stored here additively as RotationNumber exponents.
 
 A finite multiplier is compiled once, by ``exponents()``, to integers
 over a common denominator D (``Exponents``): slot 0 of an (|G|, |G|, 1+k)
@@ -24,6 +23,15 @@ proofs run as numpy operations on this array and the group's ``array``:
   cocycle identity on the |S| |G|^2 triples (a, s, c) with s in the
   generating set S of ``FiniteGroup.generators``, which proves the
   identity on all triples.
+
+An infinite family (torus, g3, free product) takes integer combinations
+of finitely many parameters: ``exponents()`` holds the P parameters,
+compiled once (``compile_params``) to a (P, 1+k) array over a common D,
+and ``vector(a, b)`` is the exponent of sigma(a, b) times D, as 1+k
+Python ints (``Exponents.combine`` of the parameter rows).  ``validate``
+fuzzes these families on random triples from a bounded box with integer
+vector sums, exact at any box; a ``RotationNumber`` is built
+(``Exponents.rotation``) only where a value leaves the engine.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -60,10 +70,11 @@ class NotAMultiplier(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Exponents:
-    """Exponents over a common denominator D: entry x of ``array`` stands
-    for (x[0] + sum_i x[i] * labels[i - 1]) / D, with x[0] in [0, D).
-    ``array`` is int64, or object (exact Python ints) when a sum of four
-    entries could reach 2^63."""
+    """Exponents over a common denominator D: entry x of ``array`` (its last
+    axis) stands for (x[0] + sum_i x[i] * labels[i - 1]) / D, with x[0] in
+    [0, D).  ``array`` is (|G|, |G|, 1+k) for a finite multiplier and
+    (P, 1+k) for the parameters of an infinite family; int64, or object
+    (exact Python ints) when a sum of four entries could reach 2^63."""
 
     D: int
     labels: tuple[str, ...]
@@ -76,6 +87,36 @@ class Exponents:
         if diff.shape[-1] > 1:
             zero &= (diff[..., 1:] == 0).all(axis=-1)
         return zero
+
+    def vanishes(self, x: Sequence[int]) -> bool:
+        """Whether one vector of Python ints is 0 mod 1 (``is_zero`` of one exponent)."""
+        return x[0] % self.D == 0 and not any(x[1:])
+
+    def rotation(self, x: Sequence[int]) -> RotationNumber:
+        """The exponent x / D of one vector as a RotationNumber."""
+        D = self.D
+        return RotationNumber(Fraction(x[0], D), {label: Fraction(c, D) for label, c in zip(self.labels, x[1:]) if c})
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.T.tolist()))
+
+    def combine(self, coefficients: Sequence[int]) -> list[int]:
+        """sum_p coefficients[p] * array[p] for a (P, 1+k) parameter array:
+        the vector of that integer combination of the parameters."""
+        return [sum(map(mul, coefficients, column)) for column in self._columns]
+
+    def recast(self, D: int, labels: tuple[str, ...], dtype) -> np.ndarray:
+        """The array over the denominator D (a multiple of self.D) and the slots of ``labels``."""
+        out = np.zeros(self.array.shape[:-1] + (1 + len(labels),), dtype=dtype)
+        slots = [0] + [1 + labels.index(label) for label in self.labels]
+        out[..., slots] = self.array.astype(dtype) * (D // self.D)
+        return out
+
+
+def common_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...]]:
+    """The denominator and labels that ``recast`` can take every part to."""
+    return math.lcm(*(p.D for p in parts)), tuple(sorted(set().union(*(p.labels for p in parts))))
 
 
 def exact_dtype(bound: int):
@@ -99,9 +140,15 @@ def compile_values(rows: Sequence[Sequence[RotationNumber]]) -> Exponents:
         for label, c in x.coeffs:
             entry[slot[label]] = c.numerator * (D // c.denominator)
         unique.append(entry)
-    bound = max(D, *(abs(v) for entry in unique for v in entry))
+    bound = max(D, max((abs(v) for entry in unique for v in entry), default=0))
     table = np.array(unique, dtype=exact_dtype(bound))[index]
     return Exponents(D, labels, table.reshape(len(rows), len(rows[0]), 1 + len(labels)))
+
+
+def compile_params(values: Iterable[RotationNumber]) -> Exponents:
+    """The P parameters of an infinite family compiled to a (P, 1+k) array."""
+    ex = compile_values([list(values)])
+    return Exponents(ex.D, ex.labels, ex.array[0])
 
 
 @dataclass
@@ -120,6 +167,13 @@ class Multiplier:
     """Base interface: an exact cocycle value for a pair of elements."""
 
     def value(self, a, b) -> RotationNumber:
+        return self.exponents().rotation(self.vector(a, b))
+
+    def exponents(self) -> Exponents:
+        raise NotImplementedError
+
+    def vector(self, a, b) -> list[int]:
+        """The exponent of sigma(a, b) times exponents().D, as Python ints."""
         raise NotImplementedError
 
     def multiply(self, a, b):
@@ -309,21 +363,20 @@ def validate(
 
     rng = rng or random.Random(0)
     e = sigma.identity_element()
-    checked = 0
-    for _ in range(triples):
+    vanishes = sigma.exponents().vanishes
+    vector = sigma.vector
+    for checked in range(triples):
         a = sigma.random_element(rng, box)
         b = sigma.random_element(rng, box)
         c = sigma.random_element(rng, box)
-        if not sigma.value(a, e).is_integral() or not sigma.value(e, a).is_integral():
+        if not vanishes(vector(a, e)) or not vanishes(vector(e, a)):
             return ValidationReport(False, checked, "fuzz", (a, e, None), "identity row/column")
         ab = sigma.multiply(a, b)
         bc = sigma.multiply(b, c)
-        lhs = sigma.value(a, b) + sigma.value(ab, c)
-        rhs = sigma.value(a, bc) + sigma.value(b, c)
-        if lhs != rhs:
+        defect = [p + q - r - s for p, q, r, s in zip(vector(a, b), vector(ab, c), vector(a, bc), vector(b, c))]
+        if not vanishes(defect):
             return ValidationReport(False, checked, "fuzz", (a, b, c), "cocycle identity")
-        checked += 1
-    return ValidationReport(True, checked, "fuzz")
+    return ValidationReport(True, triples, "fuzz")
 
 
 def _unit_failure(ex: Exponents, e: int) -> int | None:
@@ -335,12 +388,14 @@ def _unit_failure(ex: Exponents, e: int) -> int | None:
 def _cocycle_failure(ex: Exponents, t: np.ndarray, middles: Sequence[int]) -> tuple[int, int, int] | None:
     """The first (a, b, c), b running over ``middles`` in their order, with
     sigma(a,b) + sigma(ab,c) != sigma(a,bc) + sigma(b,c); scanned in blocks
-    of a so that no temporary holds more than about BLOCK entries."""
+    of a so that no temporary holds more than about BLOCK 8-byte words (an
+    exact int of an object array counts as 4 + D.bit_length() // 60 words)."""
     E = ex.array
     n = len(t)
     b = np.asarray(middles, dtype=np.intp)
     bc, sigma_bc = t[b], E[b]
-    step = max(1, BLOCK // (len(b) * n * E.shape[-1]))
+    words = 4 + ex.D.bit_length() // 60 if E.dtype == object else 1
+    step = max(1, BLOCK // (len(b) * n * E.shape[-1] * words))
     for a0 in range(0, n, step):
         a = np.arange(a0, min(n, a0 + step))
         defect = E[t[np.ix_(a, b)]]  # sigma(ab, c)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FiniteGroup, cyclic, direct_product
-from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, compile_values, exact_dtype
+from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, common_frame, compile_values, exact_dtype
 from .regularity import is_regular_element
 from .torus import ZERO, RotationNumber
 
@@ -128,24 +128,15 @@ class ProductMultiplier(FiniteMultiplier):
     def _compile(self) -> Exponents:
         """E1[a1,b1] + E2[a2,b2] + F[b1,a2], broadcast over a common D and label set."""
         parts = (self.sigma1.exponents(), self.sigma2.exponents(), self.f.exponents)
-        D = math.lcm(*(p.D for p in parts))
-        labels = tuple(sorted(set().union(*(p.labels for p in parts))))
+        D, labels = common_frame(parts)
         bound = sum(int(abs(p.array).max()) * (D // p.D) for p in parts)
         dtype = exact_dtype(max(D, bound))
-        e1, e2, f = (_recast(p, D, labels, dtype) for p in parts)
+        e1, e2, f = (p.recast(D, labels, dtype) for p in parts)
         n = self.group.order
         table = e1[:, None, :, None] + e2[None, :, None, :] + f.transpose(1, 0, 2)[None, :, :, None]
         table = table.reshape(n, n, 1 + len(labels))
         table[..., 0] %= D
         return Exponents(D, labels, table)
-
-
-def _recast(ex: Exponents, D: int, labels: tuple[str, ...], dtype) -> np.ndarray:
-    """ex.array over the denominator D (a multiple of ex.D) and the slots of ``labels``."""
-    out = np.zeros(ex.array.shape[:2] + (1 + len(labels),), dtype=dtype)
-    slots = [0] + [1 + labels.index(label) for label in ex.labels]
-    out[..., slots] = ex.array.astype(dtype) * (D // ex.D)
-    return out
 
 
 def assemble(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> ProductMultiplier:

@@ -393,6 +393,37 @@ def test_exact_past_int64():
         require_multiplier(broken)
 
 
+def _primes_above(start: int, count: int) -> list[int]:
+    primes, p = [], start
+    while len(primes) < count:
+        p += 1
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+    return primes
+
+
+def test_validate_blocks_of_wide_ints_stay_small():
+    """63 distinct primes near 10^6 as denominators give a D of 1256 bits and
+    the object path; its blocks are sized in words, not entries, so the
+    traced peak stays far below the 27 MiB of blocks counted in entries."""
+    g = dihedral(32)
+    rng = random.Random(5)
+    beta = [rot(0)] + [rot(Fraction(rng.randrange(1, p), p)) for p in _primes_above(10**6, g.order - 1)]
+    sigma = coboundary_twist(trivial_multiplier(g), beta)
+    tracemalloc.start()
+    try:
+        report = validate(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sigma.exponents().array.dtype == object and sigma.exponents().D.bit_length() > 1200
+    assert (report.ok, report.checked, report.mode, report.witness, report.reason) == (True, 64**3, "exhaustive", None, None)
+    assert peak < 4 * 2**20
+    values = [list(row) for row in sigma.values]
+    values[1][2] = values[1][2] + rot(Fraction(1, 3))
+    assert not _same_validation(TableMultiplier(g, values)).ok
+
+
 @pytest.mark.parametrize("scan", ["validate", "build", "regular_classes"])
 def test_scans_stay_within_16_mib(scan):
     # a full |G|^3 int64 cube at |G| = 256 would be 128 MiB
