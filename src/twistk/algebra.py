@@ -3,9 +3,9 @@
 Two evaluation paths coexist on purpose.  The exact path works with
 formal Q-linear combinations of unit phases (PhaseSum) so convolution,
 involution, trace and commutation identities hold with zero tolerance.
-The float path realizes the regular projective representations as
-complex matrices and measures the center dimension by an SVD nullspace
-count; it is an oracle independent of the combinatorial machinery.
+The float path counts the center dimension as the SVD nullspace of the
+commutators with lambda(s), s in a generating set; it is an oracle
+independent of the combinatorial machinery.
 """
 
 from __future__ import annotations
@@ -251,8 +251,7 @@ class GenPermMatrix:
     Column b holds its row index and the phase exponent of the entry.
     Products and equality are exact; this is the zero-tolerance path for
     the commutation identities of the regular representations, and
-    to_array gives its complex matrix (the numeric center oracle fills
-    the same matrices from the compiled exponents, ``_lambda_stack``).
+    to_array gives its complex matrix.
     """
 
     __slots__ = ("cols",)
@@ -308,44 +307,43 @@ def rho_bar_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
 # -- numeric center oracle ------------------------------------------------------
 
 
-def _lambda_stack(sigma: FiniteMultiplier) -> np.ndarray:
-    """lam[a] = lambda(a) as complex matrices: lam[a, ab, b] = e^(2 pi i sigma(a, b)).
-
-    A symbolic entry raises MissingHint, naming the symbol that
-    ``lambda_exact(sigma, a).to_array()`` would have evaluated first."""
-    g = sigma.group
-    n = g.order
-    ex = sigma.exponents()
-    symbolic = np.flatnonzero((ex.array[..., 1:] != 0).any(axis=-1))
-    if symbolic.size:
-        a, b = divmod(int(symbolic[0]), n)
-        raise MissingHint(ex.labels[int(np.flatnonzero(ex.array[a, b, 1:])[0])])
-    lam = np.zeros((n, n, n), dtype=complex)
-    elements = np.arange(n)
-    phases = (ex.array[..., 0] / ex.D).astype(float)
-    lam[elements[:, None], g.array, elements[None, :]] = np.exp(2j * np.pi * phases)
-    return lam
-
-
 GAP = 10.0
+
+
+def _commutator_system(sigma: FiniteMultiplier) -> np.ndarray:
+    """The matrix of c -> [lambda(s), sum_g c_g lambda(g)] delta_e, one block of
+    |G| rows per s in S = ``FiniteGroup.generators`` (S = (e,) for the trivial
+    group).  Column g of block s holds sigma(g,e) sigma(s,g) at row sg and
+    -sigma(s,e) sigma(g,s) at row gs, from symbol-free compiled exponents."""
+    g = sigma.group
+    ex = sigma.exponents()
+    phase = np.exp(2j * np.pi * (ex.array[..., 0] / ex.D).astype(float))  # sigma(a, b)
+    s = np.array(g.generators() or (g.identity,), dtype=np.intp)
+    e, cols, block = g.identity, np.arange(g.order), np.arange(len(s))[:, None]
+    mat = np.zeros((len(s), g.order, g.order), dtype=complex)
+    mat[block, g.array[s], cols] = phase[:, e] * phase[s]
+    mat[block, g.array[:, s].T, cols] -= phase[s, e][:, None] * phase[:, s].T
+    return mat.reshape(-1, g.order)
 
 
 def center_dimension_numeric(sigma: FiniteMultiplier, tol: float = 1e-8) -> int:
     """dim { x in span(lambda(G)) : lambda(a) x = x lambda(a) for all a }.
 
-    delta_e is separating for span(lambda(G)), so this stacks the maps
-    c -> [lambda(a), sum_g c_g lambda(g)] delta_e over all a (an |G|^2 x |G|
-    system) and counts singular values below tol.  Refuses (raises
-    IllConditioned) when the spectrum shows no clean gap of ratio >= GAP
-    between the "zero" and "nonzero" groups.
+    lambda(s) lambda(t) = sigma(s,t) lambda(st), so x commutes with lambda(G)
+    once it commutes with lambda(s) for s in a generating set S, and delta_e
+    is separating (Zeller-Meier): this counts the singular values below tol
+    of ``_commutator_system``.  The reduction to S needs the cocycle
+    identity: on a table that is not a multiplier (``require_multiplier``)
+    the count may differ.  A symbolic entry raises MissingHint naming its
+    first symbol.  Refuses (raises IllConditioned) when the spectrum shows
+    no clean gap of ratio >= GAP between the "zero" and "nonzero" groups.
     """
-    n = sigma.group.order
-    e = sigma.group.identity
-    lam = _lambda_stack(sigma)
-    prod = np.einsum("aij,gj->agi", lam, lam[:, :, e])  # lambda(a) lambda(g) delta_e
-    comm = prod - prod.transpose(1, 0, 2)  # [lambda(a), lambda(g)] delta_e at (a, g)
-    mat = comm.transpose(0, 2, 1).reshape(n * n, n)
-    svals = np.linalg.svd(mat, compute_uv=False)
+    ex = sigma.exponents()
+    symbolic = np.flatnonzero((ex.array[..., 1:] != 0).any(axis=-1))
+    if symbolic.size:
+        a, b = divmod(int(symbolic[0]), sigma.group.order)
+        raise MissingHint(ex.labels[int(np.flatnonzero(ex.array[a, b, 1:])[0])])
+    svals = np.linalg.svd(_commutator_system(sigma), compute_uv=False)
     zeros = svals[svals < tol]
     nonzeros = svals[svals >= tol]
     if zeros.size == 0:

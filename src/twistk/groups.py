@@ -14,7 +14,7 @@ construction, so ``FiniteGroup`` itself checks the shape and finds the
 identity and inverses but does not scan associativity; the test suite
 proves the library's tables through ``build``.  ``generators`` gives the
 generating set on which ``multipliers.require_multiplier`` proves a
-cocycle.
+cocycle and ``algebra.center_dimension_numeric`` builds its system.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ from .products import Bihomomorphism, ProductMultiplier
 from .torus import IrrationalBasis, RotationNumber
 
 
-# 4x the largest order the benchmark decides; condition-k on klein(32, 1)
-# takes about a second.  One value is in use, so it is not a flag.
+# 4x the largest order the benchmark decides; condition-k and center on
+# klein(32, 1) take about 1 and 2 s.  One value is in use, so not a flag.
 MAX_ORDER = 1024
 
 

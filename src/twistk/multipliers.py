@@ -24,6 +24,9 @@ proofs run as numpy operations on this array and the group's ``array``:
   generating set S of ``FiniteGroup.generators``, which proves the
   identity on all triples.
 
+A finite family writes its closed form once, in ``_compile``; ``vector``
+and ``value`` read the compiled entry (a table keeps its stored values).
+
 An infinite family (torus, g3, free product) takes integer combinations
 of finitely many parameters: ``exponents()`` holds the P parameters,
 compiled once (``compile_params``) to a (P, 1+k) array over a common D,
@@ -47,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .groups import BLOCK, FiniteGroup, cyclic, direct_product
-from .torus import ZERO, RotationNumber, rot
+from .torus import ZERO, RotationNumber
 
 
 class DomainMismatch(ValueError):
@@ -207,8 +210,10 @@ class FiniteMultiplier(Multiplier):
         return self._exponents
 
     def _compile(self) -> Exponents:
-        n = self.group.order
-        return compile_values([[self.value(a, b) for b in range(n)] for a in range(n)])
+        raise NotImplementedError
+
+    def vector(self, a: int, b: int) -> list[int]:
+        return self.exponents().array[a, b].tolist()
 
     def multiply(self, a: int, b: int) -> int:
         return self.group.mul(a, b)
@@ -268,11 +273,6 @@ class KleinMultiplier(FiniteMultiplier):
         z = cyclic(n)
         self.group = direct_product(z, z)
 
-    def value(self, a: int, b: int) -> RotationNumber:
-        _, a2 = divmod(a, self.n)
-        b1, _ = divmod(b, self.n)
-        return RotationNumber(Fraction(self.k * a2 * b1, self.n))
-
     def _compile(self) -> Exponents:
         x = np.arange(self.n * self.n, dtype=np.int64)
         table = self.k * (x % self.n)[:, None] * (x // self.n)[None, :] % self.n
@@ -303,8 +303,6 @@ def bilinear_multiplier(orders: Sequence[int], bmatrix: Sequence[Sequence[Fracti
     orders requires B[i][j] * orders[i] and B[i][j] * orders[j] integral,
     i.e. B[i][j] a multiple of 1/gcd(orders[i], orders[j]).
     """
-    import math
-
     k = len(orders)
     for i in range(k):
         for j in range(k):
@@ -390,6 +388,8 @@ def _cocycle_failure(ex: Exponents, t: np.ndarray, middles: Sequence[int]) -> tu
     sigma(a,b) + sigma(ab,c) != sigma(a,bc) + sigma(b,c); scanned in blocks
     of a so that no temporary holds more than about BLOCK 8-byte words (an
     exact int of an object array counts as 4 + D.bit_length() // 60 words)."""
+    if not middles:  # the trivial group has no generators
+        return None
     E = ex.array
     n = len(t)
     b = np.asarray(middles, dtype=np.intp)

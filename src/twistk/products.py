@@ -120,11 +120,6 @@ class ProductMultiplier(FiniteMultiplier):
     def split(self, a: int) -> tuple[int, int]:
         return divmod(a, self._n2)
 
-    def value(self, a: int, b: int) -> RotationNumber:
-        a1, a2 = divmod(a, self._n2)
-        b1, b2 = divmod(b, self._n2)
-        return self.sigma1.value(a1, b1) + self.sigma2.value(a2, b2) + self.f.value(b1, a2)
-
     def _compile(self) -> Exponents:
         """E1[a1,b1] + E2[a2,b2] + F[b1,a2], broadcast over a common D and label set."""
         parts = (self.sigma1.exponents(), self.sigma2.exponents(), self.f.exponents)

@@ -205,26 +205,32 @@ def test_center_dimension_matches_full_commutators():
 
 
 def test_center_dimension_peak_memory():
-    sigma = klein(7, 1)
-    tracemalloc.start()
-    try:
-        assert center_dimension_numeric(sigma) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    # klein(16, k) has |G| = 256, where a |G|^3 stack of lambda matrices
+    # alone would take 256 MiB
+    for sigma, dimension in ((klein(7, 1), 1), (klein(16, 1), 1), (klein(16, 4), 16)):
+        tracemalloc.start()
+        try:
+            assert center_dimension_numeric(sigma) == dimension
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, (sigma.n, sigma.k)
 
 
 def test_center_dimension_ill_conditioned():
     s = klein(2, 1)
-    n = s.group.order
-    e = s.group.identity
-    lam = np.stack([lambda_exact(s, a).to_array() for a in range(n)])
-    prod = np.einsum("aij,gj->agi", lam, lam[:, :, e])
-    comm = prod - prod.transpose(1, 0, 2)
-    svals = np.linalg.svd(comm.transpose(0, 2, 1).reshape(-1, n), compute_uv=False)
-    genuine = svals[svals > 1e-8].min()  # 2 sqrt(2); a tol that swallows it
-    # without a clean 10x gap must be refused rather than guessed at
+    g = s.group
+    lam = [lambda_exact(s, a) for a in g.elements()]
+    # the system of the oracle: [lambda(t), lambda(c)] delta_e for t in S
+    system = [
+        [((lam[t] @ lam[c]).to_array() - (lam[c] @ lam[t]).to_array())[:, g.identity] for c in g.elements()]
+        for t in g.generators()
+    ]
+    svals = np.linalg.svd(np.concatenate([np.stack(cols, axis=1) for cols in system]), compute_uv=False)
+    genuine = svals[svals > 1e-8].min()
+    assert abs(genuine - 2.0) < 1e-12
+    # a tol that swallows it without a clean 10x gap must be refused
+    # rather than guessed at
     with pytest.raises(IllConditioned):
         center_dimension_numeric(s, tol=genuine * 6)
     assert center_dimension_numeric(s, tol=genuine * 0.5) == 1

@@ -23,7 +23,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import finite_catalog, product_triples, small_groups
 
-from twistk.algebra import _lambda_stack, center_dimension_numeric, lambda_exact
+from twistk.algebra import _commutator_system, center_dimension_numeric, lambda_exact
 from twistk.cli import main
 from twistk.groups import (
     FiniteGroup,
@@ -338,24 +338,56 @@ def test_bihomomorphism_validation_matches_reference():
             assert str(info.value) == expected
 
 
+def _product_value_ref(sigma, a, b):
+    """sigma1(a1,b1) + sigma2(a2,b2) + f(b1,a2) on G1 x G2."""
+    (a1, a2), (b1, b2) = sigma.split(a), sigma.split(b)
+    return sigma.sigma1.value(a1, b1) + sigma.sigma2.value(a2, b2) + sigma.f.value(b1, a2)
+
+
+def _klein_value_ref(sigma, a, b):
+    """k a2 b1 / n on Z_n x Z_n, with a = a1 n + a2."""
+    return rot(Fraction(sigma.k * (a % sigma.n) * (b // sigma.n), sigma.n))
+
+
 def test_product_exponents_match_values():
-    # the broadcast closed form against the product formula's values, compiled
+    # each closed form, compiled and read back by value, against its formula
     s3 = symmetric(3)
     symbolic = coboundary_twist(trivial_multiplier(s3), [rot(0)] + [rot(Fraction(a, 7), {"t": a}) for a in range(1, 6)])
-    cases = [ProductMultiplier(s1, s2, f) for _, s1, s2, f in product_triples()[::5]]
-    cases.append(ProductMultiplier(symbolic, klein(2, 1), Bihomomorphism(s3, klein(2, 1).group, [[rot(0)] * 4] * 6)))
-    for sigma in cases:
-        ex = sigma.exponents()
-        ref = compile_values([[sigma.value(a, b) for b in sigma.group.elements()] for a in sigma.group.elements()])
+    products = [ProductMultiplier(s1, s2, f) for _, s1, s2, f in product_triples()[::5]]
+    products.append(ProductMultiplier(symbolic, klein(2, 1), Bihomomorphism(s3, klein(2, 1).group, [[rot(0)] * 4] * 6)))
+    cases = [(sigma, _product_value_ref) for sigma in products]
+    cases += [(klein(n, k), _klein_value_ref) for n, k in ((2, 1), (4, 2), (6, 5), (7, 0), (9, 4))]
+    for sigma, formula in cases:
+        elements = sigma.group.elements()
+        values = [[formula(sigma, a, b) for b in elements] for a in elements]
+        assert [[sigma.value(a, b) for b in elements] for a in elements] == values
+        ex, ref = sigma.exponents(), compile_values(values)
         assert ex.labels == ref.labels
         lcm = math.lcm(ex.D, ref.D)
         diff = ex.array * (lcm // ex.D) - ref.array * (lcm // ref.D)
         assert (diff[..., 0] % lcm == 0).all() and (diff[..., 1:] == 0).all()
 
 
-def test_lambda_stack_matches_reference():
-    for name, sigma in CATALOG[::3]:
-        assert np.max(np.abs(_lambda_stack(sigma) - _lambda_stack_ref(sigma))) < 1e-12, name
+def test_commutator_system_matches_reference():
+    # block s, column c: (lambda(s) lambda(c) - lambda(c) lambda(s)) delta_e;
+    # the trivial group has no generators and one zero block, at s = e, and
+    # on a table with sigma(a, e) != 1 the system still follows lambda
+    values = [list(row) for row in klein(2, 1).to_table().values]
+    values[1][0] = values[3][0] = rot(Fraction(1, 3))
+    extra = [
+        ("trivial", trivial_multiplier(cyclic(1))),
+        ("sigma(a, e) = 1/3", TableMultiplier(klein(2, 1).group, values)),
+    ]
+    for name, sigma in CATALOG[::3] + extra:
+        g = sigma.group
+        lam = [lambda_exact(sigma, a) for a in g.elements()]
+        gens = g.generators() or (g.identity,)
+        system = _commutator_system(sigma)
+        assert system.shape == (len(gens) * g.order, g.order), name
+        for s, block in zip(gens, np.split(system, len(gens))):
+            for c in g.elements():
+                ref = ((lam[s] @ lam[c]).to_array() - (lam[c] @ lam[s]).to_array())[:, g.identity]
+                assert np.max(np.abs(block[:, c] - ref)) < 1e-12, (name, s, c)
 
 
 def test_lambda_stack_names_the_first_symbol():

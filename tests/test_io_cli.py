@@ -195,6 +195,27 @@ def test_cli_center_computes_each_dimension_once(capsys, monkeypatch):
     assert calls == {"regular_classes": 1, "svd": 1}
 
 
+def test_cli_group_of_order_one(capsys):
+    # the trivial group has an empty generating set: its multiplier proof
+    # checks the identity row and column only, and its center is C
+    trivial = {"type": "trivial", "group": {"table": [[0]]}}
+    table = {"type": "table", "group": {"table": [[0]]}, "values": [[{"rat": "0", "irr": {}}]]}
+    f = {"table": [[{"rat": "0", "irr": {}}]]}
+    product = {"type": "direct_product", "sigma1": trivial, "sigma2": table, "f": f}
+    commands = ["validate", "condition-k", "regular-classes", "center"]
+    for data, extra in ((trivial, []), (table, []), (product, ["f-degeneracy"])):
+        for command in commands + extra:
+            code, out, err = _run(capsys, [command, "--inline", json.dumps(data)])
+            assert code == 0 and len(err.splitlines()) == 1, (data["type"], command, err)
+            report = json.loads(out)
+            if command == "validate":
+                assert report["ok"] is True
+            elif command == "center":
+                assert (report["combinatorial"], report["numeric"], report["matrix_algebra"]) == (1, 1, 1)
+            else:
+                assert report["condition_k"] is True
+
+
 def test_cli_validate_torus_fuzz(capsys):
     data = {"type": "torus", "n": 3, "theta": {"1,2": {"rat": "0", "irr": {"t": "1"}}}, "basis": ["t"]}
     code, out, _ = _run(capsys, ["validate", "--inline", json.dumps(data), "--fuzz", "200"])
