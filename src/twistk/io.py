@@ -1,7 +1,8 @@
 """JSON schemas for groups, multipliers, and words.
 
-Every exact number crosses the wire as a string "p/q"; floats appear
-only in the optional evaluation hints.  The multiplier schema is
+Every exact number crosses the wire as a string "p/q" or a JSON
+integer; a float or a bool there is refused, and floats appear only in
+the optional evaluation hints.  The multiplier schema is
 variant-tagged by "type": klein | table | trivial | direct_product |
 torus | g3 | free_product.
 
@@ -12,6 +13,7 @@ refused before anything of that size is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .freeprod import FPWord, FreeProduct, FreeProductMultiplier
@@ -58,9 +60,17 @@ def _integer(value, what: str) -> int:
 
 
 def decode_group(data) -> FiniteGroup:
-    """A group table from JSON, proven in full by ``groups.build``."""
+    """A group table from JSON, proven in full by ``groups.build``.  The
+    entries are type-checked in one pass; ``names``, when given, must be a
+    list of strings (``FiniteGroup`` checks its length)."""
     rows = _require(data, "table")
-    return build([[_integer(x, "table entry") for x in row] for row in rows], data.get("names"))
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        for x in chain.from_iterable(rows):
+            _integer(x, "table entry")
+    names = data.get("names")
+    if "names" in data and not (type(names) is list and all(type(name) is str for name in names)):
+        raise SchemaError("names must be a list of strings")
+    return build(rows, names)
 
 
 def _decode_basis(data) -> IrrationalBasis:
@@ -69,13 +79,26 @@ def _decode_basis(data) -> IrrationalBasis:
     return IrrationalBasis(labels, hints)
 
 
+# The "irr" of an entry without symbols; only ever compared, never changed.
+_NO_SYMBOLS: dict = {}
+
+
 def _rotations(rows) -> list[list[RotationNumber]]:
     """One RotationNumber per distinct entry content: equal entries share
-    one object, which ``compile_values`` then converts once."""
-    seen: dict[tuple, RotationNumber] = {}
+    one object, which ``compile_values`` then converts once.
+
+    A string "p/q" keys itself; a number is keyed with its type, since
+    1 == 1.0 == True would let a float or a bool share the entry of an
+    integer and skip the check of ``RotationNumber.from_json``.  Symbol
+    coefficients join the key, with their types, only when there are any;
+    an "irr" that is not a dict fails while its key is built."""
+    seen: dict[object, RotationNumber] = {}
 
     def decode(v) -> RotationNumber:
-        key = (v.get("rat", 0), tuple(v.get("irr", {}).items()))
+        rat, irr = v.get("rat", 0), v.get("irr", _NO_SYMBOLS)
+        key = rat if type(rat) is str else (type(rat), rat)
+        if irr != _NO_SYMBOLS:
+            key = (key, *((label, type(c), c) for label, c in irr.items()))
         x = seen.get(key)
         if x is None:
             x = seen[key] = RotationNumber.from_json(v)

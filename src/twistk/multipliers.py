@@ -49,8 +49,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .groups import BLOCK, FiniteGroup, cyclic, direct_product
+from .groups import FiniteGroup, cyclic, direct_product
 from .torus import ZERO, RotationNumber
+
+# 8-byte words per temporary of the blockwise cocycle scans (1 MiB of int64).
+BLOCK = 1 << 17
 
 
 class DomainMismatch(ValueError):

@@ -68,6 +68,15 @@ def _canonical_coeffs(coeffs) -> tuple[tuple[str, Fraction], ...]:
     return tuple((label, acc[label]) for label in sorted(acc) if acc[label])
 
 
+def _exact(value) -> Fraction:
+    """A JSON rational, a string "p/q" or an integer; Fraction() would read
+    a float as its binary expansion (0.1 as 3602879701896397/2^55) and a
+    bool as 0 or 1."""
+    if type(value) in (float, bool):
+        raise ValueError(f"exact number must be a string \"p/q\" or an integer, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True, slots=True)
 class RotationNumber:
     """Exponent of a circle value: rational part mod 1 plus a sparse
@@ -149,8 +158,8 @@ class RotationNumber:
 
     @staticmethod
     def from_json(data: Mapping) -> "RotationNumber":
-        irr = {label: Fraction(c) for label, c in data.get("irr", {}).items()}
-        return RotationNumber(Fraction(data.get("rat", 0)), irr)
+        irr = {label: _exact(c) for label, c in data.get("irr", {}).items()}
+        return RotationNumber(_exact(data.get("rat", 0)), irr)
 
     def __repr__(self) -> str:
         if not self.coeffs:

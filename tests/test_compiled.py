@@ -6,12 +6,15 @@ test asserts equal results (report, ``checked``, witness, class order,
 exception message) on ``finite_catalog()``, on random one-entry-broken
 tables and on non-associative tables, and the generating-set proof of
 ``require_multiplier`` must refuse exactly what exhaustive validation
-refuses.
+refuses.  Likewise Light's associativity test in ``groups.build`` must
+refuse exactly the tables the exhaustive |G|^3 scan refuses, naming the
+first failure in the order of the generating set.
 """
 
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -135,6 +138,19 @@ def _check_associativity_ref(table):
     return None
 
 
+def _light_failure_ref(table, gens):
+    """The NotAssociative message of Light's test: the first (s, x, y), s in
+    the order of gens, then x, then y, with (x*s)*y != x*(s*y), or None."""
+    rng = range(len(table))
+    for s in gens:
+        for x in rng:
+            xs = table[table[x][s]]
+            for y in rng:
+                if xs[y] != table[x][table[s][y]]:
+                    return f"({x}*{s})*{y} != {x}*({s}*{y})"
+    return None
+
+
 def _identity_and_inverses_ref(table):
     n = len(table)
     e = next((e for e in range(n) if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
@@ -211,6 +227,63 @@ def _loops(seed: int = 9):
             loop[a1][b1], loop[a1][b2] = loop[a1][b2], loop[a1][b1]
             loop[a2][b1], loop[a2][b2] = loop[a2][b2], loop[a2][b1]
             out.append((f"{name}:{a1},{a2};{b1},{b2}", loop))
+    return out
+
+
+def _random_loop(n, rng):
+    """A random Latin square on 0..n-1 with identity 0 and two-sided
+    inverses paired by a random involution, the other cells filled by
+    backtracking with the fewest candidates first; None if the search
+    passes 20 n^2 steps."""
+    t = [[None] * n for _ in range(n)]
+    inverse = list(range(n))
+    others = rng.sample(range(1, n), n - 1)
+    for a, b in zip(others[: rng.randrange(n // 2 + 1) * 2 : 2], others[1::2]):
+        inverse[a], inverse[b] = b, a
+    for a in range(n):
+        t[0][a] = t[a][0] = a
+        t[a][inverse[a]] = 0
+    full = (1 << n) - 1
+    free_row = [full & ~sum(1 << v for v in set(row) - {None}) for row in t]
+    free_col = [full & ~sum(1 << t[a][b] for a in range(n) if t[a][b] is not None) for b in range(n)]
+    empty = {(a, b) for a in range(n) for b in range(n) if t[a][b] is None}
+    steps = 20 * n * n
+
+    def fill():
+        nonlocal steps
+        if not empty:
+            return True
+        steps -= 1
+        if steps < 0:
+            return False
+        a, b = min(empty, key=lambda cell: (free_row[cell[0]] & free_col[cell[1]]).bit_count())
+        free = free_row[a] & free_col[b]
+        options = [v for v in range(n) if free >> v & 1]
+        rng.shuffle(options)
+        empty.remove((a, b))
+        for v in options:
+            t[a][b] = v
+            free_row[a] ^= 1 << v
+            free_col[b] ^= 1 << v
+            if fill():
+                return True
+            free_row[a] ^= 1 << v
+            free_col[b] ^= 1 << v
+        t[a][b] = None
+        empty.add((a, b))
+        return False
+
+    return t if fill() else None
+
+
+def _random_loops(count=200, seed=11):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(5, 17)
+        loop = _random_loop(n, rng)
+        if loop is not None:
+            out.append((f"loop {len(out)} of order {n}", loop))
     return out
 
 
@@ -295,6 +368,22 @@ def test_generators_generate_greedily():
     assert [len(g.generators()) for g in groups[-3:]] == [2, 4, 2]
 
 
+def _build_matches_reference(table, name):
+    """Whether build accepts table, asserting that it refuses exactly when
+    the exhaustive scan finds a failing triple and then names the first
+    failure of Light's test, a triple that really fails."""
+    g = FiniteGroup(table)
+    if _check_associativity_ref(table) is None:
+        build(table)
+        return True
+    with pytest.raises(NotAssociative) as info:
+        build(table)
+    assert str(info.value) == _light_failure_ref(table, g.generators()), name
+    x, s, y = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != .*", str(info.value)).groups())
+    assert table[table[x][s]][y] != table[x][table[s][y]], name
+    return False
+
+
 def test_group_scans_match_reference():
     tables = [(name, [list(row) for row in g.table]) for name, g in small_groups()]
     tables += [(name, [list(row) for row in sigma.group.table]) for name, sigma in CATALOG[:40:4]]
@@ -309,14 +398,16 @@ def test_group_scans_match_reference():
             continue
         g = FiniteGroup(table)
         assert (g.identity, tuple(g.inv(a) for a in g.elements())) == expected, name
-        message = _check_associativity_ref(table)
-        if message is None:  # conjugacy classes partition only a group
-            build(table)
+        if _build_matches_reference(table, name):  # conjugacy classes partition only a group
             assert [(c.members, c.representative) for c in g.conjugacy_classes()] == _conjugacy_classes_ref(g), name
-        else:
-            with pytest.raises(NotAssociative) as info:
-                build(table)
-            assert str(info.value) == message, name
+
+
+def test_light_test_refuses_exactly_the_nonassociative_loops():
+    # Light's test on the generating set against the exhaustive |G|^3 scan,
+    # on random loops of orders 5..16 and on the intercalate loops
+    loops = [(name, t) for name, t in _random_loops() + _loops() if not isinstance(_identity_and_inverses_ref(t)[1], str)]
+    associative = [_build_matches_reference(table, name) for name, table in loops]
+    assert len(loops) >= 220 and associative.count(True) >= 1 and associative.count(False) >= 200
 
 
 def test_bihomomorphism_validation_matches_reference():

@@ -5,13 +5,15 @@ every key at every depth is dropped, every value is swapped for a bad one,
 and whole specs are replaced by scalars.  Each case runs through cli.main;
 the outcome must be an exit code in {0, 1, 2} with exactly one stderr line
 and no exception escaping.  Deterministic cases pin exit 2 for numbers
-that are not JSON integers, for non-associative tables in every slot
-where a group table enters, for out-of-range --tol / --fuzz / --box, and
-for specs above the size cap io.MAX_ORDER.
+that are not JSON integers, for exact numbers given as JSON floats or
+bools, for ``names`` that are not a list of strings, for non-associative
+tables in every slot where a group table enters, for out-of-range --tol /
+--fuzz / --box, and for specs above the size cap io.MAX_ORDER.
 """
 
 import copy
 import json
+import time
 
 import pytest
 
@@ -142,6 +144,57 @@ def test_table_entry_beyond_int64_refused(capsys):
             _exits_2_naming(argv, capsys, "not square")
 
 
+def _z2_values(*entries):
+    return {"type": "table", "group": cyclic(2).to_json(), "values": [list(entries[:2]), list(entries[2:])]}
+
+
+ONE = {"rat": 1}  # the JSON integer 1, the circle value 1
+
+# Fraction() reads 0.1 as 3602879701896397/2^55 and true as 1; the dedupe of
+# equal table entries must not let 1.0 or true share the entry of a 1
+INEXACT = {
+    "table rat float": _z2_values(_rot(), _rot(), _rot(), {"rat": 0.1}),
+    "table rat bool": _z2_values(_rot(), _rot(), _rot(), {"rat": True}),
+    "table irr float": _z2_values(_rot(), _rot(), _rot(), {"rat": "1/2", "irr": {"t": 0.5}}),
+    "table 1.0 after 1": _z2_values(ONE, ONE, ONE, {"rat": 1.0}),
+    "table true after 1": _z2_values(ONE, ONE, ONE, {"rat": True}),
+    "table irr 1.0 after 1": _z2_values({"rat": 0, "irr": {"t": 1}}, _rot(), _rot(), {"rat": 0, "irr": {"t": 1.0}}),
+    "f rat float": {**SPECS["direct_product"], "f": {"table": [[_rot(), _rot()], [_rot(), {"rat": 0.5}]]}},
+    "torus theta float": {**SPECS["torus"], "theta": {"1,2": {"rat": 0.25}}},
+    "torus theta irr bool": {**SPECS["torus"], "theta": {"1,2": {"rat": "1/3", "irr": {"t": True}}}},
+    "g3 mu float": {**SPECS["g3"], "mu": {"11": {"rat": 0.5}}},
+    "g3 mu irr float": {**SPECS["g3"], "mu": {"13": {"rat": "0", "irr": {"s": 1.5}}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INEXACT))
+def test_inexact_numbers_refused(case, capsys):
+    for command in COMMANDS:
+        argv = [command, "--inline", json.dumps(INEXACT[case]), "--fuzz", "20", "--box", "2"]
+        _exits_2_naming(argv, capsys, "exact number")
+
+
+def test_integer_exact_numbers_accepted(capsys):
+    assert main(["validate", "--inline", json.dumps(_z2_values(ONE, ONE, ONE, ONE))]) == 0
+    assert main(["validate", "--inline", json.dumps(_z2_values(_rot(), _rot(), _rot(), {"rat": 1, "irr": {"t": 2}}))]) == 0
+    capsys.readouterr()
+
+
+def test_malformed_entry_after_an_equal_valid_one_refused(capsys):
+    # a cached {"irr": {}} must not stand in for {"irr": null} with the same rat
+    data = _z2_values({"rat": "0", "irr": {}}, _rot(), _rot(), {"rat": "0", "irr": None})
+    for command in COMMANDS:
+        _exits_2_naming([command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"], capsys, "bad multiplier spec")
+
+
+@pytest.mark.parametrize("names", ["ab", {"a": 0, "b": 1}, ["a", 1], 5, None])
+def test_names_not_a_list_of_strings_refused(names, capsys):
+    # a string or a dict would be iterated into names, 1 turned into "1"
+    data = {"type": "trivial", "group": {"table": [[0, 1], [1, 0]], "names": names}}
+    for command in COMMANDS:
+        _exits_2_naming([command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"], capsys, "names")
+
+
 # the order-5 loop of test_build_rejects_nonassociative: a Latin square with
 # an identity and two-sided inverses that is not associative
 LOOP = {"table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}
@@ -221,3 +274,18 @@ def test_largest_klein_still_answered(capsys):
     assert main(["condition-k", "--inline", json.dumps({"type": "klein", "n": 32, "k": 1})]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["condition_k"] is True and len(err.splitlines()) == 1
+
+
+def test_largest_table_group_decodes(capsys):
+    # Z32 x Z32 as a JSON table, |G| = MAX_ORDER: the exhaustive |G|^3
+    # associativity scan took about 9 s on a 2-vCPU host, Light's test on
+    # the two generators takes well under a second
+    group = direct_product(cyclic(32), cyclic(32))
+    assert group.order == MAX_ORDER
+    spec = json.dumps({"type": "trivial", "group": group.to_json()})
+    start = time.perf_counter()
+    assert main(["condition-k", "--inline", spec]) == 0
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    # sigma = 1 makes every class regular, so condition K fails
+    assert json.loads(out)["condition_k"] is False and len(err.splitlines()) == 1
