@@ -9,11 +9,12 @@ Exit codes:
   decision refused (the report carries an "error" field):
   - "not a multiplier": before condition-k, regular-classes, center or
     f-degeneracy, a finite input is proven a multiplier through the
-    generating set of its group (``multipliers.require_multiplier``); a
-    table that fails is refused with the violating ``witness`` triple
-    (a, s, c), or identity pair (a, e), and the failed ``reason``
-    (regularity that varies on a class, impossible after that proof, is
-    refused with the same error and a "detail");
+    generating set of its group, the proof ``validate`` runs
+    (``multipliers.require_multiplier``); a table that fails is refused
+    with the violating ``witness`` triple (a, s, c), or identity pair
+    (a, e), and the failed ``reason`` (regularity that varies on a class,
+    impossible after that proof, is refused with the same error and a
+    "detail");
   - "center routes disagree": the combinatorial and numeric center
     dimensions differ;
   - "ill-conditioned": the numeric oracle found no clean spectral gap.

@@ -13,7 +13,7 @@ library constructors below build groups by construction, so
 ``FiniteGroup`` itself checks the shape and finds the identity and
 inverses but does not test associativity; the test suite proves the
 library's tables through ``build``.  ``generators`` also gives the
-generating set on which ``multipliers.require_multiplier`` proves a
+generating set on which ``multipliers.validate`` proves a
 cocycle and ``algebra.center_dimension_numeric`` builds its system.
 """
 

@@ -100,11 +100,11 @@ def integer_kernel(rows, ncols: int | None = None) -> list[list[int]]:
     return [u[i] for i in range(ncols) if not any(h[i])]
 
 
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Scale a rational matrix by the lcm of all denominators (kernel-preserving)."""
-    denoms = [Fraction(x).denominator for row in rows for x in row]
-    scale = lcm(*denoms) if denoms else 1
-    return [[int(Fraction(x) * scale) for x in row] for row in rows]
+def clear_denominators(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
+    """Scale a matrix of ints and Fractions by the lcm of all denominators
+    (kernel-preserving; an integer matrix is copied unscaled)."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows]
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -74,9 +74,12 @@ def decode_group(data) -> FiniteGroup:
 
 
 def _decode_basis(data) -> IrrationalBasis:
-    labels = tuple(data.get("basis", ()))
+    """``basis``, when given, must be a list of strings, like ``names``."""
+    labels = data.get("basis", [])
+    if not (type(labels) is list and all(type(label) is str for label in labels)):
+        raise SchemaError("basis must be a list of strings")
     hints = {str(k): float(v) for k, v in data.get("hints", {}).items()}
-    return IrrationalBasis(labels, hints)
+    return IrrationalBasis(tuple(labels), hints)
 
 
 # The "irr" of an entry without symbols; only ever compared, never changed.

@@ -13,8 +13,12 @@ The parameters (the theta entries; the eight mu, in the order
 exponents) with the parameter rows.  M^T and the g3 rows are kept per
 slot over D (slot 0 rational, slot i the i-th compiled label): the
 regularity test and the witness re-checks are integer sums on them, and
-``clear_denominators`` gets the symbol slots as Fraction(x, D) (0 for
-x = 0), the matrix the Hermite form has always been given.
+the Hermite form gets the symbol slots as they are, times D
+(``clear_denominators`` finds nothing to clear there and stays the named
+step that ``bench/spans.py`` times).  With its minimal-|pivot| choice the
+form makes the same row operations on any positive multiple of its input
+((c a) // (c p) = a // p), so the kernel basis, and with it the witness,
+is the one the rational matrix gives.
 """
 
 from __future__ import annotations
@@ -146,16 +150,16 @@ def _kernel_witness(ex: Exponents, matrix: SlotMatrix, labels: Sequence[str]) ->
     R = R0 + sum_k R_k t_k is given per slot over ex.D (``matrix[0]`` is
     R0 times D, ``matrix[i]`` is R_k times D for the i-th compiled label).
     c must lie in the kernel of every R_k, which the Hermite form gives
-    over Z (the R_k stacked in the order of the basis ``labels``, a label
-    no entry uses giving zero rows, with denominators cleared).  Scaling
-    the first kernel vector by the lcm of the denominators of R0 c lands
-    every component in Z while the symbol parts stay zero.
+    over Z (the R_k times D stacked in the order of the basis ``labels``,
+    a label no entry uses giving zero rows).  Scaling the first kernel
+    vector by the lcm of the denominators of R0 c lands every component
+    in Z while the symbol parts stay zero.
     """
     rat = matrix[0]
     n = len(rat[0])
     symbols = dict(zip(ex.labels, matrix[1:]))
     zero = [[0] * n] * len(rat)
-    stacked = [[x and Fraction(x, ex.D) for x in row] for label in labels for row in symbols.get(label, zero)]
+    stacked = [row for label in labels for row in symbols.get(label, zero)]
     kernel = integer_kernel(clear_denominators(stacked), ncols=n)
     if not kernel:
         return None

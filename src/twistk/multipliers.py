@@ -13,16 +13,13 @@ array holds the rational part times D, mod D, and slot i the coefficient
 of the i-th declared symbol times D.  Every finite class of H^2(G, T) has
 a representative with values in the |G|-th roots of unity, so D stays
 small in practice; an array whose sums could pass 2^63 holds exact
-Python ints instead of int64, so no comparison ever wraps.  The finite
-proofs run as numpy operations on this array and the group's ``array``:
-
-- ``validate`` checks the identity row and column, then the cocycle
-  identity on all |G|^3 triples, in blocks of a, and reports the first
-  failure in lexicographic order;
-- ``require_multiplier`` checks the identity row and column and the
-  cocycle identity on the |S| |G|^2 triples (a, s, c) with s in the
-  generating set S of ``FiniteGroup.generators``, which proves the
-  identity on all triples.
+Python ints instead of int64, so no comparison ever wraps.  A finite
+multiplier has one proof, run as numpy operations on this array and the
+group's ``array``: ``validate`` checks the identity row and column, then
+the cocycle identity on the |S| |G|^2 triples (a, s, c) with s in the
+generating set S of ``FiniteGroup.generators``, which proves it on all
+|G|^3 triples (Light's test); ``require_multiplier`` raises on its
+failure.
 
 A finite family writes its closed form once, in ``_compile``; ``vector``
 and ``value`` read the compiled entry (a table keeps its stored values).
@@ -196,9 +193,6 @@ class Multiplier:
         """A random domain element with coordinates in [-box, box] (infinite families)."""
         raise NotImplementedError
 
-    def is_finite(self) -> bool:
-        return False
-
 
 class FiniteMultiplier(Multiplier):
     """A multiplier on a finite table group; elements are indices."""
@@ -226,9 +220,6 @@ class FiniteMultiplier(Multiplier):
 
     def identity_element(self) -> int:
         return self.group.identity
-
-    def is_finite(self) -> bool:
-        return True
 
     def to_table(self) -> "TableMultiplier":
         n = self.group.order
@@ -344,22 +335,34 @@ def validate(
 ) -> ValidationReport:
     """Check the cocycle identity and the identity-row normalization.
 
-    Finite domains are checked exhaustively over all |G|^3 triples;
-    infinite families are fuzzed on `triples` random triples with
+    A finite multiplier is proven through the generating set S of its
+    group: the identity row and column, then the cocycle identity on the
+    triples (a, s, c) with s in S.  In the extension T x G with product
+    (x,a)(y,b) = (x+y+sigma(a,b), ab) these say that every (x, s)
+    associates in the middle; the middle elements that associate are
+    closed under products (Light's test) and (x, e) is one of them, so the
+    closure of {e} under y -> y s, which is G, satisfies the identity for
+    all a, c.  A valid table reports ``checked`` = |G|^3, the triples the
+    proof covers.  A failure reports the first (a, s, c) in the order a,
+    then s in the order of S, then c, and ``checked`` = (a |S| + j) |G| + c
+    triples compared before it, s the j-th generator; a failing identity
+    row or column reports (a, e) and ``checked`` = |G|.
+
+    Infinite families are fuzzed on `triples` random triples with
     coordinates in [-box, box].  A violation is reported with its witness
     triple, not raised.
     """
-    if sigma.is_finite():
+    if isinstance(sigma, FiniteMultiplier):
         g = sigma.group
         n, e = g.order, g.identity
         ex = sigma.exponents()
         a = _unit_failure(ex, e)
         if a is not None:
             return ValidationReport(False, n, "exhaustive", (a, e, None), "identity row/column")
-        witness = _cocycle_failure(ex, g.array, range(n))
-        if witness is not None:
-            a, b, c = witness
-            return ValidationReport(False, (a * n + b) * n + c, "exhaustive", witness, "cocycle identity")
+        failure = _cocycle_failure(ex, g)
+        if failure is not None:
+            checked, witness = failure
+            return ValidationReport(False, checked, "exhaustive", witness, "cocycle identity")
         return ValidationReport(True, n**3, "exhaustive")
 
     rng = rng or random.Random(0)
@@ -386,51 +389,39 @@ def _unit_failure(ex: Exponents, e: int) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-def _cocycle_failure(ex: Exponents, t: np.ndarray, middles: Sequence[int]) -> tuple[int, int, int] | None:
-    """The first (a, b, c), b running over ``middles`` in their order, with
-    sigma(a,b) + sigma(ab,c) != sigma(a,bc) + sigma(b,c); scanned in blocks
+def _cocycle_failure(ex: Exponents, g: FiniteGroup) -> tuple[int, tuple[int, int, int]] | None:
+    """The first (a, s, c), s in ``g.generators()``, with
+    sigma(a,s) + sigma(as,c) != sigma(a,sc) + sigma(s,c), in the order a,
+    s, c, and the number of triples compared before it; scanned in blocks
     of a so that no temporary holds more than about BLOCK 8-byte words (an
     exact int of an object array counts as 4 + D.bit_length() // 60 words)."""
-    if not middles:  # the trivial group has no generators
+    s = np.asarray(g.generators(), dtype=np.intp)
+    if not s.size:  # the trivial group has no generators
         return None
-    E = ex.array
+    E, t = ex.array, g.array
     n = len(t)
-    b = np.asarray(middles, dtype=np.intp)
-    bc, sigma_bc = t[b], E[b]
+    sc, sigma_sc = t[s], E[s]
     words = 4 + ex.D.bit_length() // 60 if E.dtype == object else 1
-    step = max(1, BLOCK // (len(b) * n * E.shape[-1] * words))
+    step = max(1, BLOCK // (len(s) * n * E.shape[-1] * words))
     for a0 in range(0, n, step):
         a = np.arange(a0, min(n, a0 + step))
-        defect = E[t[np.ix_(a, b)]]  # sigma(ab, c)
-        defect += E[np.ix_(a, b)][:, :, None]
-        defect -= E[a[:, None, None], bc]
-        defect -= sigma_bc
+        defect = E[t[np.ix_(a, s)]]  # sigma(as, c)
+        defect += E[np.ix_(a, s)][:, :, None]
+        defect -= E[a[:, None, None], sc]
+        defect -= sigma_sc
         bad = np.flatnonzero(~ex.is_zero(defect))
         if bad.size:
             i, j, c = np.unravel_index(bad[0], defect.shape[:3])
-            return int(a[i]), int(b[j]), int(c)
+            return a0 * len(s) * n + int(bad[0]), (int(a[i]), int(s[j]), int(c))
     return None
 
 
 def require_multiplier(sigma: FiniteMultiplier) -> None:
-    """Raise NotAMultiplier unless sigma is a multiplier, proven through the
-    generating set S of its group.
-
-    The identity row and column are checked, then the cocycle identity on
-    the triples (a, s, c) with s in S.  In the extension T x G with product
-    (x,a)(y,b) = (x+y+sigma(a,b), ab) these say that every (x, s) associates
-    in the middle; the middle elements that associate are closed under
-    products (Light's test) and (x, e) is one of them, so the closure of
-    {e} under y -> y s, which is G, satisfies the identity for all a, c.
-    """
-    g = sigma.group
-    ex = sigma.exponents()
-    a = _unit_failure(ex, g.identity)
-    if a is not None:
-        raise NotAMultiplier((a, g.identity), "identity row/column")
-    witness = _cocycle_failure(ex, g.array, g.generators())
-    if witness is not None:
-        raise NotAMultiplier(witness, "cocycle identity")
+    """Raise NotAMultiplier, with the witness of ``validate`` ((a, s, c), or
+    (a, e) for the identity row and column), unless sigma is a multiplier."""
+    report = validate(sigma)
+    if not report:
+        raise NotAMultiplier(tuple(w for w in report.witness if w is not None), report.reason)
 
 
 # -- similarity ---------------------------------------------------------------
@@ -458,7 +449,7 @@ def is_similar(
 ) -> bool:
     """tau(a,b) = beta(a) beta(b) conj(beta(ab)) sigma(a,b) on all checked pairs."""
     if pairs is None:
-        if not (sigma.is_finite() and tau.is_finite()):
+        if not (isinstance(sigma, FiniteMultiplier) and isinstance(tau, FiniteMultiplier)):
             raise ValueError("explicit pairs required for infinite domains")
         if sigma.group.table != tau.group.table:
             raise DomainMismatch("similarity requires a common group")

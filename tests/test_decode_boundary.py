@@ -6,9 +6,10 @@ and whole specs are replaced by scalars.  Each case runs through cli.main;
 the outcome must be an exit code in {0, 1, 2} with exactly one stderr line
 and no exception escaping.  Deterministic cases pin exit 2 for numbers
 that are not JSON integers, for exact numbers given as JSON floats or
-bools, for ``names`` that are not a list of strings, for non-associative
-tables in every slot where a group table enters, for out-of-range --tol /
---fuzz / --box, and for specs above the size cap io.MAX_ORDER.
+bools, for ``names`` and ``basis`` that are not lists of strings, for
+non-associative tables in every slot where a group table enters, for
+out-of-range --tol / --fuzz / --box, and for specs above the size cap
+io.MAX_ORDER.
 """
 
 import copy
@@ -195,6 +196,18 @@ def test_names_not_a_list_of_strings_refused(names, capsys):
         _exits_2_naming([command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"], capsys, "names")
 
 
+@pytest.mark.parametrize("basis", ["tu", {"t": 1, "u": 2}, ["t", 1], 5, None])
+@pytest.mark.parametrize("kind", ["torus", "g3"])
+def test_basis_not_a_list_of_strings_refused(kind, basis, capsys):
+    # a string or a dict would be iterated into labels: "tu" into t and u,
+    # a dict into its keys
+    data = dict(SPECS[kind], basis=basis)
+    if kind == "g3":
+        data["mu"] = {"11": _rot("1/2"), "13": _rot(t="1")}
+    for command in COMMANDS:
+        _exits_2_naming([command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"], capsys, "basis")
+
+
 # the order-5 loop of test_build_rejects_nonassociative: a Latin square with
 # an identity and two-sided inverses that is not associative
 LOOP = {"table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}
@@ -274,6 +287,18 @@ def test_largest_klein_still_answered(capsys):
     assert main(["condition-k", "--inline", json.dumps({"type": "klein", "n": 32, "k": 1})]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["condition_k"] is True and len(err.splitlines()) == 1
+
+
+def test_largest_klein_validated_promptly(capsys):
+    # the generating-set proof covers all 1024^3 triples; the exhaustive
+    # scan it replaced took about 20 s on a 2-vCPU host
+    start = time.perf_counter()
+    assert main(["validate", "--inline", json.dumps({"type": "klein", "n": 32, "k": 1})]) == 0
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (report["ok"], report["checked"], report["mode"]) == (True, MAX_ORDER**3, "exhaustive")
+    assert len(err.splitlines()) == 1
 
 
 def test_largest_table_group_decodes(capsys):
