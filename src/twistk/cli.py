@@ -14,7 +14,10 @@ Exit codes:
     with the violating ``witness`` triple (a, s, c), or identity pair
     (a, e), and the failed ``reason`` (regularity that varies on a class,
     impossible after that proof, is refused with the same error and a
-    "detail");
+    "detail"); before validate or decompose on a free_product, each
+    factor table is proven the same way, and a factor that fails is
+    refused with the same fields plus ``"factor": 1 | 2`` (the witness
+    indexes that factor's group);
   - "center routes disagree": the combinatorial and numeric center
     dimensions differ;
   - "ill-conditioned": the numeric oracle found no clean spectral gap.
@@ -63,7 +66,20 @@ def _report_base(args: argparse.Namespace) -> dict:
     return {"command": args.command, "seed": args.seed}
 
 
+def _require_factors(sigma: FreeProductMultiplier) -> None:
+    """Prove both factor tables of a free product multiplier; a failure
+    raises NotAMultiplier with the ``factor`` (1 or 2) that failed."""
+    for factor, s in ((1, sigma.sigma1), (2, sigma.sigma2)):
+        try:
+            require_multiplier(s)
+        except NotAMultiplier as exc:
+            exc.factor = factor
+            raise
+
+
 def _run_validate(args: argparse.Namespace, sigma) -> tuple[int, dict]:
+    if isinstance(sigma, FreeProductMultiplier):
+        _require_factors(sigma)
     rng = random.Random(args.seed)
     report = validate(sigma, rng=rng, triples=args.fuzz, box=args.box)
     out = _report_base(args)
@@ -145,11 +161,12 @@ def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
 def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FreeProductMultiplier):
         raise JobError("decompose requires a free_product input")
+    _require_factors(sigma)
     rng = random.Random(args.seed)
     out = _report_base(args)
     try:
         result = decompose(
-            sigma.value,
+            sigma,
             sigma.fp.g1,
             sigma.fp.g2,
             max_len=max(args.box, 2),
@@ -200,6 +217,8 @@ def run(args: argparse.Namespace, data) -> tuple[int, dict]:
     except NotAMultiplier as exc:
         out = _report_base(args)
         out.update({"error": "not a multiplier", "reason": exc.reason, "witness": list(exc.witness)})
+        if exc.factor is not None:
+            out["factor"] = exc.factor
         return 1, out
     except (IllConditioned, ClassInconsistency) as exc:
         error = "ill-conditioned" if isinstance(exc, IllConditioned) else "not a multiplier"

@@ -12,8 +12,10 @@ correctness contract, exercised by the test suite on every path.
 
 The free product multiplier's values are sums of factor table entries:
 tau, beta and the value are integer vector sums over the two compiled
-factor tables, and ``tau``, ``beta`` and ``value`` (the oracles that
-``decompose`` takes) return the RotationNumber of the vector.
+factor tables (beta memoized per word), and ``tau``, ``beta`` and
+``value`` return the RotationNumber of the vector.  ``decompose`` reads
+a multiplier on G1 * G2 through ``vector`` and checks its decomposition
+on integer vectors over one frame.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ FPWord = tuple[Letter, ...]
 Generator = tuple[int, int]       # ([a, b]) as (a index in G1, b index in G2)
 XWord = tuple[tuple[Generator, int], ...]
 
+# Words whose beta one FreeProductMultiplier keeps; its memo is emptied when full.
+BETA_MEMO = 1 << 16
+
 
 class NotInKernel(ValueError):
     """Rewriting requested for a word outside the commutator subgroup."""
@@ -62,6 +67,8 @@ class FreeProduct:
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup):
         self.g1 = g1
         self.g2 = g2
+        # _letters[i]: the non-identity elements of factor i, in element order
+        self._letters = (None, *(tuple(a for a in g.elements() if a != g.identity) for g in (g1, g2)))
 
     def factor(self, i: int) -> FiniteGroup:
         return self.g1 if i == 1 else self.g2
@@ -153,9 +160,8 @@ class FreeProduct:
         factor = rng.choice((1, 2))
         letters = []
         for _ in range(length):
-            g = self.factor(factor)
-            if g.order > 1:
-                choices = [a for a in g.elements() if a != g.identity]
+            choices = self._letters[factor]
+            if choices:
                 letters.append((factor, rng.choice(choices)))
             factor = 3 - factor
         return tuple(letters)
@@ -277,6 +283,7 @@ class FreeProductMultiplier(Multiplier):
         # _tables[i][a][b]: the vector of sigma_i(a, b)
         self._tables = (None, *([[tuple(v) for v in row] for row in t.tolist()] for t in tables))
         self._zero = (0,) * (1 + len(labels))
+        self._beta_memo: dict[FPWord, Sequence[int]] = {}
 
     def exponents(self) -> Exponents:
         return self._exponents
@@ -294,13 +301,23 @@ class FreeProductMultiplier(Multiplier):
         return self._tables[rf][relem][selem]
 
     def _beta(self, x: FPWord) -> Sequence[int]:
+        """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when full."""
+        memo = self._beta_memo
+        value = memo.get(x)
+        if value is None:
+            if len(memo) >= BETA_MEMO:
+                memo.clear()
+            value = memo[x] = self._beta_of(x)
+        return value
+
+    def _beta_of(self, x: FPWord) -> Sequence[int]:
         if not self.fp.in_kernel(x):
             return self._zero
         xw = rewrite_to_X(self.fp, x)
         if len(xw) <= 1:
             return self._zero
         words = [expand_syllable(self.fp, gen, power) for gen, power in xw]
-        return [sum(slot) for slot in zip(*(self._tau(left, right) for left, right in zip(words, words[1:])))]
+        return tuple(sum(slot) for slot in zip(*(self._tau(left, right) for left, right in zip(words, words[1:]))))
 
     def vector(self, x: FPWord, y: FPWord) -> list[int]:
         xy = self.fp.multiply(x, y)
@@ -348,9 +365,7 @@ class Decomposition:
     pairs_checked: int
 
 
-def _restriction_table(
-    sigma_fn: Callable[[FPWord, FPWord], RotationNumber], group: FiniteGroup, factor: int
-) -> TableMultiplier:
+def _restriction_table(sigma: Multiplier, group: FiniteGroup, factor: int) -> TableMultiplier:
     e = group.identity
     values = []
     for a in group.elements():
@@ -359,20 +374,27 @@ def _restriction_table(
             if a == e or b == e:
                 row.append(ZERO)
             else:
-                row.append(sigma_fn(((factor, a),), ((factor, b),)))
+                row.append(sigma.value(((factor, a),), ((factor, b),)))
         values.append(row)
     return TableMultiplier(group, values)
 
 
+def _into(ex: Exponents, D: int, labels: tuple[str, ...]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """Recast one vector over ``ex``'s frame to the frame (D, labels), which contains it."""
+    if (ex.D, ex.labels) == (D, labels):
+        return lambda x: x
+    return lambda x: Exponents(ex.D, ex.labels, np.array(x, dtype=object)).recast(D, labels, object).tolist()
+
+
 def decompose(
-    sigma_fn: Callable[[FPWord, FPWord], RotationNumber],
+    sigma: Multiplier,
     g1: FiniteGroup,
     g2: FiniteGroup,
     max_len: int = 6,
     pairs: int = 1000,
     rng: random.Random | None = None,
 ) -> Decomposition:
-    """Recover (sigma1, sigma2, beta) from a normalized multiplier oracle.
+    """Recover (sigma1, sigma2, beta) from a normalized multiplier on G1 * G2.
 
     sigma1 and sigma2 are the restrictions to the factors.  The prefix
     telescope b0(x) = sigma(x1,x2) + sigma(x1 x2, x3) + ... twists sigma
@@ -384,36 +406,47 @@ def decompose(
         beta = b0 + beta_candidate,
         (sigma1 * sigma2)(x, y) = beta(x) + beta(y) - beta(xy) + sigma(x, y).
 
-    The identity is checked on `pairs` sampled word pairs of length
-    <= max_len; the first failing pair raises SimilarityFailure.
+    beta_candidate cancels from that identity, which is checked as
+    b0(x) + b0(y) - b0(xy) + sigma(x, y) = tau(x, y) on `pairs` sampled
+    word pairs of length <= max_len, in integer vectors: sigma's
+    ``vector`` values and the candidate's tau are recast to the common
+    frame of ``sigma.exponents()`` and the candidate's and the difference
+    must vanish there.  The first failing pair raises SimilarityFailure.
+    The witness returns RotationNumbers.
     """
     rng = rng or random.Random(0)
-    fp = FreeProduct(g1, g2)
-    sigma1 = _restriction_table(sigma_fn, g1, 1)
-    sigma2 = _restriction_table(sigma_fn, g2, 2)
+    sigma1 = _restriction_table(sigma, g1, 1)
+    sigma2 = _restriction_table(sigma, g2, 2)
     candidate = FreeProductMultiplier(sigma1, sigma2)
+    fp = candidate.fp
+    parts = (sigma.exponents(), candidate.exponents())
+    D, labels = common_frame(parts)
+    frame = Exponents(D, labels, np.zeros((0, 1 + len(labels)), dtype=np.int64))
+    from_sigma, from_candidate = (_into(p, D, labels) for p in parts)
+    vector = sigma.vector
+    zero = [0] * (1 + len(parts[0].labels))
 
-    def prefix_telescope(x: FPWord) -> RotationNumber:
-        if len(x) <= 1:
-            return ZERO
-        total = ZERO
+    def prefix_telescope(x: FPWord) -> Sequence[int]:
+        total = zero
         prefix = x[:1]
         for letter in x[1:]:
-            total = total + sigma_fn(prefix, (letter,))
-            prefix = prefix + (letter,)
+            total = [t + v for t, v in zip(total, vector(prefix, (letter,)))]
+            prefix += (letter,)
         return total
 
     def beta_fn(x: FPWord) -> RotationNumber:
-        return prefix_telescope(x) + candidate.beta(x)
+        b0, beta = from_sigma(prefix_telescope(x)), from_candidate(candidate._beta(x))
+        return frame.rotation([p + q for p, q in zip(b0, beta)])
 
-    witness = SimilarityWitness(beta_fn)
     checked = 0
     for _ in range(pairs):
         x = fp.random_word(rng, max_len)
         y = fp.random_word(rng, max_len)
         xy = fp.multiply(x, y)
-        expected = beta_fn(x) + beta_fn(y) - beta_fn(xy) + sigma_fn(x, y)
-        if candidate.value(x, y) != expected:
+        b0 = map(prefix_telescope, (x, y, xy))
+        twisted = from_sigma([p + q - r + s for p, q, r, s in zip(*b0, vector(x, y))])
+        tau = from_candidate(candidate._tau(x, y))
+        if not frame.vanishes([p - q for p, q in zip(twisted, tau)]):
             raise SimilarityFailure((x, y))
         checked += 1
-    return Decomposition(sigma1, sigma2, witness, candidate, checked)
+    return Decomposition(sigma1, sigma2, SimilarityWitness(beta_fn), candidate, checked)

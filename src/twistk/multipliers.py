@@ -63,7 +63,10 @@ class NotNormalized(ValueError):
 
 class NotAMultiplier(ValueError):
     """A finite table breaks the cocycle identities; ``witness`` is a
-    violating triple (a, b, c) or identity pair (a, e)."""
+    violating triple (a, b, c) or identity pair (a, e).  ``factor`` names
+    the free product factor (1 or 2) the table is, when it is one."""
+
+    factor: int | None = None
 
     def __init__(self, witness: tuple, reason: str):
         super().__init__(f"{reason} fails at {witness}")

@@ -373,7 +373,7 @@ def test_criterion_10_free_product_suite():
             if xword_to_word(fp, rewrite_to_X(fp, x)) != x:
                 violations.append((name, "rewrite", x))
 
-        decompose(sigma.value, fp.g1, fp.g2, max_len=6, pairs=250, rng=rng)
+        decompose(sigma, fp.g1, fp.g2, max_len=6, pairs=250, rng=rng)
 
     elapsed = time.monotonic() - start
     ok = not violations and elapsed < 60.0

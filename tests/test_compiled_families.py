@@ -418,5 +418,8 @@ def test_loops_do_no_rotation_arithmetic(capsys, monkeypatch):
         code = main(["validate", "--inline", json.dumps(spec), "--fuzz", "200"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["ok"] and report["checked"] == 200
+    code = main(["decompose", "--inline", json.dumps(free), "--fuzz", "200"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["similar"] and report["restrictions_match"] and report["pairs_checked"] == 200
     decision = condition_k_lattice(theta32)
     assert not decision.condition_k and any(decision.witness)

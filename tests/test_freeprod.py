@@ -1,9 +1,17 @@
+import json
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistk as tk
+from twistk import freeprod
+from twistk.cli import main
 from twistk.freeprod import (
+    Decomposition,
     FreeProduct,
     FreeProductMultiplier,
     NotInKernel,
@@ -16,9 +24,25 @@ from twistk.freeprod import (
     rewrite_to_X,
     xword_to_word,
 )
-from twistk.groups import cyclic
-from twistk.multipliers import NotNormalized, normalize, trivial_multiplier, validate
-from twistk.torus import ZERO
+from twistk.groups import cyclic, symmetric
+from twistk.io import encode_multiplier
+from twistk.multipliers import (
+    Exponents,
+    Multiplier,
+    NotNormalized,
+    SimilarityWitness,
+    TableMultiplier,
+    coboundary_twist,
+    common_frame,
+    compile_params,
+    normalize,
+    trivial_multiplier,
+    validate,
+)
+from twistk.torus import ZERO, rot
+
+sys.path.insert(0, str(Path(__file__).parent))
+from catalog import random_normalized_tables  # noqa: E402
 
 
 def normalized_klein(n, k):
@@ -232,9 +256,141 @@ def test_module_level_helpers(kleinz3):
     assert twin.beta(w) == kleinz3.beta(w) == ZERO
 
 
+class _TauOracle(Multiplier):
+    """The boundary cocycle tau of a free product multiplier, as a multiplier."""
+
+    def __init__(self, sigma: FreeProductMultiplier):
+        self.sigma = sigma
+
+    def exponents(self):
+        return self.sigma.exponents()
+
+    def vector(self, x, y):
+        return list(self.sigma._tau(x, y))
+
+
+class _Shifted(Multiplier):
+    """base + shift wherever both words have at least two letters, over a
+    frame that also holds the denominators and symbols of ``spare``."""
+
+    def __init__(self, base: Multiplier, shift=ZERO, spare=ZERO):
+        self.base = base
+        self.shift = shift
+        D, labels = common_frame((base.exponents(), compile_params([shift, spare])))
+        self._exponents = Exponents(D, labels, np.zeros((0, 1 + len(labels)), dtype=np.int64))
+
+    def exponents(self):
+        return self._exponents
+
+    def vector(self, x, y):
+        v = self.base.value(x, y)
+        if len(x) >= 2 and len(y) >= 2:
+            v = v + self.shift
+        D, coeffs = self._exponents.D, dict(v.coeffs)
+        return [int(v.rat * D)] + [int(coeffs.get(label, 0) * D) for label in self._exponents.labels]
+
+
+def _restriction_table_ref(sigma_fn, group, factor):
+    e = group.identity
+    values = [
+        [ZERO if a == e or b == e else sigma_fn(((factor, a),), ((factor, b),)) for b in group.elements()]
+        for a in group.elements()
+    ]
+    return TableMultiplier(group, values)
+
+
+def _decompose_ref(sigma_fn, g1, g2, max_len=6, pairs=1000, rng=None):
+    """The RotationNumber decomposition loop that ``decompose`` replaced."""
+    rng = rng or random.Random(0)
+    fp = FreeProduct(g1, g2)
+    sigma1 = _restriction_table_ref(sigma_fn, g1, 1)
+    sigma2 = _restriction_table_ref(sigma_fn, g2, 2)
+    candidate = FreeProductMultiplier(sigma1, sigma2)
+
+    def prefix_telescope(x):
+        if len(x) <= 1:
+            return ZERO
+        total = ZERO
+        prefix = x[:1]
+        for letter in x[1:]:
+            total = total + sigma_fn(prefix, (letter,))
+            prefix = prefix + (letter,)
+        return total
+
+    def beta_fn(x):
+        return prefix_telescope(x) + candidate.beta(x)
+
+    checked = 0
+    for _ in range(pairs):
+        x = fp.random_word(rng, max_len)
+        y = fp.random_word(rng, max_len)
+        xy = fp.multiply(x, y)
+        expected = beta_fn(x) + beta_fn(y) - beta_fn(xy) + sigma_fn(x, y)
+        if candidate.value(x, y) != expected:
+            raise SimilarityFailure((x, y))
+        checked += 1
+    return Decomposition(sigma1, sigma2, SimilarityWitness(beta_fn), candidate, checked)
+
+
+def _criterion_10_factors():
+    z2 = trivial_multiplier(cyclic(2))
+    z3 = trivial_multiplier(cyclic(3))
+    v4k = normalized_klein(2, 1)
+    t9k = normalized_klein(3, 1)
+    return [(z2, z3), (v4k, z2), (t9k, z3), (v4k, t9k)]
+
+
+def _random_table_factors():
+    tables = [t for _, t in random_normalized_tables()]
+    return [(tables[i], tables[(5 * i + 3) % len(tables)]) for i in range(0, len(tables), 4)]
+
+
+def _symbol_factors():
+    # the coboundary of (0, t, -t) on Z3: normalized, with values 3t and -3t
+    z3t = coboundary_twist(trivial_multiplier(cyclic(3)), [ZERO, rot(0, {"t": 1}), rot(0, {"t": -1})])
+    return [(z3t, normalized_klein(2, 1)), (normalized_klein(3, 1), z3t)]
+
+
+FACTORS = {"criterion 10": _criterion_10_factors, "random tables": _random_table_factors, "symbols": _symbol_factors}
+
+
+@pytest.mark.parametrize("factors", FACTORS)
+def test_decompose_matches_rotation_reference(factors):
+    for i, (s1, s2) in enumerate(FACTORS[factors]()):
+        sigma = free_product_multiplier(s1, s2)
+        fp = sigma.fp
+        # the same values over a larger frame than the candidate's
+        reframed = _Shifted(sigma, spare=rot("1/6", {"s": "1/5"}))
+        for oracle in (sigma, _TauOracle(sigma), reframed):
+            for seed in (i, 100 + i, 200 + i):
+                got = decompose(oracle, fp.g1, fp.g2, max_len=5, pairs=60, rng=random.Random(seed))
+                ref = _decompose_ref(oracle.value, fp.g1, fp.g2, max_len=5, pairs=60, rng=random.Random(seed))
+                assert got.pairs_checked == ref.pairs_checked == 60
+                assert got.sigma1.values == ref.sigma1.values
+                assert got.sigma2.values == ref.sigma2.values
+                rng = random.Random(seed)
+                for _ in range(30):
+                    w = fp.random_word(rng, 6)
+                    assert got.witness(w) == ref.witness(w)
+
+
+@pytest.mark.parametrize("shift", [rot("1/3"), rot(0, {"t": "1/2"})], ids=["rational", "symbol"])
+def test_decompose_first_failure_matches_rotation_reference(shift):
+    for s1, s2 in _criterion_10_factors():
+        base = free_product_multiplier(s1, s2)
+        oracle = _Shifted(base, shift)
+        fp = base.fp
+        for seed in range(4):
+            with pytest.raises(SimilarityFailure) as got:
+                decompose(oracle, fp.g1, fp.g2, max_len=5, pairs=300, rng=random.Random(seed))
+            with pytest.raises(SimilarityFailure) as ref:
+                _decompose_ref(oracle.value, fp.g1, fp.g2, max_len=5, pairs=300, rng=random.Random(seed))
+            assert got.value.pair == ref.value.pair
+
+
 def test_decompose_round_trip(kleinz3):
     sigma = kleinz3
-    result = decompose(sigma.value, sigma.fp.g1, sigma.fp.g2, max_len=6, pairs=400, rng=random.Random(10))
+    result = decompose(sigma, sigma.fp.g1, sigma.fp.g2, max_len=6, pairs=400, rng=random.Random(10))
     assert result.pairs_checked == 400
     assert result.sigma1.values == sigma.sigma1.to_table().values
     assert result.sigma2.values == sigma.sigma2.to_table().values
@@ -242,7 +398,7 @@ def test_decompose_round_trip(kleinz3):
 
 def test_decompose_of_tau_succeeds_with_nontrivial_beta(kleinz3):
     sigma = kleinz3
-    result = decompose(sigma.tau, sigma.fp.g1, sigma.fp.g2, max_len=5, pairs=300, rng=random.Random(11))
+    result = decompose(_TauOracle(sigma), sigma.fp.g1, sigma.fp.g2, max_len=5, pairs=300, rng=random.Random(11))
     rng = random.Random(12)
     assert any(bool(result.witness(sigma.fp.random_kernel_word(rng, 8))) for _ in range(300))
 
@@ -250,7 +406,7 @@ def test_decompose_of_tau_succeeds_with_nontrivial_beta(kleinz3):
 def test_decompose_trivial(kleinz3):
     fp = kleinz3.fp
     triv = free_product_multiplier(trivial_multiplier(fp.g1), trivial_multiplier(fp.g2))
-    result = decompose(triv.value, fp.g1, fp.g2, max_len=5, pairs=200, rng=random.Random(13))
+    result = decompose(triv, fp.g1, fp.g2, max_len=5, pairs=200, rng=random.Random(13))
     rng = random.Random(14)
     assert all(not bool(result.witness(fp.random_word(rng, 6))) for _ in range(200))
 
@@ -259,12 +415,80 @@ def test_decompose_detects_non_free_product():
     # an oracle that is not similar to any free product of its restrictions:
     # corrupt the free product multiplier off the factor subgroups
     base = free_product_multiplier(trivial_multiplier(cyclic(2)), trivial_multiplier(cyclic(2)))
-
-    def corrupted(x, y):
-        v = base.value(x, y)
-        if len(x) >= 2 and len(y) >= 2:
-            return v + tk.rot("1/3")
-        return v
+    corrupted = _Shifted(base, tk.rot("1/3"))
 
     with pytest.raises(SimilarityFailure):
         decompose(corrupted, base.fp.g1, base.fp.g2, max_len=5, pairs=300, rng=random.Random(15))
+
+
+def _random_word_ref(fp, rng, max_len):
+    """FreeProduct.random_word as it drew its letters before the letter tuples."""
+    length = rng.randint(0, max_len)
+    if length == 0:
+        return ()
+    factor = rng.choice((1, 2))
+    letters = []
+    for _ in range(length):
+        g = fp.factor(factor)
+        if g.order > 1:
+            choices = [a for a in g.elements() if a != g.identity]
+            letters.append((factor, rng.choice(choices)))
+        factor = 3 - factor
+    return tuple(letters)
+
+
+@pytest.mark.parametrize("orders", [(3, 2), (6, 4), (1, 5)])
+def test_random_word_draws_unchanged(orders):
+    g1 = symmetric(3) if orders[0] == 6 else cyclic(orders[0])
+    fp = FreeProduct(g1, cyclic(orders[1]))
+    rng, ref = random.Random(sum(orders)), random.Random(sum(orders))
+    assert [fp.random_word(rng, 7) for _ in range(200)] == [_random_word_ref(fp, ref, 7) for _ in range(200)]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_beta_memo_matches_uncached(kleinz3):
+    sigma = FreeProductMultiplier(kleinz3.sigma1, kleinz3.sigma2)
+    rng = random.Random(16)
+    words = [sigma.fp.random_kernel_word(rng, 8) if i % 2 else sigma.fp.random_word(rng, 8) for i in range(500)]
+    assert any(any(sigma._beta_of(w)) for w in words)
+    for w in words + words[::-1]:
+        assert sigma._beta(w) == sigma._beta_of(w)
+
+
+def test_beta_memo_stays_under_its_cap(kleinz3, monkeypatch):
+    monkeypatch.setattr(freeprod, "BETA_MEMO", 8)
+    sigma = FreeProductMultiplier(kleinz3.sigma1, kleinz3.sigma2)
+    fresh = FreeProductMultiplier(kleinz3.sigma1, kleinz3.sigma2)
+    rng = random.Random(17)
+    for _ in range(300):
+        x = sigma.fp.random_kernel_word(rng, 8)
+        y = sigma.fp.random_word(rng, 6)
+        assert sigma.vector(x, y) == fresh.vector(x, y)
+        assert 0 < len(sigma._beta_memo) <= 8
+        fresh._beta_memo.clear()
+
+
+def _broken_z3():
+    """Z3 with sigma(1, 1) = 1/3, all else 0: normalized, but not a cocycle."""
+    values = [[ZERO] * 3 for _ in range(3)]
+    values[1][1] = rot("1/3")
+    return TableMultiplier(cyclic(3), values)
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+@pytest.mark.parametrize("slot", [1, 2])
+def test_broken_free_product_factor_refused(capsys, command, slot):
+    broken = encode_multiplier(_broken_z3())
+    other = encode_multiplier(trivial_multiplier(cyclic(2)))
+    spec = {"type": "free_product", "sigma1": broken if slot == 1 else other, "sigma2": other if slot == 1 else broken}
+    code = main([command, "--inline", json.dumps(spec), "--fuzz", "200"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["error"] == "not a multiplier"
+    assert report["factor"] == slot
+    assert report["reason"] == "cocycle identity"
+    assert report["witness"] == [1, 1, 2]
+    # re-check the witness in Fraction arithmetic on the Z3 table
+    table = [[Fraction(str(v["rat"])) for v in row] for row in broken["values"]]
+    a, b, c = report["witness"]
+    assert (table[a][b] + table[(a + b) % 3][c] - table[a][(b + c) % 3] - table[b][c]) % 1 != 0
