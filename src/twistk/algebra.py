@@ -168,7 +168,7 @@ class AlgebraElement:
         return self.coeffs.keys()
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.group is not other.group and self.group.table != other.group.table:
+        if self.group is not other.group and not np.array_equal(self.group.array, other.group.array):
             raise ValueError("elements live on different groups")
         out = AlgebraElement(self.group)
         acc = dict(self.coeffs)
@@ -189,7 +189,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.group.table == other.group.table and self.coeffs == other.coeffs
+        return np.array_equal(self.group.array, other.group.array) and self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -32,11 +32,18 @@ io.MAX_ORDER (1024).
 The parser is built once, at import; its parsed arguments are the job.
 Reports are byte-identical for identical jobs: all randomness is
 seeded, keys are sorted, and exact numbers are strings.
+
+``main`` pauses Python's cyclic garbage collector while it reads and
+decodes the input (when it was on), and the JSON tree is dropped before
+it resumes: the tree and the decoded arrays hold no reference cycles, so
+reference counting frees them, and the collector does not rescan the
+live heap while the parser makes one dict per table entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -50,7 +57,7 @@ from .io import (
     parse_fraction,
 )
 from .lattices import G3Multiplier, LatticeMultiplier, g3_condition_k, condition_k_lattice
-from .multipliers import FiniteMultiplier, NotAMultiplier, require_multiplier, validate
+from .multipliers import Exponents, FiniteMultiplier, NotAMultiplier, common_frame, require_multiplier, validate
 from .products import ProductMultiplier, f_degeneracy
 from .regularity import ClassInconsistency, regular_classes
 from .torus import MissingHint
@@ -185,10 +192,7 @@ def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
             }
         )
         return 1, out
-    restrictions_match = (
-        result.sigma1.values == sigma.sigma1.to_table().values
-        and result.sigma2.values == sigma.sigma2.to_table().values
-    )
+    restrictions_match = _same_values(result.sigma1, sigma.sigma1) and _same_values(result.sigma2, sigma.sigma2)
     out.update(
         {
             "similar": True,
@@ -197,6 +201,15 @@ def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         }
     )
     return 0, out
+
+
+def _same_values(s: FiniteMultiplier, t: FiniteMultiplier) -> bool:
+    """Whether two multipliers on one group have equal values, compared on
+    their compiled arrays recast to one frame."""
+    parts = (s.exponents(), t.exponents())
+    D, labels = common_frame(parts)
+    x, y = (p.recast(D, labels, object) for p in parts)
+    return bool(Exponents(D, labels, x).is_zero(x - y).all())
 
 
 _RUNNERS = {
@@ -209,9 +222,8 @@ _RUNNERS = {
 }
 
 
-def run(args: argparse.Namespace, data) -> tuple[int, dict]:
-    """Execute one job; returns (exit code, report dict)."""
-    sigma = decode_multiplier(data)
+def run(args: argparse.Namespace, sigma) -> tuple[int, dict]:
+    """Execute one job on a decoded multiplier; returns (exit code, report dict)."""
     try:
         return _RUNNERS[args.command](args, sigma)
     except NotAMultiplier as exc:
@@ -258,21 +270,36 @@ def _check_ranges(args: argparse.Namespace) -> None:
             raise JobError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
+def _load(args: argparse.Namespace):
+    """Read the input, check the option ranges, decode; the JSON tree is
+    dropped when this returns."""
+    if args.input is not None:
+        with open(args.input) as fh:
+            data = json.load(fh)
+    else:
+        data = json.loads(args.inline)
+    args.tol = parse_fraction(args.tol)
+    _check_ranges(args)
+    return decode_multiplier(data)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        if args.input is not None:
-            with open(args.input) as fh:
-                data = json.load(fh)
-        else:
-            data = json.loads(args.inline)
+        sigma = _load(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (SchemaError, JobError) as exc:
+        print(f"bad job: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if collecting:
+            gc.enable()
     try:
-        args.tol = parse_fraction(args.tol)
-        _check_ranges(args)
-        code, report = run(args, data)
+        code, report = run(args, sigma)
     except (SchemaError, JobError) as exc:
         print(f"bad job: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,10 @@
 
 Groups are always given by a full order x order table of element indices
 so every downstream check (cocycle identities, regularity scans) can be
-exhaustive and exact.  Each group keeps its table twice: as tuples for
-single products and as one ``intp`` array, ``array``, on which the scans
-run as numpy operations.
+exhaustive and exact.  A group is made from one ``intp`` array,
+``array``, on which the scans run as numpy operations; ``table`` holds the
+same products as tuples for single lookups (``mul``, ``conj`` and the
+free product's word rewriting read it in loops).
 
 A table from outside the program is proven once, by ``build``: shape,
 two-sided identity, two-sided inverses and associativity by Light's test
@@ -56,22 +57,24 @@ class ConjugacyClass:
 class FiniteGroup:
     """A finite group on element indices 0..order-1."""
 
-    def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
+    def __init__(self, table: np.ndarray | Sequence[Sequence[int]], names: Sequence[str] | None = None):
+        """``table`` is an ``intp`` array or rows of Python ints (a bool or a
+        float among them would be converted, so callers check types first)."""
         n = len(table)
         if n == 0:
             raise GroupTableError("empty table")
-        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
-        if any(len(row) != n for row in self.table):
-            raise GroupTableError("table is not square over {0..n-1}")
         try:
-            self.array = np.array(self.table, dtype=np.intp)
-        except OverflowError:
+            self.array = np.asarray(table, dtype=np.intp)
+        except (ValueError, OverflowError):  # ragged, or an entry beyond intp
             raise GroupTableError("table is not square over {0..n-1}") from None
-        if self.array.min() < 0 or self.array.max() >= n:
+        if self.array.shape != (n, n) or self.array.min() < 0 or self.array.max() >= n:
             raise GroupTableError("table is not square over {0..n-1}")
+        rows = self.array.tolist() if isinstance(table, np.ndarray) else table
+        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.order = n
         self.identity = self._find_identity()
-        self._inverses = self._find_inverses()
+        self.inverses = self._find_inverses()  # intp array: inverses[a] = a^-1
+        self._inverses = tuple(self.inverses.tolist())
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != n:
@@ -90,13 +93,13 @@ class FiniteGroup:
             raise NoIdentity("no two-sided identity")
         return int(found[0])
 
-    def _find_inverses(self) -> tuple[int, ...]:
+    def _find_inverses(self) -> np.ndarray:
         t = self.array
         inverse = (t == self.identity) & (t.T == self.identity)
         missing = np.flatnonzero(~inverse.any(axis=1))
         if missing.size:
             raise NoInverse(f"element {missing[0]} has no two-sided inverse")
-        return tuple(inverse.argmax(axis=1).tolist())
+        return inverse.argmax(axis=1)
 
     def _check_associativity(self) -> None:
         """(xs)y = x(sy) for s in S = ``generators()`` and all x, y (Light's
@@ -158,7 +161,7 @@ class FiniteGroup:
         ascending; the representative is the smallest member."""
         if self._classes is None:
             t = self.array
-            conj = t[t, np.asarray(self._inverses)[:, None]]  # conj[c, a] = c a c^-1
+            conj = t[t, self.inverses[:, None]]  # conj[c, a] = c a c^-1
             smallest = conj.min(axis=0)  # the smallest member of the class of a
             order = np.argsort(smallest, kind="stable")
             reps, starts = np.unique(smallest[order], return_index=True)
@@ -198,7 +201,7 @@ class FiniteGroup:
         raise ValueError(a)
 
     def to_json(self) -> dict:
-        return {"order": self.order, "table": [list(r) for r in self.table], "names": list(self.names)}
+        return {"order": self.order, "table": self.array.tolist(), "names": list(self.names)}
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -237,7 +240,8 @@ def cyclic(n: int) -> FiniteGroup:
     """Z_n with elements 0..n-1 under addition mod n."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    elements = np.arange(n, dtype=np.intp)
+    return FiniteGroup(np.add.outer(elements, elements) % n)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -249,7 +253,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     n1, n2 = g1.order, g2.order
     table = g1.array[:, None, :, None] * n2 + g2.array[None, :, None, :]
     names = [f"({g1.names[a1]},{g2.names[a2]})" for a1 in range(n1) for a2 in range(n2)]
-    return FiniteGroup(table.reshape(n1 * n2, n1 * n2).tolist(), names)
+    return FiniteGroup(table.reshape(n1 * n2, n1 * n2), names)
 
 
 def dihedral(n: int) -> FiniteGroup:

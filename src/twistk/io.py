@@ -8,13 +8,20 @@ torus | g3 | free_product.
 
 A spec whose dense table or matrix would exceed MAX_ORDER on a side is
 refused before anything of that size is built.
+
+A finite input is decoded straight into arrays: a group table into one
+``intp`` array, and a ``values`` or ``f.table`` grid into its palette
+(one RotationNumber per distinct entry) and the ``intp`` index of each
+entry into it, from which the compiled exponent array is gathered.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping
+
+import numpy as np
 
 from .freeprod import FPWord, FreeProduct, FreeProductMultiplier
 from .groups import FiniteGroup, build
@@ -86,28 +93,40 @@ def _decode_basis(data) -> IrrationalBasis:
 _NO_SYMBOLS: dict = {}
 
 
-def _rotations(rows) -> list[list[RotationNumber]]:
-    """One RotationNumber per distinct entry content: equal entries share
-    one object, which ``compile_values`` then converts once.
+def _typed_key(v) -> object:
+    """The content of one entry as a key: a string "p/q" keys itself; a
+    number is keyed with its type, since 1 == 1.0 == True would let a float
+    or a bool share the entry of an integer and skip the check of
+    ``RotationNumber.from_json``.  Symbol coefficients join the key, with
+    their types, when there are any; an "irr" that is not a dict fails
+    while its key is built."""
+    rat, irr = v.get("rat", 0), v.get("irr", _NO_SYMBOLS)
+    key = rat if type(rat) is str else (type(rat), rat)
+    if irr != _NO_SYMBOLS:
+        key = (key, *((label, type(c), c) for label, c in irr.items()))
+    return key
 
-    A string "p/q" keys itself; a number is keyed with its type, since
-    1 == 1.0 == True would let a float or a bool share the entry of an
-    integer and skip the check of ``RotationNumber.from_json``.  Symbol
-    coefficients join the key, with their types, only when there are any;
-    an "irr" that is not a dict fails while its key is built."""
-    seen: dict[object, RotationNumber] = {}
 
-    def decode(v) -> RotationNumber:
-        rat, irr = v.get("rat", 0), v.get("irr", _NO_SYMBOLS)
-        key = rat if type(rat) is str else (type(rat), rat)
-        if irr != _NO_SYMBOLS:
-            key = (key, *((label, type(c), c) for label, c in irr.items()))
-        x = seen.get(key)
-        if x is None:
-            x = seen[key] = RotationNumber.from_json(v)
-        return x
+def _palette(rows, shape: tuple[int, int]) -> tuple[list[RotationNumber], np.ndarray]:
+    """A ``values`` or ``f.table`` grid of the given shape as its palette
+    (one RotationNumber per distinct entry content) and the ``intp`` index
+    of each entry into it.
 
-    return [[decode(v) for v in row] for row in rows]
+    When every "rat" is a string or an integer and every "irr" is empty,
+    the "rat" alone keys an entry, found in C-level passes over the grid;
+    otherwise each entry gets its ``_typed_key``.  Each distinct entry is
+    decoded once."""
+    if len(rows) != shape[0] or set(map(len, rows)) - {shape[1]}:
+        raise SchemaError(f"table shape does not match {shape[0]} x {shape[1]}")
+    entries = list(chain.from_iterable(rows))
+    keys = list(map(dict.get, entries, repeat("rat"), repeat(0)))
+    irrs = list(map(dict.get, entries, repeat("irr"), repeat(_NO_SYMBOLS)))
+    if set(map(type, keys)) - {str, int} or irrs.count(_NO_SYMBOLS) != len(irrs):
+        keys = list(map(_typed_key, entries))
+    distinct = dict(zip(keys, entries))
+    slot = dict(zip(distinct, range(len(distinct))))
+    index = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return [RotationNumber.from_json(v) for v in distinct.values()], index.reshape(shape)
 
 
 def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier]:
@@ -118,7 +137,11 @@ def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier
 
 
 def decode_multiplier(data) -> Multiplier:
-    """Decode a multiplier spec; every malformed spec raises SchemaError."""
+    """Decode a multiplier spec; every malformed spec raises SchemaError.
+
+    A table or a bihomomorphism is decoded by ``_palette``: no
+    RotationNumber is made per entry, and the compiled array is gathered
+    from the palette by the index."""
     try:
         return _decode(data)
     except SchemaError:
@@ -136,12 +159,15 @@ def _decode(data) -> Multiplier:
     if kind == "trivial":
         return trivial_multiplier(decode_group(_require(data, "group")))
     if kind == "table":
-        return TableMultiplier(decode_group(_require(data, "group")), _rotations(_require(data, "values")))
+        group = decode_group(_require(data, "group"))
+        palette, index = _palette(_require(data, "values"), (group.order, group.order))
+        return TableMultiplier.from_palette(group, palette, index)
     if kind == "direct_product":
         sigma1, sigma2 = _finite_factors(data, kind)
-        _check_order(sigma1.group.order * sigma2.group.order, "direct product order |G1|*|G2|")
-        f = Bihomomorphism(sigma1.group, sigma2.group, _rotations(_require(_require(data, "f"), "table")))
-        return ProductMultiplier(sigma1, sigma2, f)
+        g1, g2 = sigma1.group, sigma2.group
+        _check_order(g1.order * g2.order, "direct product order |G1|*|G2|")
+        palette, index = _palette(_require(_require(data, "f"), "table"), (g1.order, g2.order))
+        return ProductMultiplier(sigma1, sigma2, Bihomomorphism.from_palette(g1, g2, palette, index))
     if kind == "torus":
         n = _integer(_require(data, "n"), "n")
         _check_order(n, "torus rank n")

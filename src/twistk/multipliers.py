@@ -22,7 +22,11 @@ generating set S of ``FiniteGroup.generators``, which proves it on all
 failure.
 
 A finite family writes its closed form once, in ``_compile``; ``vector``
-and ``value`` read the compiled entry (a table keeps its stored values).
+and ``value`` read the compiled entry.  A table is kept as its distinct
+entries (``palette``) and the ``intp`` index of each entry into them: the
+palette is compiled once by ``compile_params`` and gathered by the index
+(``gather``), and ``value`` reads the palette entry, so no RotationNumber
+is made per table entry.
 
 An infinite family (torus, g3, free product) takes integer combinations
 of finitely many parameters: ``exponents()`` holds the P parameters,
@@ -130,31 +134,42 @@ def exact_dtype(bound: int):
     return np.int64 if 4 * bound < 2**63 else object
 
 
-def compile_values(rows: Sequence[Sequence[RotationNumber]]) -> Exponents:
-    """A dense table of exponents compiled: each distinct entry object is
-    converted once, then the table is gathered from them."""
-    flat = [x for row in rows for x in row]
-    ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
-    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [flat[i] for i in first]
-    D = math.lcm(*(x.rat.denominator for x in distinct), *(c.denominator for x in distinct for _, c in x.coeffs))
-    labels = tuple(sorted({label for x in distinct for label, _ in x.coeffs}))
+def compile_params(values: Iterable[RotationNumber]) -> Exponents:
+    """P exponents compiled to a (P, 1+k) array over their common D: the
+    parameters of an infinite family, or the palette of a table."""
+    values = list(values)
+    D = math.lcm(*(x.rat.denominator for x in values), *(c.denominator for x in values for _, c in x.coeffs))
+    labels = tuple(sorted({label for x in values for label, _ in x.coeffs}))
     slot = {label: i for i, label in enumerate(labels, 1)}
-    unique = []
-    for x in distinct:
+    rows = []
+    for x in values:
         entry = [x.rat.numerator * (D // x.rat.denominator)] + [0] * len(labels)
         for label, c in x.coeffs:
             entry[slot[label]] = c.numerator * (D // c.denominator)
-        unique.append(entry)
-    bound = max(D, max((abs(v) for entry in unique for v in entry), default=0))
-    table = np.array(unique, dtype=exact_dtype(bound))[index]
-    return Exponents(D, labels, table.reshape(len(rows), len(rows[0]), 1 + len(labels)))
+        rows.append(entry)
+    bound = max(D, max((abs(v) for entry in rows for v in entry), default=0))
+    return Exponents(D, labels, np.array(rows, dtype=exact_dtype(bound)).reshape(len(rows), 1 + len(labels)))
 
 
-def compile_params(values: Iterable[RotationNumber]) -> Exponents:
-    """The P parameters of an infinite family compiled to a (P, 1+k) array."""
-    ex = compile_values([list(values)])
-    return Exponents(ex.D, ex.labels, ex.array[0])
+def dedupe(rows: Sequence[Sequence[RotationNumber]]) -> tuple[list[RotationNumber], np.ndarray]:
+    """A dense table as its distinct entry objects (the palette) and the
+    ``intp`` index of each entry into them."""
+    flat = [x for row in rows for x in row]
+    ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    return [flat[i] for i in first], index.reshape(len(rows), -1)
+
+
+def gather(palette: Sequence[RotationNumber], index: np.ndarray) -> Exponents:
+    """The table palette[index] compiled: the palette once, by
+    ``compile_params``, then its rows gathered by the index."""
+    ex = compile_params(palette)
+    return Exponents(ex.D, ex.labels, ex.array[index])
+
+
+def rows_of(palette: Sequence[RotationNumber], index: np.ndarray) -> tuple[tuple[RotationNumber, ...], ...]:
+    """The table palette[index] as rows of RotationNumbers (palette objects, shared)."""
+    return tuple(tuple(map(palette.__getitem__, row)) for row in index.tolist())
 
 
 @dataclass
@@ -229,25 +244,41 @@ class FiniteMultiplier(Multiplier):
         return TableMultiplier(self.group, [[self.value(a, b) for b in range(n)] for a in range(n)])
 
     def is_normalized(self) -> bool:
-        g = self.group
-        return all(self.value(a, g.inv(a)).is_integral() for a in g.elements())
+        """sigma(a, a^-1) = 1 for every a."""
+        ex, g = self.exponents(), self.group
+        return bool(ex.is_zero(ex.array[np.arange(g.order), g.inverses]).all())
 
 
 class TableMultiplier(FiniteMultiplier):
-    """Dense |G| x |G| table of exponents."""
+    """Dense |G| x |G| table: its distinct entries ``palette``, the (|G|, |G|)
+    ``intp`` ``index`` of each entry into them, and the compiled array,
+    gathered by the same index when the table is made."""
 
     def __init__(self, group: FiniteGroup, values: Sequence[Sequence[RotationNumber]]):
         n = group.order
         if len(values) != n or any(len(row) != n for row in values):
             raise DomainMismatch("table shape does not match group order")
+        self._store(group, *dedupe(values))
+
+    @classmethod
+    def from_palette(cls, group: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray) -> "TableMultiplier":
+        """The table palette[index]; ``index`` is (|G|, |G|) and intp."""
+        sigma = cls.__new__(cls)
+        sigma._store(group, palette, index)
+        return sigma
+
+    def _store(self, group: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray) -> None:
         self.group = group
-        self.values = tuple(tuple(row) for row in values)
+        self.palette = palette
+        self.index = index
+        self._exponents = gather(palette, index)
+
+    @property
+    def values(self) -> tuple[tuple[RotationNumber, ...], ...]:
+        return rows_of(self.palette, self.index)
 
     def value(self, a: int, b: int) -> RotationNumber:
-        return self.values[a][b]
-
-    def _compile(self) -> Exponents:
-        return compile_values(self.values)
+        return self.palette[self.index[a, b]]
 
     def to_table(self) -> "TableMultiplier":
         return self
@@ -281,8 +312,7 @@ def klein(n: int, k: int) -> KleinMultiplier:
 
 
 def trivial_multiplier(group: FiniteGroup) -> TableMultiplier:
-    n = group.order
-    return TableMultiplier(group, [[ZERO] * n for _ in range(n)])
+    return TableMultiplier.from_palette(group, [ZERO], np.zeros((group.order, group.order), dtype=np.intp))
 
 
 def abelian_group(orders: Sequence[int]) -> FiniteGroup:
@@ -454,7 +484,7 @@ def is_similar(
     if pairs is None:
         if not (isinstance(sigma, FiniteMultiplier) and isinstance(tau, FiniteMultiplier)):
             raise ValueError("explicit pairs required for infinite domains")
-        if sigma.group.table != tau.group.table:
+        if not np.array_equal(sigma.group.array, tau.group.array):
             raise DomainMismatch("similarity requires a common group")
         g = sigma.group
         pairs = ((a, b) for a in g.elements() for b in g.elements())

@@ -17,7 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FiniteGroup, cyclic, direct_product
-from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, common_frame, compile_values, exact_dtype
+from .multipliers import (
+    DomainMismatch,
+    Exponents,
+    FiniteMultiplier,
+    common_frame,
+    dedupe,
+    exact_dtype,
+    gather,
+    rows_of,
+)
 from .regularity import is_regular_element
 from .torus import ZERO, RotationNumber
 
@@ -33,20 +42,38 @@ class LemmaViolation(RuntimeError):
 class Bihomomorphism:
     """f: G1 x G2 -> T, multiplicative in each variable separately.
 
-    Stored as a dense exponent table, compiled to ``exponents`` (shape
-    (|G1|, |G2|, 1+k)) and validated exhaustively on construction:
-    f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and symmetrically, which forces
-    f(e, .) = f(., e) = 0.
+    Stored like a table multiplier: the distinct entries ``palette``, the
+    (|G1|, |G2|) ``intp`` ``index`` into them and the compiled
+    ``exponents`` (shape (|G1|, |G2|, 1+k)) gathered by it.  Validated
+    exhaustively on construction: f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and
+    symmetrically, which forces f(e, .) = f(., e) = 0.
     """
 
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup, table: Sequence[Sequence[RotationNumber]]):
         if len(table) != g1.order or any(len(row) != g2.order for row in table):
             raise InvalidBihomomorphism("table shape does not match |G1| x |G2|")
+        self._store(g1, g2, *dedupe(table))
+
+    @classmethod
+    def from_palette(
+        cls, g1: FiniteGroup, g2: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray
+    ) -> "Bihomomorphism":
+        """The table palette[index]; ``index`` is (|G1|, |G2|) and intp."""
+        f = cls.__new__(cls)
+        f._store(g1, g2, palette, index)
+        return f
+
+    def _store(self, g1: FiniteGroup, g2: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray) -> None:
         self.g1 = g1
         self.g2 = g2
-        self.table = tuple(tuple(row) for row in table)
-        self.exponents = compile_values(self.table)
+        self.palette = palette
+        self.index = index
+        self.exponents = gather(palette, index)
         self._validate()
+
+    @property
+    def table(self) -> tuple[tuple[RotationNumber, ...], ...]:
+        return rows_of(self.palette, self.index)
 
     def _validate(self) -> None:
         ex = self.exponents
@@ -63,11 +90,11 @@ class Bihomomorphism:
             raise InvalidBihomomorphism(f"not multiplicative in slot 2 at ({a1};{a2},{b2})")
 
     def value(self, a1: int, a2: int) -> RotationNumber:
-        return self.table[a1][a2]
+        return self.palette[self.index[a1, a2]]
 
 
 def trivial_bihom(g1: FiniteGroup, g2: FiniteGroup) -> Bihomomorphism:
-    return Bihomomorphism(g1, g2, [[ZERO] * g2.order for _ in range(g1.order)])
+    return Bihomomorphism.from_palette(g1, g2, [ZERO], np.zeros((g1.order, g2.order), dtype=np.intp))
 
 
 def cyclic_bihom(n1: int, n2: int, numerator: int) -> Bihomomorphism:
@@ -101,7 +128,7 @@ def bihom_from_characters(
 
 
 def _check_domains(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> None:
-    if f.g1.table != sigma1.group.table or f.g2.table != sigma2.group.table:
+    if not (np.array_equal(f.g1.array, sigma1.group.array) and np.array_equal(f.g2.array, sigma2.group.array)):
         raise DomainMismatch("bihomomorphism groups do not match the factor multipliers")
 
 
@@ -122,16 +149,24 @@ class ProductMultiplier(FiniteMultiplier):
 
     def _compile(self) -> Exponents:
         """E1[a1,b1] + E2[a2,b2] + F[b1,a2], broadcast over a common D and label set."""
-        parts = (self.sigma1.exponents(), self.sigma2.exponents(), self.f.exponents)
-        D, labels = common_frame(parts)
-        bound = sum(int(abs(p.array).max()) * (D // p.D) for p in parts)
-        dtype = exact_dtype(max(D, bound))
-        e1, e2, f = (p.recast(D, labels, dtype) for p in parts)
+        D, labels, (e1, e2, f) = _one_frame(self.sigma1, self.sigma2, self.f)
         n = self.group.order
         table = e1[:, None, :, None] + e2[None, :, None, :] + f.transpose(1, 0, 2)[None, :, :, None]
         table = table.reshape(n, n, 1 + len(labels))
         table[..., 0] %= D
         return Exponents(D, labels, table)
+
+
+def _one_frame(
+    sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism
+) -> tuple[int, tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The common D and labels of sigma1, sigma2 and f, and their compiled
+    arrays recast to them, in a dtype that holds a sum of three entries."""
+    parts = (sigma1.exponents(), sigma2.exponents(), f.exponents)
+    D, labels = common_frame(parts)
+    bound = sum(int(abs(p.array).max()) * (D // p.D) for p in parts)
+    dtype = exact_dtype(max(D, bound))
+    return D, labels, tuple(p.recast(D, labels, dtype) for p in parts)
 
 
 def assemble(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> ProductMultiplier:
@@ -188,7 +223,7 @@ class DegeneracyReport:
 def f_degeneracy(
     sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism
 ) -> DegeneracyReport:
-    """The product primeness criterion, evaluated by brute force.
+    """The product primeness criterion, evaluated on compiled arrays.
 
     True iff every nontrivial conjugacy class C of G1 x G2 contains some
     a and admits some b in G such that either
@@ -198,25 +233,38 @@ def f_degeneracy(
     class is reported as the witness.
 
     The classes of G1 x G2 are the C1 x C2, taken in the product's class
-    order, and "some b" splits into some b1 for 1. or some b2 for 2.
+    order, and "some b" splits into some b1 for 1. or some b2 for 2.  Both
+    tests run as one ``is_zero`` mask each over the centralizer pairs of
+    the factor, on sigma1, sigma2 and f recast to one frame.
     """
     _check_domains(sigma1, sigma2, f)
     g1, g2 = sigma1.group, sigma2.group
-
-    def admits_b(a1: int, a2: int) -> bool:
-        return any(
-            g1.commutes(a1, b1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1)
-            for b1 in g1.elements()
-        ) or any(
-            g2.commutes(a2, b2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2)
-            for b2 in g2.elements()
-        )
-
-    trivial = ((g1.identity,), (g2.identity,))
-    for c1 in g1.conjugacy_classes():
-        for c2 in g2.conjugacy_classes():
-            if (c1.members, c2.members) != trivial and not any(admits_b(a1, a2) for a1 in c1 for a2 in c2):
-                return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
+    D, labels, (e1, e2, F) = _one_frame(sigma1, sigma2, f)
+    frame = Exponents(D, labels, F)
+    # 1. fails at the centralizer pair (x1, y1) of G1 and a2 when
+    # f(y1, a2) = sigma1(y1, x1) - sigma1(x1, y1); row p of x1, y1 is pair p
+    x1, y1 = np.nonzero(g1.array == g1.array.T)
+    fails1 = frame.is_zero(F[y1] - (e1[y1, x1] - e1[x1, y1])[:, None])
+    # 2. fails at a1 and the centralizer pair (x2, y2) of G2 when
+    # f(a1, y2) = sigma2(x2, y2) - sigma2(y2, x2)
+    x2, y2 = np.nonzero(g2.array == g2.array.T)
+    fails2 = frame.is_zero(F[:, y2] - (e2[x2, y2] - e2[y2, x2])[None, :])
+    # admits[a1, a2]: some b admits (a1, a2); the pairs are sorted by x, and
+    # every x commutes with itself, so each element starts one run of them
+    admits = ~np.logical_and.reduceat(fails1, np.flatnonzero(np.diff(x1, prepend=-1)), axis=0)
+    admits |= ~np.logical_and.reduceat(fails2, np.flatnonzero(np.diff(x2, prepend=-1)), axis=1)
+    classes = (g1.conjugacy_classes(), g2.conjugacy_classes())
+    members = [np.concatenate([c.members for c in cs]) for cs in classes]
+    starts = [np.cumsum([0] + [len(c) for c in cs[:-1]]) for cs in classes]
+    by_class = np.logical_or.reduceat(admits[members[0]], starts[0], axis=0)
+    by_class = np.logical_or.reduceat(by_class[:, members[1]], starts[1], axis=1)
+    trivial = [next(i for i, c in enumerate(cs) if c.members == (g.identity,)) for cs, g in zip(classes, (g1, g2))]
+    by_class[tuple(trivial)] = True
+    failing = np.flatnonzero(~by_class)
+    if failing.size:
+        i, j = divmod(int(failing[0]), len(classes[1]))
+        c1, c2 = classes[0][i], classes[1][j]
+        return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
     return DegeneracyReport(True, None)
 
 

@@ -26,6 +26,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import finite_catalog, product_triples, small_groups
+from reference import compile_values
 
 from twistk.algebra import _commutator_system, center_dimension_numeric, lambda_exact
 from twistk.cli import main
@@ -44,7 +45,6 @@ from twistk.multipliers import (
     NotAMultiplier,
     TableMultiplier,
     coboundary_twist,
-    compile_values,
     klein,
     random_coboundary,
     require_multiplier,

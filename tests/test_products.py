@@ -1,19 +1,21 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import product_triples
+from catalog import _s3_sign_values, product_triples
 
 import twistk as tk
-from twistk.groups import cyclic, direct_product, symmetric
-from twistk.multipliers import trivial_multiplier, validate
+from twistk.groups import cyclic, dihedral, direct_product, symmetric
+from twistk.multipliers import TableMultiplier, coboundary_twist, random_coboundary, trivial_multiplier, validate
 from twistk.products import (
     Bihomomorphism,
     DegeneracyReport,
+    bihom_from_characters,
     InvalidBihomomorphism,
     ProductMultiplier,
     assemble,
@@ -171,6 +173,160 @@ def test_f_degeneracy_matches_product_group_reference():
     for name, s1, s2, f in product_triples() + cyclic_cases:
         assert f_degeneracy(s1, s2, f) == _f_degeneracy_reference(s1, s2, f), name
     assert {f_degeneracy(s1, s2, f).nondegenerate for _, s1, s2, f in cyclic_cases} == {True, False}
+
+
+def _f_degeneracy_loop(sigma1, sigma2, f):
+    """The per-pair RotationNumber loops that f_degeneracy ran before it
+    read compiled arrays, kept as its reference."""
+    g1, g2 = sigma1.group, sigma2.group
+
+    def admits_b(a1: int, a2: int) -> bool:
+        return any(
+            g1.commutes(a1, b1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1)
+            for b1 in g1.elements()
+        ) or any(
+            g2.commutes(a2, b2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2)
+            for b2 in g2.elements()
+        )
+
+    trivial = ((g1.identity,), (g2.identity,))
+    for c1 in g1.conjugacy_classes():
+        for c2 in g2.conjugacy_classes():
+            if (c1.members, c2.members) != trivial and not any(admits_b(a1, a2) for a1 in c1 for a2 in c2):
+                return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
+    return DegeneracyReport(True, None)
+
+
+def _characters(name, g, rng):
+    """Homomorphisms G -> Z_d as (value table, d) on the named group: the
+    zero character; a -> k a on Z_n; (a1, a2) -> k1 a1 + k2 a2 over
+    d = lcm(n1, n2) on Z_n1 x Z_n2 (index a1 n2 + a2); the sign on S3; the
+    reflection sign on D4 (index s 4 + i)."""
+    n = g.order
+    chars = [([0] * n, rng.choice((2, 3, 4)))]
+    if name == "S3":
+        chars.append((_s3_sign_values(), 2))
+    elif name == "D4":
+        chars.append(([a // 4 for a in range(8)], 2))
+    elif "x" in name:
+        n1, n2 = (int(part[1:]) for part in name.split("x"))
+        d = math.lcm(n1, n2)
+        k1, k2 = rng.randrange(n1), rng.randrange(n2)
+        chars.append(([(k1 * (a // n2) * (d // n1) + k2 * (a % n2) * (d // n2)) % d for a in range(n)], d))
+    else:
+        k = rng.randrange(n)
+        chars.append(([k * a % n for a in range(n)], n))
+    return chars
+
+
+def _random_character_products(count: int, seed: int):
+    """(name, sigma1, sigma2, f) with f from random characters and sigma_i
+    random coboundary twists (or Klein tables) on small groups."""
+    rng = random.Random(seed)
+    groups = [(f"Z{n}", cyclic(n)) for n in (2, 3, 4, 6)] + [("S3", symmetric(3)), ("D4", dihedral(4))]
+    groups += [(f"Z{n1}xZ{n2}", direct_product(cyclic(n1), cyclic(n2))) for n1, n2 in ((2, 2), (2, 4), (3, 3), (2, 6))]
+    klein_on = {"Z2xZ2": tk.klein(2, 1), "Z3xZ3": tk.klein(3, 1)}
+    out = []
+    while len(out) < count:
+        (name1, g1), (name2, g2) = rng.choice(groups), rng.choice(groups)
+        chi1, d1 = rng.choice(_characters(name1, g1, rng))
+        chi2, d2 = rng.choice(_characters(name2, g2, rng))
+        f = bihom_from_characters(g1, chi1, d1, g2, chi2, d2)
+        factors = []
+        for name, g in ((name1, g1), (name2, g2)):
+            base = klein_on.get(name) or trivial_multiplier(g)
+            factors.append(base if rng.random() < 0.3 else coboundary_twist(base, random_coboundary(g, rng)))
+        out.append((f"{name1}x{name2}#{len(out)}", factors[0], factors[1], f))
+    return out
+
+
+def test_f_degeneracy_matches_the_loop_on_catalog_products():
+    cyclic_cases = [
+        (f"Z{n1}xZ{n2},f={m}", trivial_multiplier(cyclic(n1)), trivial_multiplier(cyclic(n2)), cyclic_bihom(n1, n2, m))
+        for n1, n2 in ((2, 4), (4, 4), (3, 6), (6, 9), (5, 5), (8, 4), (1, 3), (3, 1))
+        for m in range(math.gcd(n1, n2))
+    ]
+    klein_cases = [
+        (f"klein({n},{k})xZ2", tk.klein(n, k), trivial_multiplier(cyclic(2)), trivial_bihom(tk.klein(n, k).group, cyclic(2)))
+        for n, k in ((2, 1), (3, 1), (4, 2))
+    ]
+    for name, s1, s2, f in product_triples() + cyclic_cases + klein_cases:
+        assert f_degeneracy(s1, s2, f) == _f_degeneracy_loop(s1, s2, f), name
+
+
+def test_f_degeneracy_matches_the_loop_on_random_characters():
+    verdicts = set()
+    for seed in (1, 2, 3):
+        for name, s1, s2, f in _random_character_products(40, seed):
+            report = f_degeneracy(s1, s2, f)
+            assert report == _f_degeneracy_loop(s1, s2, f), (seed, name)
+            verdicts.add(report.nondegenerate)
+    assert verdicts == {True, False}
+
+
+def test_f_degeneracy_matches_the_loop_against_klein_asymmetry():
+    # on Z3 x Z3 with klein(3, 1) and f(b, a2) = chi(b) a2 / 3, the class of
+    # ((k2 a2, -k1 a2), a2) has f equal to the asymmetry of sigma1, not to
+    # its negative: the witness depends on the sign of that comparison
+    # (and the mirror image, klein(3, 1) on the second factor)
+    k3, z3 = tk.klein(3, 1), trivial_multiplier(cyclic(3))
+    for side in (1, 2):
+        witnesses = set()
+        for k1 in range(3):
+            for k2 in range(3):
+                chi = [(k1 * (b // 3) + k2 * (b % 3)) % 3 for b in range(9)]
+                if side == 1:
+                    s1, s2, f = k3, z3, bihom_from_characters(k3.group, chi, 3, z3.group, [0, 1, 2], 3)
+                else:
+                    s1, s2, f = z3, k3, bihom_from_characters(z3.group, [0, 1, 2], 3, k3.group, chi, 3)
+                report = f_degeneracy(s1, s2, f)
+                assert report == _f_degeneracy_loop(s1, s2, f), (side, k1, k2)
+                witnesses.add(report.witness_class)
+        assert len(witnesses) > 2, side
+
+
+def test_f_degeneracy_matches_the_loop_with_symbols_and_wide_ints():
+    # symbols in sigma1, a denominator above 2^64 (the object path) in sigma2,
+    # and tables that are not cocycles: the criterion is read off as given
+    rng = random.Random(9)
+    s3, z4 = symmetric(3), cyclic(4)
+    symbolic = coboundary_twist(trivial_multiplier(s3), [rot(0)] + [rot(Fraction(a, 5), {"t": a - 2}) for a in range(1, 6)])
+    p = 2**64 + 13
+    wide = coboundary_twist(trivial_multiplier(z4), [rot(0)] + [rot(Fraction(rng.randrange(p), p)) for _ in range(3)])
+    assert wide.exponents().array.dtype == object
+    values = [list(row) for row in wide.values]
+    values[1][2] = values[1][2] + rot("1/3")
+    broken = TableMultiplier(z4, values)
+    for chi1, d1 in ((_s3_sign_values(), 2), ([0] * 6, 2)):
+        for chi2, d2 in (([a % 2 for a in range(4)], 2), ([a for a in range(4)], 4)):
+            f = bihom_from_characters(s3, chi1, d1, z4, chi2, d2)
+            for s2 in (wide, broken, trivial_multiplier(z4)):
+                assert f_degeneracy(symbolic, s2, f) == _f_degeneracy_loop(symbolic, s2, f)
+
+
+def test_f_degeneracy_matches_the_loop_on_broken_nonabelian_tables():
+    # tables that are not cocycles need not be constant on classes, so the
+    # reduction over the members of a class is exercised both ways
+    rng = random.Random(4)
+    s3, d4, z2 = symmetric(3), dihedral(4), cyclic(2)
+    sign3, sign4 = _s3_sign_values(), [a // 4 for a in range(8)]
+    verdicts = set()
+    for _ in range(30):
+        g, sign = rng.choice(((s3, sign3), (d4, sign4)))
+        values = [list(row) for row in trivial_multiplier(g).values]
+        for _ in range(rng.randint(1, 4)):
+            values[rng.randrange(g.order)][rng.randrange(g.order)] = rot(Fraction(rng.randrange(1, 4), 4))
+        broken = TableMultiplier(g, values)
+        z = trivial_multiplier(z2)
+        for s1, s2, f in (
+            (broken, z, bihom_from_characters(g, sign, 2, z2, [0, 1], 2)),
+            (z, broken, bihom_from_characters(z2, [0, 1], 2, g, sign, 2)),
+            (broken, z, trivial_bihom(g, z2)),
+        ):
+            report = f_degeneracy(s1, s2, f)
+            assert report == _f_degeneracy_loop(s1, s2, f)
+            verdicts.add(report.nondegenerate)
+    assert verdicts == {True, False}
 
 
 def test_two_of_three_identity_element():
