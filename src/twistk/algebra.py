@@ -242,68 +242,6 @@ def trace(f: AlgebraElement) -> PhaseSum:
     return f.coeff(f.group.identity)
 
 
-# -- regular representations ---------------------------------------------------
-
-
-class GenPermMatrix:
-    """Exact generalized permutation matrix: one unit-phase entry per column.
-
-    Column b holds its row index and the phase exponent of the entry.
-    Products and equality are exact; this is the zero-tolerance path for
-    the commutation identities of the regular representations, and
-    to_array gives its complex matrix.
-    """
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols):
-        self.cols: tuple[tuple[int, RotationNumber], ...] = tuple(cols)
-
-    @staticmethod
-    def identity(n: int) -> "GenPermMatrix":
-        return GenPermMatrix((b, ZERO) for b in range(n))
-
-    def __matmul__(self, other: "GenPermMatrix") -> "GenPermMatrix":
-        return GenPermMatrix(
-            (self.cols[row][0], self.cols[row][1] + phase) for row, phase in other.cols
-        )
-
-    def scaled(self, phase: RotationNumber) -> "GenPermMatrix":
-        return GenPermMatrix((row, p + phase) for row, p in self.cols)
-
-    def apply_delta(self, b: int) -> tuple[int, RotationNumber]:
-        """Image of the basis vector delta_b: (row, phase)."""
-        return self.cols[b]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenPermMatrix):
-            return NotImplemented
-        return self.cols == other.cols
-
-    def __hash__(self):
-        return hash(self.cols)
-
-    def to_array(self) -> np.ndarray:
-        n = len(self.cols)
-        mat = np.zeros((n, n), dtype=complex)
-        for b, (row, phase) in enumerate(self.cols):
-            mat[row, b] = phase.evaluate()
-        return mat
-
-
-def lambda_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
-    """Left regular projective representation: lambda(a) delta_b = sigma(a,b) delta_ab."""
-    g = sigma.group
-    return GenPermMatrix((g.mul(a, b), sigma.value(a, b)) for b in g.elements())
-
-
-def rho_bar_exact(sigma: FiniteMultiplier, a: int) -> GenPermMatrix:
-    """Right regular conjugate representation: (rho_bar(a) xi)(c) = conj(sigma(c,a)) xi(ca)."""
-    g = sigma.group
-    ainv = g.inv(a)
-    return GenPermMatrix((g.mul(b, ainv), -sigma.value(g.mul(b, ainv), a)) for b in g.elements())
-
-
 # -- numeric center oracle ------------------------------------------------------
 
 

@@ -81,6 +81,7 @@ class FiniteGroup:
                 raise GroupTableError("names length != order")
         self.names: tuple[str, ...] = names or tuple(str(i) for i in range(n))
         self._classes: tuple[ConjugacyClass, ...] | None = None
+        self._layout: tuple[np.ndarray, np.ndarray] | None = None
         self._generators: tuple[int, ...] | None = None
 
     # -- construction checks ----------------------------------------------
@@ -156,19 +157,27 @@ class FiniteGroup:
     def centralizer(self, a: int) -> tuple[int, ...]:
         return tuple(b for b in range(self.order) if self.commutes(a, b))
 
-    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Classes in the order of their smallest members, each member list
-        ascending; the representative is the smallest member."""
-        if self._classes is None:
+    def class_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The elements listed class by class, in the order of
+        ``conjugacy_classes``, and the position in that list where each
+        class starts."""
+        if self._layout is None:
             t = self.array
             conj = t[t, self.inverses[:, None]]  # conj[c, a] = c a c^-1
             smallest = conj.min(axis=0)  # the smallest member of the class of a
             order = np.argsort(smallest, kind="stable")
-            reps, starts = np.unique(smallest[order], return_index=True)
-            self._classes = tuple(
-                ConjugacyClass(tuple(members.tolist()), int(rep))
-                for rep, members in zip(reps, np.split(order, starts[1:]))
-            )
+            _, starts = np.unique(smallest[order], return_index=True)
+            self._layout = order, starts
+        return self._layout
+
+    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
+        """Classes in the order of their smallest members, each member list
+        ascending; the representative is the smallest member."""
+        if self._classes is None:
+            order, starts = self.class_layout()
+            members = order.tolist()
+            bounds = starts.tolist() + [self.order]
+            self._classes = tuple(ConjugacyClass(tuple(members[i:j]), members[i]) for i, j in zip(bounds, bounds[1:]))
         return self._classes
 
     def generators(self) -> tuple[int, ...]:

@@ -2,17 +2,18 @@
 
 Every exact number crosses the wire as a string "p/q" or a JSON
 integer; a float or a bool there is refused, and floats appear only in
-the optional evaluation hints.  The multiplier schema is
-variant-tagged by "type": klein | table | trivial | direct_product |
-torus | g3 | free_product.
+the optional evaluation hints; ``torus.parse_exponent`` reads them all,
+to integers.  The multiplier schema is variant-tagged by "type": klein |
+table | trivial | direct_product | torus | g3 | free_product.
 
 A spec whose dense table or matrix would exceed MAX_ORDER on a side is
 refused before anything of that size is built.
 
 A finite input is decoded straight into arrays: a group table into one
-``intp`` array, and a ``values`` or ``f.table`` grid into its palette
-(one RotationNumber per distinct entry) and the ``intp`` index of each
-entry into it, from which the compiled exponent array is gathered.
+``intp`` array, and a ``values`` or ``f.table`` grid into its distinct
+entries, compiled to one integer row each (``compile_entries``), and the
+``intp`` index of each entry into them, from which the compiled exponent
+array is gathered.  No RotationNumber is made while a table is decoded.
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ from .freeprod import FPWord, FreeProduct, FreeProductMultiplier
 from .groups import FiniteGroup, build
 from .lattices import G3Multiplier, LatticeMultiplier, MuMatrix, Theta
 from .multipliers import (
+    Exponents,
     FiniteMultiplier,
     KleinMultiplier,
     Multiplier,
     TableMultiplier,
+    compile_entries,
     trivial_multiplier,
 )
 from .products import Bihomomorphism, ProductMultiplier
-from .torus import IrrationalBasis, RotationNumber
+from .torus import IrrationalBasis, RotationNumber, parse_exponent
 
 
 # 4x the largest order the benchmark decides; condition-k and center on
@@ -97,7 +100,7 @@ def _typed_key(v) -> object:
     """The content of one entry as a key: a string "p/q" keys itself; a
     number is keyed with its type, since 1 == 1.0 == True would let a float
     or a bool share the entry of an integer and skip the check of
-    ``RotationNumber.from_json``.  Symbol coefficients join the key, with
+    ``torus.parse_exponent``.  Symbol coefficients join the key, with
     their types, when there are any; an "irr" that is not a dict fails
     while its key is built."""
     rat, irr = v.get("rat", 0), v.get("irr", _NO_SYMBOLS)
@@ -107,15 +110,15 @@ def _typed_key(v) -> object:
     return key
 
 
-def _palette(rows, shape: tuple[int, int]) -> tuple[list[RotationNumber], np.ndarray]:
-    """A ``values`` or ``f.table`` grid of the given shape as its palette
-    (one RotationNumber per distinct entry content) and the ``intp`` index
-    of each entry into it.
+def _palette(rows, shape: tuple[int, int]) -> tuple[Exponents, np.ndarray]:
+    """A ``values`` or ``f.table`` grid of the given shape as its distinct
+    entry contents, compiled (one row each), and the ``intp`` index of each
+    entry into them.
 
     When every "rat" is a string or an integer and every "irr" is empty,
     the "rat" alone keys an entry, found in C-level passes over the grid;
     otherwise each entry gets its ``_typed_key``.  Each distinct entry is
-    decoded once."""
+    parsed once, to integers (``torus.parse_exponent``)."""
     if len(rows) != shape[0] or set(map(len, rows)) - {shape[1]}:
         raise SchemaError(f"table shape does not match {shape[0]} x {shape[1]}")
     entries = list(chain.from_iterable(rows))
@@ -126,7 +129,7 @@ def _palette(rows, shape: tuple[int, int]) -> tuple[list[RotationNumber], np.nda
     distinct = dict(zip(keys, entries))
     slot = dict(zip(distinct, range(len(distinct))))
     index = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return [RotationNumber.from_json(v) for v in distinct.values()], index.reshape(shape)
+    return compile_entries(list(map(parse_exponent, distinct.values()))), index.reshape(shape)
 
 
 def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier]:
@@ -139,9 +142,9 @@ def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier
 def decode_multiplier(data) -> Multiplier:
     """Decode a multiplier spec; every malformed spec raises SchemaError.
 
-    A table or a bihomomorphism is decoded by ``_palette``: no
-    RotationNumber is made per entry, and the compiled array is gathered
-    from the palette by the index."""
+    A table or a bihomomorphism is decoded by ``_palette``: its distinct
+    entries are compiled to integer rows, and the compiled array is
+    gathered from them by the index."""
     try:
         return _decode(data)
     except SchemaError:
@@ -160,14 +163,14 @@ def _decode(data) -> Multiplier:
         return trivial_multiplier(decode_group(_require(data, "group")))
     if kind == "table":
         group = decode_group(_require(data, "group"))
-        palette, index = _palette(_require(data, "values"), (group.order, group.order))
-        return TableMultiplier.from_palette(group, palette, index)
+        distinct, index = _palette(_require(data, "values"), (group.order, group.order))
+        return TableMultiplier.from_distinct(group, distinct, index)
     if kind == "direct_product":
         sigma1, sigma2 = _finite_factors(data, kind)
         g1, g2 = sigma1.group, sigma2.group
         _check_order(g1.order * g2.order, "direct product order |G1|*|G2|")
-        palette, index = _palette(_require(_require(data, "f"), "table"), (g1.order, g2.order))
-        return ProductMultiplier(sigma1, sigma2, Bihomomorphism.from_palette(g1, g2, palette, index))
+        distinct, index = _palette(_require(_require(data, "f"), "table"), (g1.order, g2.order))
+        return ProductMultiplier(sigma1, sigma2, Bihomomorphism.from_distinct(g1, g2, distinct, index))
     if kind == "torus":
         n = _integer(_require(data, "n"), "n")
         _check_order(n, "torus rank n")

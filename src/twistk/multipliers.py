@@ -23,10 +23,11 @@ failure.
 
 A finite family writes its closed form once, in ``_compile``; ``vector``
 and ``value`` read the compiled entry.  A table is kept as its distinct
-entries (``palette``) and the ``intp`` index of each entry into them: the
-palette is compiled once by ``compile_params`` and gathered by the index
-(``gather``), and ``value`` reads the palette entry, so no RotationNumber
-is made per table entry.
+entries, compiled by ``compile_entries`` to a (P, 1+k) array, and the
+``intp`` index of each entry into them, which gathers the compiled
+table (``Tabulated``).  A decoded table is compiled from the integers
+``torus.parse_exponent`` reads; the distinct entries become
+RotationNumbers (``palette``) only when ``value`` first asks.
 
 An infinite family (torus, g3, free product) takes integer combinations
 of finitely many parameters: ``exponents()`` holds the P parameters,
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,42 +135,73 @@ def exact_dtype(bound: int):
     return np.int64 if 4 * bound < 2**63 else object
 
 
-def compile_params(values: Iterable[RotationNumber]) -> Exponents:
-    """P exponents compiled to a (P, 1+k) array over their common D: the
-    parameters of an infinite family, or the palette of a table."""
-    values = list(values)
-    D = math.lcm(*(x.rat.denominator for x in values), *(c.denominator for x in values for _, c in x.coeffs))
-    labels = tuple(sorted({label for x in values for label, _ in x.coeffs}))
+def compile_entries(entries: Sequence[tuple[tuple[int, int], Mapping[str, tuple[int, int]]]]) -> Exponents:
+    """P exponents compiled to a (P, 1+k) array over their common D.  An
+    exponent is given as the (numerator, denominator) in lowest terms of
+    its rational part and of each symbol coefficient, the form
+    ``torus.parse_exponent`` reads from JSON; a symbol whose coefficients
+    are all 0 gets no slot."""
+    D = math.lcm(*(den for (_, den), _ in entries), *(den for _, irr in entries for _, den in irr.values()))
+    labels = tuple(sorted({label for _, irr in entries for label, (c, _) in irr.items() if c}))
     slot = {label: i for i, label in enumerate(labels, 1)}
     rows = []
-    for x in values:
-        entry = [x.rat.numerator * (D // x.rat.denominator)] + [0] * len(labels)
-        for label, c in x.coeffs:
-            entry[slot[label]] = c.numerator * (D // c.denominator)
-        rows.append(entry)
-    bound = max(D, max((abs(v) for entry in rows for v in entry), default=0))
+    for (num, den), irr in entries:
+        row = [num * (D // den) % D] + [0] * len(labels)
+        for label, (c, d) in irr.items():
+            if c:
+                row[slot[label]] = c * (D // d)
+        rows.append(row)
+    bound = max(D, max((abs(v) for row in rows for v in row), default=0))
     return Exponents(D, labels, np.array(rows, dtype=exact_dtype(bound)).reshape(len(rows), 1 + len(labels)))
 
 
-def dedupe(rows: Sequence[Sequence[RotationNumber]]) -> tuple[list[RotationNumber], np.ndarray]:
-    """A dense table as its distinct entry objects (the palette) and the
-    ``intp`` index of each entry into them."""
+def compile_params(values: Iterable[RotationNumber]) -> Exponents:
+    """P RotationNumbers compiled by ``compile_entries``: the parameters
+    of an infinite family, or the distinct entries of a table."""
+    return compile_entries([
+        ((x.rat.numerator, x.rat.denominator), {label: (c.numerator, c.denominator) for label, c in x.coeffs})
+        for x in values
+    ])
+
+
+def dedupe(rows: Sequence[Sequence[RotationNumber]]) -> tuple[Exponents, np.ndarray, list[RotationNumber]]:
+    """A dense table as its distinct entry objects compiled, the ``intp``
+    index of each entry into them, and the objects (the palette)."""
     flat = [x for row in rows for x in row]
     ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
     _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    return [flat[i] for i in first], index.reshape(len(rows), -1)
+    palette = [flat[i] for i in first]
+    return compile_params(palette), index.reshape(len(rows), -1), palette
 
 
-def gather(palette: Sequence[RotationNumber], index: np.ndarray) -> Exponents:
-    """The table palette[index] compiled: the palette once, by
-    ``compile_params``, then its rows gathered by the index."""
-    ex = compile_params(palette)
-    return Exponents(ex.D, ex.labels, ex.array[index])
+class Tabulated:
+    """A table held as its P distinct entries, compiled to a (P, 1+k)
+    ``Exponents`` (``distinct``), and the ``intp`` ``index`` of each entry
+    into them.  ``palette``, the distinct entries as RotationNumbers, is
+    built from ``distinct`` on first use; a decoded table is decided
+    without it."""
 
+    distinct: Exponents
+    index: np.ndarray
+    _palette: list[RotationNumber] | None
 
-def rows_of(palette: Sequence[RotationNumber], index: np.ndarray) -> tuple[tuple[RotationNumber, ...], ...]:
-    """The table palette[index] as rows of RotationNumbers (palette objects, shared)."""
-    return tuple(tuple(map(palette.__getitem__, row)) for row in index.tolist())
+    def _tabulate(self, distinct: Exponents, index: np.ndarray, palette: list | None = None) -> Exponents:
+        """Keep the table; return it compiled, distinct.array gathered by the index."""
+        self.distinct, self.index, self._palette = distinct, index, palette
+        return Exponents(distinct.D, distinct.labels, distinct.array[index])
+
+    @property
+    def palette(self) -> list[RotationNumber]:
+        if self._palette is None:
+            self._palette = [self.distinct.rotation(x) for x in self.distinct.array.tolist()]
+        return self._palette
+
+    def value(self, a: int, b: int) -> RotationNumber:
+        return self.palette[self.index[a, b]]
+
+    def _grid(self) -> tuple[tuple[RotationNumber, ...], ...]:
+        """The table as rows of RotationNumbers (palette objects, shared)."""
+        return tuple(tuple(map(self.palette.__getitem__, row)) for row in self.index.tolist())
 
 
 @dataclass
@@ -249,36 +281,29 @@ class FiniteMultiplier(Multiplier):
         return bool(ex.is_zero(ex.array[np.arange(g.order), g.inverses]).all())
 
 
-class TableMultiplier(FiniteMultiplier):
-    """Dense |G| x |G| table: its distinct entries ``palette``, the (|G|, |G|)
-    ``intp`` ``index`` of each entry into them, and the compiled array,
-    gathered by the same index when the table is made."""
+class TableMultiplier(Tabulated, FiniteMultiplier):
+    """Dense |G| x |G| table, held as its distinct entries and the
+    (|G|, |G|) index into them (``Tabulated``); the compiled array is
+    gathered when the table is made."""
 
     def __init__(self, group: FiniteGroup, values: Sequence[Sequence[RotationNumber]]):
         n = group.order
         if len(values) != n or any(len(row) != n for row in values):
             raise DomainMismatch("table shape does not match group order")
-        self._store(group, *dedupe(values))
+        self.group = group
+        self._exponents = self._tabulate(*dedupe(values))
 
     @classmethod
-    def from_palette(cls, group: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray) -> "TableMultiplier":
-        """The table palette[index]; ``index`` is (|G|, |G|) and intp."""
+    def from_distinct(cls, group: FiniteGroup, distinct: Exponents, index: np.ndarray) -> "TableMultiplier":
+        """The table distinct.array[index]; ``index`` is (|G|, |G|) and intp."""
         sigma = cls.__new__(cls)
-        sigma._store(group, palette, index)
+        sigma.group = group
+        sigma._exponents = sigma._tabulate(distinct, index)
         return sigma
-
-    def _store(self, group: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray) -> None:
-        self.group = group
-        self.palette = palette
-        self.index = index
-        self._exponents = gather(palette, index)
 
     @property
     def values(self) -> tuple[tuple[RotationNumber, ...], ...]:
-        return rows_of(self.palette, self.index)
-
-    def value(self, a: int, b: int) -> RotationNumber:
-        return self.palette[self.index[a, b]]
+        return self._grid()
 
     def to_table(self) -> "TableMultiplier":
         return self
@@ -312,7 +337,8 @@ def klein(n: int, k: int) -> KleinMultiplier:
 
 
 def trivial_multiplier(group: FiniteGroup) -> TableMultiplier:
-    return TableMultiplier.from_palette(group, [ZERO], np.zeros((group.order, group.order), dtype=np.intp))
+    zeros = np.zeros((group.order, group.order), dtype=np.intp)
+    return TableMultiplier.from_distinct(group, compile_params([ZERO]), zeros)
 
 
 def abelian_group(orders: Sequence[int]) -> FiniteGroup:

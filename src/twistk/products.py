@@ -21,11 +21,11 @@ from .multipliers import (
     DomainMismatch,
     Exponents,
     FiniteMultiplier,
+    Tabulated,
     common_frame,
+    compile_params,
     dedupe,
     exact_dtype,
-    gather,
-    rows_of,
 )
 from .regularity import is_regular_element
 from .torus import ZERO, RotationNumber
@@ -39,14 +39,14 @@ class LemmaViolation(RuntimeError):
     """The two-of-three regularity lemma failed: an implementation bug."""
 
 
-class Bihomomorphism:
+class Bihomomorphism(Tabulated):
     """f: G1 x G2 -> T, multiplicative in each variable separately.
 
-    Stored like a table multiplier: the distinct entries ``palette``, the
-    (|G1|, |G2|) ``intp`` ``index`` into them and the compiled
-    ``exponents`` (shape (|G1|, |G2|, 1+k)) gathered by it.  Validated
-    exhaustively on construction: f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and
-    symmetrically, which forces f(e, .) = f(., e) = 0.
+    Stored like a table multiplier (``Tabulated``): the distinct entries,
+    the (|G1|, |G2|) index into them and the compiled ``exponents`` (shape
+    (|G1|, |G2|, 1+k)) gathered by it.  Validated exhaustively on
+    construction: f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and symmetrically,
+    which forces f(e, .) = f(., e) = 0.
     """
 
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup, table: Sequence[Sequence[RotationNumber]]):
@@ -55,25 +55,25 @@ class Bihomomorphism:
         self._store(g1, g2, *dedupe(table))
 
     @classmethod
-    def from_palette(
-        cls, g1: FiniteGroup, g2: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray
+    def from_distinct(
+        cls, g1: FiniteGroup, g2: FiniteGroup, distinct: Exponents, index: np.ndarray
     ) -> "Bihomomorphism":
-        """The table palette[index]; ``index`` is (|G1|, |G2|) and intp."""
+        """The table distinct.array[index]; ``index`` is (|G1|, |G2|) and intp."""
         f = cls.__new__(cls)
-        f._store(g1, g2, palette, index)
+        f._store(g1, g2, distinct, index)
         return f
 
-    def _store(self, g1: FiniteGroup, g2: FiniteGroup, palette: Sequence[RotationNumber], index: np.ndarray) -> None:
+    def _store(
+        self, g1: FiniteGroup, g2: FiniteGroup, distinct: Exponents, index: np.ndarray, palette: list | None = None
+    ) -> None:
         self.g1 = g1
         self.g2 = g2
-        self.palette = palette
-        self.index = index
-        self.exponents = gather(palette, index)
+        self.exponents = self._tabulate(distinct, index, palette)
         self._validate()
 
     @property
     def table(self) -> tuple[tuple[RotationNumber, ...], ...]:
-        return rows_of(self.palette, self.index)
+        return self._grid()
 
     def _validate(self) -> None:
         ex = self.exponents
@@ -89,12 +89,9 @@ class Bihomomorphism:
             a2, b2, a1 = np.unravel_index(bad[0], (self.g2.order, self.g2.order, self.g1.order))
             raise InvalidBihomomorphism(f"not multiplicative in slot 2 at ({a1};{a2},{b2})")
 
-    def value(self, a1: int, a2: int) -> RotationNumber:
-        return self.palette[self.index[a1, a2]]
-
 
 def trivial_bihom(g1: FiniteGroup, g2: FiniteGroup) -> Bihomomorphism:
-    return Bihomomorphism.from_palette(g1, g2, [ZERO], np.zeros((g1.order, g2.order), dtype=np.intp))
+    return Bihomomorphism.from_distinct(g1, g2, compile_params([ZERO]), np.zeros((g1.order, g2.order), dtype=np.intp))
 
 
 def cyclic_bihom(n1: int, n2: int, numerator: int) -> Bihomomorphism:

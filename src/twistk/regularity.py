@@ -78,26 +78,25 @@ def is_regular_element(sigma: FiniteMultiplier, a: int) -> bool:
 
 
 def regular_classes(sigma: FiniteMultiplier) -> RegularityReport:
-    """Per-class regularity flags; asserts constancy on each class."""
+    """Per-class regularity flags; asserts constancy on each class, with
+    one minimum and one maximum of the flags per class (``reduceat`` over
+    ``class_layout``)."""
     g = sigma.group
     regular = regular_elements(sigma)
-    flagged = []
-    regular_count = 0
-    witness = None
-    for cls in g.conjugacy_classes():
-        flags = regular[list(cls.members)]
-        if flags.min() != flags.max():
-            flags = {m: bool(regular[m]) for m in cls.members}
-            raise ClassInconsistency(
-                f"class of {cls.representative} mixes regular and non-regular members: {flags}"
-            )
-        flag = bool(flags[0])
-        flagged.append((cls, flag))
-        if flag:
-            regular_count += len(cls)
-            if witness is None and (len(cls) > 1 or cls.representative != g.identity):
-                witness = cls
-    return RegularityReport(tuple(flagged), witness, regular_count)
+    classes = g.conjugacy_classes()
+    order, starts = g.class_layout()
+    flags = regular[order]
+    low, high = np.minimum.reduceat(flags, starts), np.maximum.reduceat(flags, starts)
+    mixed = np.flatnonzero(low != high)
+    if mixed.size:
+        cls = classes[mixed[0]]
+        members = {m: bool(regular[m]) for m in cls.members}
+        raise ClassInconsistency(f"class of {cls.representative} mixes regular and non-regular members: {members}")
+    flagged = tuple(zip(classes, high.tolist()))
+    witness = next(
+        (cls for cls, flag in flagged if flag and (len(cls) > 1 or cls.representative != g.identity)), None
+    )
+    return RegularityReport(flagged, witness, int(regular.sum()))
 
 
 def condition_k(sigma: FiniteMultiplier) -> bool:

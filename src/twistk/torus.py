@@ -11,6 +11,7 @@ in this package becomes exact rational arithmetic.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
@@ -68,13 +69,34 @@ def _canonical_coeffs(coeffs) -> tuple[tuple[str, Fraction], ...]:
     return tuple((label, acc[label]) for label in sorted(acc) if acc[label])
 
 
-def _exact(value) -> Fraction:
-    """A JSON rational, a string "p/q" or an integer; Fraction() would read
-    a float as its binary expansion (0.1 as 3602879701896397/2^55) and a
-    bool as 0 or 1."""
+def _ratio(value) -> tuple[int, int]:
+    """An exact JSON number as (numerator, denominator) in lowest terms,
+    the denominator positive.  An integer, "-?digits" or "-?digits/digits"
+    (ASCII, nonzero denominator) is read with int(); any other spelling
+    goes to Fraction(), which decides what is accepted and how a refusal
+    reads, except that a float (Fraction() would read 0.1 as
+    3602879701896397/2^55) or a bool (0 or 1) is refused."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        den = den if slash else "1"
+        if num.removeprefix("-").isdigit() and den.isdigit() and den.strip("0"):
+            num, den = int(num), int(den)
+            g = math.gcd(num, den)
+            return num // g, den // g
     if type(value) in (float, bool):
         raise ValueError(f"exact number must be a string \"p/q\" or an integer, got {value!r}")
-    return Fraction(value)
+    x = Fraction(value)
+    return x.numerator, x.denominator
+
+
+def parse_exponent(data: Mapping) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
+    """One JSON exponent {"rat": ..., "irr": {label: ...}} as the ``_ratio``
+    of its rational part and of each symbol coefficient; the coefficients
+    are read before the rational part."""
+    irr = {label: _ratio(c) for label, c in data.get("irr", {}).items()}
+    return _ratio(data.get("rat", 0)), irr
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,8 +180,8 @@ class RotationNumber:
 
     @staticmethod
     def from_json(data: Mapping) -> "RotationNumber":
-        irr = {label: _exact(c) for label, c in data.get("irr", {}).items()}
-        return RotationNumber(_exact(data.get("rat", 0)), irr)
+        (num, den), irr = parse_exponent(data)
+        return RotationNumber(Fraction(num, den), {label: Fraction(*c) for label, c in irr.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -9,18 +9,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import finite_catalog, klein_catalog
+from reference import GenPermMatrix, lambda_exact, rho_bar_exact
 
 from twistk.algebra import (
     AlgebraElement,
-    GenPermMatrix,
     IllConditioned,
     PhaseSum,
     center_dimension_numeric,
     convolve,
     identify_matrix_algebra,
     involution,
-    lambda_exact,
-    rho_bar_exact,
     trace,
 )
 from twistk.groups import cyclic, symmetric

@@ -26,9 +26,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import finite_catalog, product_triples, small_groups
-from reference import compile_values
+from reference import compile_values, lambda_exact
 
-from twistk.algebra import _commutator_system, center_dimension_numeric, lambda_exact
+from twistk.algebra import _commutator_system, center_dimension_numeric
 from twistk.cli import main
 from twistk.groups import (
     FiniteGroup,
