@@ -57,7 +57,7 @@ from .io import (
     parse_fraction,
 )
 from .lattices import G3Multiplier, LatticeMultiplier, g3_condition_k, condition_k_lattice
-from .multipliers import Exponents, FiniteMultiplier, NotAMultiplier, common_frame, require_multiplier, validate
+from .multipliers import Exponents, FiniteMultiplier, NotAMultiplier, one_frame, require_multiplier, validate
 from .products import ProductMultiplier, f_degeneracy
 from .regularity import ClassInconsistency, regular_classes
 from .torus import MissingHint
@@ -206,9 +206,7 @@ def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
 def _same_values(s: FiniteMultiplier, t: FiniteMultiplier) -> bool:
     """Whether two multipliers on one group have equal values, compared on
     their compiled arrays recast to one frame."""
-    parts = (s.exponents(), t.exponents())
-    D, labels = common_frame(parts)
-    x, y = (p.recast(D, labels, object) for p in parts)
+    D, labels, (x, y) = one_frame((s.exponents(), t.exponents()))
     return bool(Exponents(D, labels, x).is_zero(x - y).all())
 
 

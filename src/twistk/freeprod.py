@@ -15,14 +15,14 @@ tau, beta and the value are integer vector sums over the two compiled
 factor tables (beta memoized per word), and ``tau``, ``beta`` and
 ``value`` return the RotationNumber of the vector.  ``decompose`` reads
 a multiplier on G1 * G2 through ``vector`` and checks its decomposition
-on integer vectors over one frame.
+on integer vectors in that multiplier's own frame.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .multipliers import (
     NotNormalized,
     SimilarityWitness,
     TableMultiplier,
-    common_frame,
+    exact_dtype,
+    one_frame,
 )
-from .torus import ZERO, RotationNumber
+from .torus import RotationNumber
 
 Letter = tuple[int, int]          # (factor 1|2, non-identity element index)
 FPWord = tuple[Letter, ...]
@@ -276,9 +277,7 @@ class FreeProductMultiplier(Multiplier):
         self.sigma1 = sigma1
         self.sigma2 = sigma2
         self.fp = FreeProduct(sigma1.group, sigma2.group)
-        parts = (sigma1.exponents(), sigma2.exponents())
-        D, labels = common_frame(parts)
-        tables = [p.recast(D, labels, object) for p in parts]
+        D, labels, tables = one_frame((sigma1.exponents(), sigma2.exponents()))
         self._exponents = Exponents(D, labels, np.concatenate([t.reshape(-1, 1 + len(labels)) for t in tables]))
         # _tables[i][a][b]: the vector of sigma_i(a, b)
         self._tables = (None, *([[tuple(v) for v in row] for row in t.tolist()] for t in tables))
@@ -366,24 +365,15 @@ class Decomposition:
 
 
 def _restriction_table(sigma: Multiplier, group: FiniteGroup, factor: int) -> TableMultiplier:
-    e = group.identity
-    values = []
-    for a in group.elements():
-        row = []
-        for b in group.elements():
-            if a == e or b == e:
-                row.append(ZERO)
-            else:
-                row.append(sigma.value(((factor, a),), ((factor, b),)))
-        values.append(row)
-    return TableMultiplier(group, values)
-
-
-def _into(ex: Exponents, D: int, labels: tuple[str, ...]) -> Callable[[Sequence[int]], Sequence[int]]:
-    """Recast one vector over ``ex``'s frame to the frame (D, labels), which contains it."""
-    if (ex.D, ex.labels) == (D, labels):
-        return lambda x: x
-    return lambda x: Exponents(ex.D, ex.labels, np.array(x, dtype=object)).recast(D, labels, object).tolist()
+    """sigma on the one-letter words of one factor (1 at the identity) in
+    sigma's frame, slot 0 reduced mod D, one distinct entry per pair."""
+    ex, e, n = sigma.exponents(), group.identity, group.order
+    zero = [0] * (1 + len(ex.labels))
+    rows = [zero if e in (a, b) else sigma.vector(((factor, a),), ((factor, b),)) for a in range(n) for b in range(n)]
+    rows = [[x[0] % ex.D, *x[1:]] for x in rows]
+    dtype = exact_dtype(max(ex.D, *(abs(x) for row in rows for x in row)))
+    distinct = Exponents(ex.D, ex.labels, np.array(rows, dtype=dtype))
+    return TableMultiplier.from_distinct(group, distinct, np.arange(n * n, dtype=np.intp).reshape(n, n))
 
 
 def decompose(
@@ -408,23 +398,20 @@ def decompose(
 
     beta_candidate cancels from that identity, which is checked as
     b0(x) + b0(y) - b0(xy) + sigma(x, y) = tau(x, y) on `pairs` sampled
-    word pairs of length <= max_len, in integer vectors: sigma's
-    ``vector`` values and the candidate's tau are recast to the common
-    frame of ``sigma.exponents()`` and the candidate's and the difference
-    must vanish there.  The first failing pair raises SimilarityFailure.
-    The witness returns RotationNumbers.
+    word pairs of length <= max_len, in integer vectors in one frame: the
+    restrictions are tabulated in sigma's (``sigma.exponents()``, its
+    labels sorted like every compiled frame's), so the candidate built from
+    them shares it.  The first failing pair raises SimilarityFailure.  The
+    witness returns RotationNumbers.
     """
     rng = rng or random.Random(0)
+    ex = sigma.exponents()
     sigma1 = _restriction_table(sigma, g1, 1)
     sigma2 = _restriction_table(sigma, g2, 2)
     candidate = FreeProductMultiplier(sigma1, sigma2)
     fp = candidate.fp
-    parts = (sigma.exponents(), candidate.exponents())
-    D, labels = common_frame(parts)
-    frame = Exponents(D, labels, np.zeros((0, 1 + len(labels)), dtype=np.int64))
-    from_sigma, from_candidate = (_into(p, D, labels) for p in parts)
     vector = sigma.vector
-    zero = [0] * (1 + len(parts[0].labels))
+    zero = [0] * (1 + len(ex.labels))
 
     def prefix_telescope(x: FPWord) -> Sequence[int]:
         total = zero
@@ -435,8 +422,7 @@ def decompose(
         return total
 
     def beta_fn(x: FPWord) -> RotationNumber:
-        b0, beta = from_sigma(prefix_telescope(x)), from_candidate(candidate._beta(x))
-        return frame.rotation([p + q for p, q in zip(b0, beta)])
+        return ex.rotation([p + q for p, q in zip(prefix_telescope(x), candidate._beta(x))])
 
     checked = 0
     for _ in range(pairs):
@@ -444,9 +430,8 @@ def decompose(
         y = fp.random_word(rng, max_len)
         xy = fp.multiply(x, y)
         b0 = map(prefix_telescope, (x, y, xy))
-        twisted = from_sigma([p + q - r + s for p, q, r, s in zip(*b0, vector(x, y))])
-        tau = from_candidate(candidate._tau(x, y))
-        if not frame.vanishes([p - q for p, q in zip(twisted, tau)]):
+        twisted = [p + q - r + s for p, q, r, s in zip(*b0, vector(x, y))]
+        if not ex.vanishes([p - q for p, q in zip(twisted, candidate._tau(x, y))]):
             raise SimilarityFailure((x, y))
         checked += 1
     return Decomposition(sigma1, sigma2, SimilarityWitness(beta_fn), candidate, checked)

@@ -13,11 +13,15 @@ A finite input is decoded straight into arrays: a group table into one
 ``intp`` array, and a ``values`` or ``f.table`` grid into its distinct
 entries, compiled to one integer row each (``compile_entries``), and the
 ``intp`` index of each entry into them, from which the compiled exponent
-array is gathered.  No RotationNumber is made while a table is decoded.
+array is gathered.  A torus or g3 spec compiles its ``theta`` or ``mu``
+entries the same way, one row per key.  No RotationNumber is made while
+any input is decoded.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Mapping
@@ -37,7 +41,7 @@ from .multipliers import (
     trivial_multiplier,
 )
 from .products import Bihomomorphism, ProductMultiplier
-from .torus import IrrationalBasis, RotationNumber, parse_exponent
+from .torus import IrrationalBasis, parse_exponent
 
 
 # 4x the largest order the benchmark decides; condition-k and center on
@@ -84,12 +88,16 @@ def decode_group(data) -> FiniteGroup:
 
 
 def _decode_basis(data) -> IrrationalBasis:
-    """``basis``, when given, must be a list of strings, like ``names``."""
+    """``basis``, when given, must be a list of strings, like ``names``,
+    and each of ``hints`` a JSON int or float, finite as a float."""
     labels = data.get("basis", [])
     if not (type(labels) is list and all(type(label) is str for label in labels)):
         raise SchemaError("basis must be a list of strings")
-    hints = {str(k): float(v) for k, v in data.get("hints", {}).items()}
-    return IrrationalBasis(tuple(labels), hints)
+    hints = data.get("hints", {})
+    bad = [label for label, v in hints.items() if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
+    if bad:
+        raise SchemaError(f"hint {bad[0]!r} must be a finite number")
+    return IrrationalBasis(tuple(labels), {str(label): float(v) for label, v in hints.items()})
 
 
 # The "irr" of an entry without symbols; only ever compared, never changed.
@@ -130,6 +138,20 @@ def _palette(rows, shape: tuple[int, int]) -> tuple[Exponents, np.ndarray]:
     slot = dict(zip(distinct, range(len(distinct))))
     index = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
     return compile_entries(list(map(parse_exponent, distinct.values()))), index.reshape(shape)
+
+
+def _parameters(data, field: str, key: str, spelling: str) -> tuple[list[tuple[int, int]], Exponents]:
+    """The ``field`` object of a torus or g3 spec: each key, checked before
+    its entry is parsed, as two indices, and the entries compiled.  A key
+    must match ``key`` in full, so no two keys name one parameter."""
+    keys, entries = [], []
+    for name, value in _require(data, field).items():
+        match = re.fullmatch(key, name) if type(name) is str else None
+        if match is None:
+            raise SchemaError(f"bad {field} key {name!r}; expected {spelling!r}")
+        keys.append((int(match[1]), int(match[2])))
+        entries.append(parse_exponent(value))
+    return keys, compile_entries(entries)
 
 
 def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier]:
@@ -174,19 +196,12 @@ def _decode(data) -> Multiplier:
     if kind == "torus":
         n = _integer(_require(data, "n"), "n")
         _check_order(n, "torus rank n")
-        entries = {}
-        for key, value in _require(data, "theta").items():
-            i, j = (int(part) for part in str(key).split(","))
-            entries[(i - 1, j - 1)] = RotationNumber.from_json(value)
-        return LatticeMultiplier(Theta(n, entries, _decode_basis(data)))
+        keys, compiled = _parameters(data, "theta", "([1-9][0-9]*),([1-9][0-9]*)", "i,j")
+        pairs = [(i - 1, j - 1) for i, j in keys]
+        return LatticeMultiplier(Theta.from_compiled(n, pairs, compiled, _decode_basis(data)))
     if kind == "g3":
-        mu = {}
-        for key, value in _require(data, "mu").items():
-            key = str(key)
-            if len(key) != 2 or not key.isdigit():
-                raise SchemaError(f"bad mu key {key!r}; expected 'ij'")
-            mu[(int(key[0]), int(key[1]))] = RotationNumber.from_json(value)
-        return G3Multiplier(MuMatrix(mu, _decode_basis(data)))
+        keys, compiled = _parameters(data, "mu", "([0-9])([0-9])", "ij")
+        return G3Multiplier(MuMatrix.from_compiled(keys, compiled, _decode_basis(data)))
     if kind == "free_product":
         return FreeProductMultiplier(*_finite_factors(data, kind))
     raise SchemaError(f"unknown multiplier type {kind!r}")

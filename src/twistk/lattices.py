@@ -8,9 +8,10 @@ matrix, decided by an integer kernel computation plus a denominator-
 clearing scaling for the rational component.
 
 The parameters (the theta entries; the eight mu, in the order
-``g3_value`` uses them) are compiled once to ``Exponents``, and
+``g3_value`` uses them) are held only compiled, as ``Exponents``, and
 ``vector`` dots the integer coefficients (a_i b_j, or the eight g3
-exponents) with the parameter rows.  M^T and the g3 rows are kept per
+exponents) with the parameter rows; ``to_json`` and ``row_matrix`` alone
+turn a row back into a RotationNumber.  M^T and the g3 rows are kept per
 slot over D (slot 0 rational, slot i the i-th compiled label): the
 regularity test and the witness re-checks are integer sums on them, and
 the Hermite form gets the symbol slots as they are, times D
@@ -25,17 +26,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .intlinalg import clear_denominators, integer_kernel, rational_rank
 from .multipliers import Exponents, Multiplier, compile_params
-from .torus import ZERO, IrrationalBasis, RotationNumber
+from .torus import IrrationalBasis, RotationNumber
 
 Vector = tuple[int, ...]
+Pair = tuple[int, int]
 SlotMatrix = list[list[list[int]]]  # [slot][row][column], Python ints over D
 
 
@@ -56,28 +59,34 @@ class LatticeDecision:
 
 
 class Theta:
-    """Upper-triangular exponent data t_ij (0-based, i < j) on Z^n."""
+    """Upper-triangular exponent data t_ij (0-based, i < j) on Z^n, held
+    compiled: ``exponents`` has a row per entry that is not integral, and
+    ``pairs`` its (i, j).  The constructor compiles RotationNumbers;
+    ``from_compiled`` takes every entry's (i, j) and row, as ``io`` decodes
+    them.  Each entry is checked in order: index range, then symbols."""
 
-    def __init__(
-        self,
-        n: int,
-        entries: Mapping[tuple[int, int], RotationNumber],
-        basis: IrrationalBasis | None = None,
-    ):
+    def __init__(self, n: int, entries: Mapping[Pair, RotationNumber], basis: IrrationalBasis | None = None):
+        self._init(n, tuple(entries), compile_params(entries.values()), basis)
+
+    @classmethod
+    def from_compiled(cls, n: int, pairs: Sequence[Pair], compiled: Exponents, basis: IrrationalBasis) -> "Theta":
+        theta = cls.__new__(cls)
+        theta._init(n, pairs, compiled, basis)
+        return theta
+
+    def _init(self, n: int, pairs: Sequence[Pair], compiled: Exponents, basis: IrrationalBasis | None) -> None:
         if n < 1:
             raise ValueError("rank must be >= 1")
         self.n = n
         self.basis = basis if basis is not None else IrrationalBasis(())
-        ent: dict[tuple[int, int], RotationNumber] = {}
-        for (i, j), v in entries.items():
+        rows = compiled.array.tolist()
+        for (i, j), row in zip(pairs, rows):
             if not 0 <= i < j < n:
                 raise ValueError(f"entry index ({i},{j}) out of range for rank {n}")
-            self.basis.check(v)
-            if not v.is_integral():
-                ent[(i, j)] = v
-        self.entries = ent
-        self.pairs = tuple(ent)  # (i, j) of each parameter row
-        self.exponents = compile_params(ent.values())
+            self.basis.check_labels(label for label, c in zip(compiled.labels, row[1:]) if c)
+        kept = [p for p, row in enumerate(rows) if any(row)]
+        self.pairs = tuple(pairs[p] for p in kept)
+        self.exponents = Exponents(compiled.D, compiled.labels, compiled.array[kept])
 
     @cached_property
     def transpose(self) -> SlotMatrix:
@@ -88,14 +97,12 @@ class Theta:
                 slot[j][i], slot[i][j] = x, -x
         return mt
 
-    def entry(self, i: int, j: int) -> RotationNumber:
-        return self.entries.get((i, j), ZERO)
-
     def to_json(self) -> dict:
+        rows = sorted(zip(self.pairs, self.exponents.array.tolist()))
         return {
             "type": "torus",
             "n": self.n,
-            "theta": {f"{i + 1},{j + 1}": v.to_json() for (i, j), v in sorted(self.entries.items())},
+            "theta": {f"{i + 1},{j + 1}": self.exponents.rotation(row).to_json() for (i, j), row in rows},
             "basis": list(self.basis.labels),
             "hints": dict(self.basis.float_hints),
         }
@@ -185,16 +192,14 @@ def condition_k_lattice(theta: Theta) -> LatticeDecision:
 
 
 def qtheta_dimension(theta: Theta) -> int:
-    """Rank over Q of {1, t_12, t_13, t_23} in (rational, symbol) coordinates."""
+    """Rank over Q of {1, t_12, t_13, t_23}: the compiled rows of the three
+    entries (zero where one is integral) and the row [D, 0, ...] for 1."""
     if theta.n != 3:
         raise RankMismatch("Q_theta dimension is defined for rank 3")
-    labels = theta.basis.labels
-    vectors = [[Fraction(1)] + [Fraction(0)] * len(labels)]
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        v = theta.entry(i, j)
-        coeffs = dict(v.coeffs)
-        vectors.append([v.rat] + [coeffs.get(label, Fraction(0)) for label in labels])
-    return rational_rank(vectors)
+    ex = theta.exponents
+    zero = [0] * ex.array.shape[1]
+    row = dict(zip(theta.pairs, ex.array.tolist()))
+    return rational_rank([[ex.D, *zero[1:]]] + [row.get(pair, zero) for pair in ((0, 1), (0, 2), (1, 2))])
 
 
 class LatticeMultiplier(Multiplier):
@@ -250,7 +255,9 @@ _G3_ORDER = ((1, 3), (2, 2), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (3, 3))
 
 
 class MuMatrix:
-    """The eight exponent parameters mu_ij of the rank-3 family.
+    """The eight exponent parameters mu_ij of the rank-3 family, held
+    compiled (0 where one is not given), built like ``Theta``: from
+    RotationNumbers, or ``from_compiled`` from the keys (i, j) and rows.
 
     The ninth value mu_31 is never supplied: it is derived as
     mu_22 - mu_13 (additively) and appears only in the regularity rows,
@@ -259,39 +266,40 @@ class MuMatrix:
     is ``row_matrix()`` per slot over ``exponents.D``.
     """
 
-    def __init__(
-        self,
-        mu: Mapping[tuple[int, int], RotationNumber],
-        basis: IrrationalBasis | None = None,
-    ):
+    def __init__(self, mu: Mapping[Pair, RotationNumber], basis: IrrationalBasis | None = None):
+        self._init(tuple(mu), compile_params(mu.values()), basis)
+
+    @classmethod
+    def from_compiled(cls, keys: Sequence[Pair], compiled: Exponents, basis: IrrationalBasis) -> "MuMatrix":
+        mu = cls.__new__(cls)
+        mu._init(keys, compiled, basis)
+        return mu
+
+    def _init(self, keys: Sequence[Pair], compiled: Exponents, basis: IrrationalBasis | None) -> None:
         self.basis = basis if basis is not None else IrrationalBasis(())
-        given = dict(mu)
-        if (3, 1) in given:
+        if (3, 1) in keys:
             raise ValueError("mu_31 is derived (mu_13 - mu_22); do not supply it")
-        unknown = set(given) - set(_MU_KEYS)
+        unknown = set(keys) - set(_MU_KEYS)
         if unknown:
             raise ValueError(f"unknown mu keys: {sorted(unknown)}")
-        self.mu = {key: given.get(key, ZERO) for key in _MU_KEYS}
-        for v in self.mu.values():
-            self.basis.check(v)
-        self.exponents = compile_params(self.mu[key] for key in _G3_ORDER)
-        row = dict(zip(_G3_ORDER, self.exponents.array.tolist()))
+        given = dict(zip(keys, compiled.array.tolist()))
+        for key in sorted(given):  # the order of _MU_KEYS
+            self.basis.check_labels(label for label, c in zip(compiled.labels, given[key][1:]) if c)
+        row = {key: given.get(key, [0] * compiled.array.shape[1]) for key in _G3_ORDER}
+        array = np.array(list(row.values()), dtype=compiled.array.dtype)
+        self.exponents = Exponents(compiled.D, compiled.labels, array)
         row[(3, 1)] = [x - y for x, y in zip(row[(2, 2)], row[(1, 3)])]
         self.rows = [[[row[(i, j)][slot] for j in (1, 2, 3)] for i in (1, 2, 3)] for slot in range(len(row[(3, 1)]))]
 
-    def param(self, i: int, j: int) -> RotationNumber:
-        if (i, j) == (3, 1):
-            return self.mu[(2, 2)] - self.mu[(1, 3)]
-        return self.mu[(i, j)]
-
     def row_matrix(self) -> list[list[RotationNumber]]:
         """The 3x3 matrix R with R[i][j] = mu_{i+1, j+1}, row 3 derived."""
-        return [[self.param(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
+        return [[self.exponents.rotation([slot[i][j] for slot in self.rows]) for j in range(3)] for i in range(3)]
 
     def to_json(self) -> dict:
+        rows = self.row_matrix()
         return {
             "type": "g3",
-            "mu": {f"{i}{j}": self.mu[(i, j)].to_json() for (i, j) in _MU_KEYS},
+            "mu": {f"{i}{j}": rows[i - 1][j - 1].to_json() for (i, j) in _MU_KEYS},
             "basis": list(self.basis.labels),
             "hints": dict(self.basis.float_hints),
         }

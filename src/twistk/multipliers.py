@@ -31,7 +31,7 @@ RotationNumbers (``palette``) only when ``value`` first asks.
 
 An infinite family (torus, g3, free product) takes integer combinations
 of finitely many parameters: ``exponents()`` holds the P parameters,
-compiled once (``compile_params``) to a (P, 1+k) array over a common D,
+compiled once (``compile_entries``) to a (P, 1+k) array over a common D,
 and ``vector(a, b)`` is the exponent of sigma(a, b) times D, as 1+k
 Python ints (``Exponents.combine`` of the parameter rows).  ``validate``
 fuzzes these families on random triples from a bounded box with integer
@@ -117,17 +117,22 @@ class Exponents:
         the vector of that integer combination of the parameters."""
         return [sum(map(mul, coefficients, column)) for column in self._columns]
 
-    def recast(self, D: int, labels: tuple[str, ...], dtype) -> np.ndarray:
-        """The array over the denominator D (a multiple of self.D) and the slots of ``labels``."""
-        out = np.zeros(self.array.shape[:-1] + (1 + len(labels),), dtype=dtype)
-        slots = [0] + [1 + labels.index(label) for label in self.labels]
-        out[..., slots] = self.array.astype(dtype) * (D // self.D)
-        return out
-
-
 def common_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...]]:
-    """The denominator and labels that ``recast`` can take every part to."""
+    """The lcm of the parts' denominators and the sorted union of their labels."""
     return math.lcm(*(p.D for p in parts)), tuple(sorted(set().union(*(p.labels for p in parts))))
+
+
+def one_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...], tuple[np.ndarray, ...]]:
+    """The common D and labels of the parts (``common_frame``) and their
+    arrays recast to them: every slot times D / part.D, a symbol slot moved
+    to its label's, in a dtype that holds a sum of one entry of each."""
+    D, labels = common_frame(parts)
+    bound = sum(int(abs(p.array).max(initial=0)) * (D // p.D) for p in parts)
+    dtype = exact_dtype(max(D, bound))
+    arrays = tuple(np.zeros(p.array.shape[:-1] + (1 + len(labels),), dtype=dtype) for p in parts)
+    for p, out in zip(parts, arrays):
+        out[..., [0] + [1 + labels.index(label) for label in p.labels]] = p.array.astype(dtype) * (D // p.D)
+    return D, labels, arrays
 
 
 def exact_dtype(bound: int):
@@ -156,8 +161,8 @@ def compile_entries(entries: Sequence[tuple[tuple[int, int], Mapping[str, tuple[
 
 
 def compile_params(values: Iterable[RotationNumber]) -> Exponents:
-    """P RotationNumbers compiled by ``compile_entries``: the parameters
-    of an infinite family, or the distinct entries of a table."""
+    """P RotationNumbers compiled by ``compile_entries``, for the constructors
+    that take them; a decoded input compiles its parsed integers instead."""
     return compile_entries([
         ((x.rat.numerator, x.rat.denominator), {label: (c.numerator, c.denominator) for label, c in x.coeffs})
         for x in values

@@ -147,19 +147,3 @@ def center_basis(sigma: FiniteMultiplier) -> list[AlgebraElement]:
         f = class_function(sigma, cls)
         basis.append(AlgebraElement(sigma.group, {c: f.values[c] for c in cls.members}))
     return basis
-
-
-def check_sigma_tilde(sigma: FiniteMultiplier) -> tuple[int, int] | None:
-    """First (a, c) violating
-    sigma(a^-1, a c a^-1) + sigma(a, c) = sigma(c, a^-1) + sigma(a c a^-1, a),
-    or None.  This holds for every multiplier; a witness means broken input.
-    """
-    g = sigma.group
-    val = sigma.value
-    for a in g.elements():
-        ainv = g.inv(a)
-        for c in g.elements():
-            x = g.conj(a, c)
-            if val(ainv, x) + val(a, c) != val(c, ainv) + val(x, a):
-                return (a, c)
-    return None

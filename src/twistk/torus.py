@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -45,7 +45,11 @@ class IrrationalBasis:
 
     def check(self, x: "RotationNumber") -> None:
         """Raise UnknownSymbol if x references a label outside this basis."""
-        for label, _ in x.coeffs:
+        self.check_labels(label for label, _ in x.coeffs)
+
+    def check_labels(self, labels: Iterable[str]) -> None:
+        """Raise UnknownSymbol at the first of ``labels`` outside this basis."""
+        for label in labels:
             if label not in self.labels:
                 raise UnknownSymbol(f"symbol {label!r} not in basis {self.labels!r}")
 

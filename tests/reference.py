@@ -8,19 +8,33 @@
   as generalized permutation matrices (``GenPermMatrix``).
 - ``classes_by_split`` and ``regular_classes_loop``: conjugacy classes
   cut with ``np.split`` and the per-class regularity loop.
+- ``theta_entries`` and ``mu_params``: the parameters of a ``Theta`` or a
+  ``MuMatrix`` as RotationNumbers, read back from its JSON encoding.
+- ``decode_params_ref``: the torus and g3 decode that read each parameter
+  with ``RotationNumber.from_json`` and kept the RotationNumbers
+  (``ThetaRef``, ``MuRef``), with their ``to_json``, ``qtheta_dimension``
+  and ``row_matrix``.
+- ``two_of_three_loop``: conditions (iii) and (iv) of ``two_of_three``
+  as the loop over the centralizer that compared RotationNumbers.
+- ``check_sigma_tilde`` and ``regularity_identity_check``: the
+  conjugation and product phase identities, checked pair by pair on
+  RotationNumbers (only tests call them).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from twistk.groups import ConjugacyClass, FiniteGroup
 from twistk.multipliers import Exponents, FiniteMultiplier, exact_dtype
+from twistk.products import ProductMultiplier
 from twistk.regularity import ClassInconsistency, RegularityReport, regular_elements
-from twistk.torus import ZERO, RotationNumber
+from twistk.intlinalg import rational_rank
+from twistk.torus import ZERO, IrrationalBasis, RotationNumber
 
 _NO_SYMBOLS: dict = {}
 
@@ -162,3 +176,155 @@ def regular_classes_loop(sigma: FiniteMultiplier) -> RegularityReport:
             if witness is None and (len(cls) > 1 or cls.representative != g.identity):
                 witness = cls
     return RegularityReport(tuple(flagged), witness, regular_count)
+
+
+def check_sigma_tilde(sigma: FiniteMultiplier) -> tuple[int, int] | None:
+    """First (a, c) violating
+    sigma(a^-1, a c a^-1) + sigma(a, c) = sigma(c, a^-1) + sigma(a c a^-1, a),
+    or None.  This holds for every multiplier; a witness means broken input.
+    """
+    g = sigma.group
+    val = sigma.value
+    for a in g.elements():
+        ainv = g.inv(a)
+        for c in g.elements():
+            x = g.conj(a, c)
+            if val(ainv, x) + val(a, c) != val(c, ainv) + val(x, a):
+                return (a, c)
+    return None
+
+
+def regularity_identity_check(sigma: ProductMultiplier, a: int, b: int) -> bool:
+    """The product phase identity at one pair:
+
+    sigma(a,b) - sigma(b,a) + f(a1,b2) - f(b1,a2)
+      = (sigma1(a1,b1) - sigma1(b1,a1)) + (sigma2(a2,b2) - sigma2(b2,a2)).
+
+    The left side reads the assembled multiplier, the right side only the
+    factors; true for all valid inputs.
+    """
+    sigma1, sigma2, f = sigma.sigma1, sigma.sigma2, sigma.f
+    a1, a2 = sigma.split(a)
+    b1, b2 = sigma.split(b)
+    lhs = sigma.value(a, b) - sigma.value(b, a) + f.value(a1, b2) - f.value(b1, a2)
+    rhs = (
+        sigma1.value(a1, b1)
+        - sigma1.value(b1, a1)
+        + sigma2.value(a2, b2)
+        - sigma2.value(b2, a2)
+    )
+    return lhs == rhs
+
+
+def theta_entries(theta) -> dict[tuple[int, int], RotationNumber]:
+    """The entries t_ij (0-based, i < j) of a Theta that are not integral."""
+    out = {}
+    for key, value in theta.to_json()["theta"].items():
+        i, j = map(int, key.split(","))
+        out[(i - 1, j - 1)] = RotationNumber.from_json(value)
+    return out
+
+
+def mu_params(mu) -> dict[tuple[int, int], RotationNumber]:
+    """The eight parameters mu_ij of a MuMatrix, in the order mu_11, mu_12, ..., mu_33."""
+    return {(int(key[0]), int(key[1])): RotationNumber.from_json(v) for key, v in mu.to_json()["mu"].items()}
+
+
+_MU_KEYS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+
+
+class ThetaRef:
+    """A torus theta as the RotationNumbers of its entries that are not
+    integral, each entry checked in order (index range, then symbols)."""
+
+    def __init__(self, n: int, entries: dict, basis: IrrationalBasis):
+        if n < 1:
+            raise ValueError("rank must be >= 1")
+        self.n, self.basis, self.entries = n, basis, {}
+        for (i, j), v in entries.items():
+            if not 0 <= i < j < n:
+                raise ValueError(f"entry index ({i},{j}) out of range for rank {n}")
+            basis.check(v)
+            if not v.is_integral():
+                self.entries[(i, j)] = v
+
+    def to_json(self) -> dict:
+        return {
+            "type": "torus",
+            "n": self.n,
+            "theta": {f"{i + 1},{j + 1}": v.to_json() for (i, j), v in sorted(self.entries.items())},
+            "basis": list(self.basis.labels),
+            "hints": dict(self.basis.float_hints),
+        }
+
+    def qtheta_dimension(self) -> int:
+        labels = self.basis.labels
+        vectors = [[Fraction(1)] + [Fraction(0)] * len(labels)]
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            v = self.entries.get(pair, ZERO)
+            coeffs = dict(v.coeffs)
+            vectors.append([v.rat] + [coeffs.get(label, Fraction(0)) for label in labels])
+        return rational_rank(vectors)
+
+
+class MuRef:
+    """The eight g3 parameters as RotationNumbers (ZERO where one is not
+    given), mu_31 and unknown keys refused, then symbols checked in key order."""
+
+    def __init__(self, mu: dict, basis: IrrationalBasis):
+        self.basis = basis
+        if (3, 1) in mu:
+            raise ValueError("mu_31 is derived (mu_13 - mu_22); do not supply it")
+        unknown = set(mu) - set(_MU_KEYS)
+        if unknown:
+            raise ValueError(f"unknown mu keys: {sorted(unknown)}")
+        self.mu = {key: mu.get(key, ZERO) for key in _MU_KEYS}
+        for v in self.mu.values():
+            basis.check(v)
+
+    def param(self, i: int, j: int) -> RotationNumber:
+        return self.mu[(2, 2)] - self.mu[(1, 3)] if (i, j) == (3, 1) else self.mu[(i, j)]
+
+    def row_matrix(self) -> list[list[RotationNumber]]:
+        return [[self.param(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
+
+    def to_json(self) -> dict:
+        return {
+            "type": "g3",
+            "mu": {f"{i}{j}": self.mu[(i, j)].to_json() for (i, j) in _MU_KEYS},
+            "basis": list(self.basis.labels),
+            "hints": dict(self.basis.float_hints),
+        }
+
+
+def decode_params_ref(data: dict) -> ThetaRef | MuRef:
+    """A torus or g3 spec with canonical keys: each parameter read by
+    ``RotationNumber.from_json``, in input order, then the basis."""
+    if data["type"] == "torus":
+        entries = {}
+        for key, value in data["theta"].items():
+            i, j = map(int, key.split(","))
+            entries[(i - 1, j - 1)] = RotationNumber.from_json(value)
+        basis = IrrationalBasis(tuple(data.get("basis", [])), {k: float(v) for k, v in data.get("hints", {}).items()})
+        return ThetaRef(data["n"], entries, basis)
+    mu = {(int(key[0]), int(key[1])): RotationNumber.from_json(value) for key, value in data["mu"].items()}
+    basis = IrrationalBasis(tuple(data.get("basis", [])), {k: float(v) for k, v in data.get("hints", {}).items()})
+    return MuRef(mu, basis)
+
+
+def two_of_three_loop(sigma: ProductMultiplier, a: int) -> tuple[bool, bool]:
+    """(iii) f(a1, b2) = f(b1, a2) and (iv) both are 1, for every b in the
+    centralizer of a."""
+    f = sigma.f
+    a1, a2 = sigma.split(a)
+    cond_iii = True
+    cond_iv = True
+    for b in sigma.group.centralizer(a):
+        b1, b2 = sigma.split(b)
+        lhs = f.value(a1, b2)
+        rhs = f.value(b1, a2)
+        if lhs != rhs:
+            cond_iii = False
+        if not lhs.is_integral() or not rhs.is_integral():
+            cond_iv = False
+    return cond_iii, cond_iv

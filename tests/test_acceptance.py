@@ -16,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import finite_catalog, klein_catalog, product_triples, random_normalized_tables
+from reference import check_sigma_tilde, regularity_identity_check
 
 import twistk as tk
 from twistk.algebra import AlgebraElement, PhaseSum, center_dimension_numeric, convolve, trace
@@ -33,8 +34,8 @@ from twistk.lattices import (
     qtheta_dimension,
 )
 from twistk.multipliers import normalize, trivial_multiplier, validate
-from twistk.products import assemble, f_degeneracy, regularity_identity_check, two_of_three
-from twistk.regularity import center_basis, check_sigma_tilde, condition_k, regular_classes
+from twistk.products import assemble, f_degeneracy, two_of_three
+from twistk.regularity import center_basis, condition_k, regular_classes
 from twistk.torus import ZERO, IrrationalBasis, rot
 
 NUMERIC_TOL = 1e-8
@@ -176,7 +177,7 @@ def test_criterion_06_torus_laws():
             continue
         counts[dim] += 1
         if condition_k_lattice(theta).condition_k != (dim in (3, 4)):
-            violations.append(("z3-law", theta.entries, dim))
+            violations.append(("z3-law", theta.to_json()["theta"], dim))
 
     # rank 4, both reference configurations
     th_pairs = Theta(4, {(0, 1): rot(0, {"t": 1}), (2, 3): rot(0, {"t": 1})}, t_basis)
@@ -239,10 +240,10 @@ def test_criterion_07_lattice_decision_vs_brute_force():
             )
             if decision.condition_k:
                 if found is not None:
-                    violations.append((theta.entries, "claimed K but box found", found))
+                    violations.append((theta.to_json()["theta"], "claimed K but box found", found))
             else:
                 if not is_regular_lattice(theta, decision.witness):
-                    violations.append((theta.entries, "witness not regular", decision.witness))
+                    violations.append((theta.to_json()["theta"], "witness not regular", decision.witness))
     ok = not violations and total >= 100
     _line(7, ok, f"lattice decision vs box scan (B={box}) on {total} random instances")
     assert total >= 100

@@ -22,6 +22,7 @@ REPLAY_TARGETS = (
     ("twistk.algebra", "center_dimension_numeric"),
     ("twistk.cli", "main"),
     ("twistk.cli", "decode_multiplier"),
+    ("twistk.torus", "RotationNumber.from_json"),
 )
 
 
@@ -50,3 +51,20 @@ def test_patch_targets_resolve():
 def test_replay_entry_points_resolve():
     for module_name, dotted in REPLAY_TARGETS:
         assert callable(_resolve(module_name, dotted)), f"{module_name}.{dotted}"
+
+
+def test_decoded_parameters_replay():
+    # the traced run replays torus_value and g3_value on the .theta and .mu
+    # of decoded specs, and RotationNumber arithmetic on from_json values
+    from twistk.io import decode_multiplier
+    from twistk.lattices import g3_value, torus_value
+    from twistk.torus import RotationNumber
+
+    entry = {"rat": "1/3", "irr": {"t": "2"}}
+    torus = decode_multiplier({"type": "torus", "n": 3, "theta": {"1,2": entry, "2,3": {"rat": "1/4"}}, "basis": ["t"]})
+    g3 = decode_multiplier({"type": "g3", "mu": {"11": entry, "32": {"rat": "1/5"}}, "basis": ["t"]})
+    a, b = (1, 2, -1), (3, -1, 2)
+    assert torus_value(torus.theta, a, b) == torus.value(a, b) == RotationNumber.from_json({"rat": "-1/3", "irr": {"t": "-2"}})
+    x, y = (2, -1, 1, 0, 3, 1), (1, 2, -2, 1, 0, 4)
+    assert g3_value(g3.mu, x, y) == g3.value(x, y)
+    assert RotationNumber.from_json(entry) + RotationNumber.from_json(entry) == RotationNumber.from_json({"rat": "2/3", "irr": {"t": "4"}})

@@ -22,6 +22,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import random_normalized_tables
+from reference import mu_params, theta_entries
 
 import twistk.cli
 from twistk.cli import main
@@ -51,7 +52,7 @@ from twistk.torus import ZERO, IrrationalBasis, RotationNumber, rot
 
 def _torus_value_ref(theta, a, b):
     total = ZERO
-    for (i, j), t in theta.entries.items():
+    for (i, j), t in theta_entries(theta).items():
         k = a[i] * b[j]
         if k:
             total = total + t.scale(k)
@@ -60,7 +61,7 @@ def _torus_value_ref(theta, a, b):
 
 def _commutator_phase_ref(theta, a, b):
     total = ZERO
-    for (i, j), t in theta.entries.items():
+    for (i, j), t in theta_entries(theta).items():
         k = a[i] * b[j] - b[i] * a[j]
         if k:
             total = total + t.scale(k)
@@ -70,7 +71,7 @@ def _commutator_phase_ref(theta, a, b):
 def _is_regular_lattice_ref(theta, a):
     rat = [Fraction(0)] * theta.n
     irr = [{} for _ in range(theta.n)]
-    for (i, j), t in theta.entries.items():
+    for (i, j), t in theta_entries(theta).items():
         for target, k in ((j, a[i]), (i, -a[j])):
             if not k:
                 continue
@@ -95,7 +96,7 @@ def _kernel_witness_ref(rows, labels):
 def _torus_witness_ref(theta):
     n = theta.n
     rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), t in theta.entries.items():
+    for (i, j), t in theta_entries(theta).items():
         rows[j][i] = t
         rows[i][j] = -t
     return _kernel_witness_ref(rows, theta.basis.labels)
@@ -116,9 +117,10 @@ def _g3_value_ref(mu, a, b, sign=1):
         (3, 3): a3 * (b6 + a2 * b3) + a2 * (b3 * (b3 - 1) // 2),
     }
     total = ZERO
+    params = mu_params(mu)
     for key, k in exps.items():
         if k:
-            total = total + mu.mu[key].scale(k)
+            total = total + params[key].scale(k)
     return total
 
 
@@ -207,7 +209,7 @@ def _mus():
     for i in range(24):
         basis = (UT, UTW, IrrationalBasis(()))[i % 3]
         labels = tuple(label for label in basis.labels if label != "w")
-        out.append(MuMatrix({key: _entry(rng, labels) for key in MuMatrix({}).mu if rng.random() < 0.7}, basis))
+        out.append(MuMatrix({key: _entry(rng, labels) for key in mu_params(MuMatrix({})) if rng.random() < 0.7}, basis))
     return out
 
 
@@ -257,7 +259,7 @@ def test_torus_regularity_and_witness_match_reference():
             probes += [tuple(x // 2 for x in witness)]
         for a in probes:
             flag = is_regular_lattice(theta, a)
-            assert flag == _is_regular_lattice_ref(theta, a), (theta.entries, a)
+            assert flag == _is_regular_lattice_ref(theta, a), (theta.to_json()["theta"], a)
             regular += flag
             irregular += not flag
     assert regular > 100 and irregular > 100

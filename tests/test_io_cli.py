@@ -60,7 +60,7 @@ def test_g3_spec():
     data = {"type": "g3", "mu": {"11": {"rat": "1/5", "irr": {}}}, "basis": []}
     sigma = decode_multiplier(data)
     assert isinstance(sigma, G3Multiplier)
-    assert sigma.mu.param(1, 1) == rot("1/5")
+    assert sigma.mu.row_matrix()[0][0] == rot("1/5")
     with pytest.raises(SchemaError):
         decode_multiplier({"type": "g3", "mu": {"31": {"rat": "1/5"}}})
 

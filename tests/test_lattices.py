@@ -175,7 +175,7 @@ def test_z3_law_on_constructed_instances():
             if actual != dim:
                 continue  # random degenerate draw; the law is tested on the actual dim
             decision = condition_k_lattice(theta)
-            assert decision.condition_k == (actual in (3, 4)), (theta.entries, actual)
+            assert decision.condition_k == (actual in (3, 4)), (theta.to_json()["theta"], actual)
 
 
 def test_decision_vs_brute_force_small():
@@ -233,7 +233,7 @@ def random_mu(rng, with_irrational=True):
 
 def test_mu_matrix_derived_row():
     mu = MuMatrix({(1, 3): rot("1/3"), (2, 2): rot("1/4")})
-    assert mu.param(3, 1) == rot("1/4") - rot("1/3")
+    assert mu.row_matrix()[2][0] == rot("1/4") - rot("1/3")
     with pytest.raises(ValueError):
         MuMatrix({(3, 1): rot("1/2")})
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import _s3_sign_values, product_triples
+from reference import regularity_identity_check, two_of_three_loop
 
 import twistk as tk
 from twistk.groups import cyclic, dihedral, direct_product, symmetric
@@ -21,7 +22,6 @@ from twistk.products import (
     assemble,
     cyclic_bihom,
     f_degeneracy,
-    regularity_identity_check,
     restriction,
     trivial_bihom,
     two_of_three,
@@ -353,6 +353,26 @@ def test_two_of_three_no_violation_sample():
         sigma = assemble(s1, s2, f)
         for a in sigma.group.elements():
             two_of_three(sigma, a)  # raises LemmaViolation on failure
+
+
+def test_two_of_three_matches_centralizer_loop():
+    # product_triples, and Klein factors paired by random characters
+    seen = set()
+    rng = random.Random(41)
+    triples = [(s1, s2, f) for _, s1, s2, f in product_triples()]
+    for n1, n in ((2, 2), (4, 2), (3, 3), (6, 2), (2, 4)):
+        g1, k = cyclic(n1), tk.klein(n, 1)
+        c = [rng.randrange(1, n + 1) for _ in range(3)]
+        chi1 = [c[0] * x % n1 for x in range(n1)]
+        chi2 = [(c[1] * (x // n) + c[2] * (x % n)) % n for x in range(n * n)]
+        triples.append((trivial_multiplier(g1), k, bihom_from_characters(g1, chi1, n1, k.group, chi2, n)))
+    for s1, s2, f in triples:
+        sigma = assemble(s1, s2, f)
+        for a in sigma.group.elements():
+            report = two_of_three(sigma, a)
+            assert (report.f_symmetric, report.f_trivial) == two_of_three_loop(sigma, a)
+            seen.add(report.f_symmetric)
+    assert seen == {True, False}
 
 
 def test_f_conjugacy_class_corollary_direction():

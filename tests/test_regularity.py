@@ -1,6 +1,11 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference import check_sigma_tilde
 
 import twistk as tk
 from twistk.algebra import AlgebraElement, convolve
@@ -10,7 +15,6 @@ from twistk.regularity import (
     ClassInconsistency,
     NotRegular,
     center_basis,
-    check_sigma_tilde,
     class_function,
     condition_k,
     is_regular_element,
