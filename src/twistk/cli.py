@@ -24,10 +24,10 @@ Exit codes:
 - 2 on malformed input or an unsupported command/input combination.
 
 Exit 2 also refuses numbers out of range, before the input is decoded:
---tol must be a positive rational, --fuzz and --box at least 1.  It
-refuses specs too large for a dense table, before any table is built:
-klein n*n, torus n, or |G1|*|G2| of a direct_product above
-io.MAX_ORDER (1024).
+--tol must be a positive rational whose float is positive and finite,
+--fuzz and --box at least 1.  It refuses specs too large for a dense
+table, before any table is built: klein n*n, torus n, or |G1|*|G2| of a
+direct_product above io.MAX_ORDER (1024).
 
 The parser is built once, at import; its parsed arguments are the job.
 Reports are byte-identical for identical jobs: all randomness is
@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import random
 import sys
 
@@ -263,6 +264,12 @@ _PARSER = _build_parser()
 def _check_ranges(args: argparse.Namespace) -> None:
     if args.tol <= 0:
         raise JobError(f"--tol must be positive, got {args.tol}")
+    try:
+        tol = float(args.tol)
+    except OverflowError:
+        tol = math.inf
+    if not 0 < tol < math.inf:
+        raise JobError("--tol must lie between the least and the largest positive float")
     for name in ("fuzz", "box"):
         if getattr(args, name) < 1:
             raise JobError(f"--{name} must be at least 1, got {getattr(args, name)}")

@@ -3,9 +3,11 @@
 Groups are always given by a full order x order table of element indices
 so every downstream check (cocycle identities, regularity scans) can be
 exhaustive and exact.  A group is made from one ``intp`` array,
-``array``, on which the scans run as numpy operations; ``table`` holds the
-same products as tuples for single lookups (``mul``, ``conj`` and the
-free product's word rewriting read it in loops).
+``array``, on which the scans run as numpy operations; constructing a
+group makes no Python object per table entry.  ``table`` holds the same
+products as tuples for single lookups (``mul``, ``conj`` and the free
+product's word rewriting read it in loops); it is built on its first use,
+as is the tuple of inverses behind ``inv``.
 
 A table from outside the program is proven once, by ``build``: shape,
 two-sided identity, two-sided inverses and associativity by Light's test
@@ -67,14 +69,15 @@ class FiniteGroup:
             self.array = np.asarray(table, dtype=np.intp)
         except (ValueError, OverflowError):  # ragged, or an entry beyond intp
             raise GroupTableError("table is not square over {0..n-1}") from None
-        if self.array.shape != (n, n) or self.array.min() < 0 or self.array.max() >= n:
+        # a negative entry reads as a huge unsigned one
+        if self.array.shape != (n, n) or self.array.view(np.uintp).max() >= n:
             raise GroupTableError("table is not square over {0..n-1}")
-        rows = self.array.tolist() if isinstance(table, np.ndarray) else table
-        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.order = n
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()  # intp array: inverses[a] = a^-1
-        self._inverses = tuple(self.inverses.tolist())
+        # the tuple views of ``table`` and ``inverses``, empty until ``_views``
+        self._table: tuple[tuple[int, ...], ...] = ()
+        self._inverses: tuple[int, ...] = ()
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != n:
@@ -122,15 +125,31 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
+    def _views(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Build the tuple views on the first single lookup.  They are plain
+        attributes that ``__init__`` sets empty: a ``cached_property`` would
+        store them in the instance ``__dict__``, and CPython then reads every
+        attribute of the group (``identity`` in each free-product rewriting
+        step, say) about three times slower."""
+        self._table = tuple(map(tuple, self.array.tolist()))
+        self._inverses = tuple(self.inverses.tolist())
+        return self._table, self._inverses
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """``array`` as rows of Python ints, for single lookups in loops."""
+        return self._table or self._views()[0]
+
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return (self._table or self._views()[0])[a][b]
 
     def inv(self, a: int) -> int:
-        return self._inverses[a]
+        return (self._inverses or self._views()[1])[a]
 
     def conj(self, a: int, c: int) -> int:
         """a c a^-1."""
-        return self.table[self.table[a][c]][self._inverses[a]]
+        t = self._table or self._views()[0]
+        return t[t[a][c]][self._inverses[a]]
 
     def elements(self) -> range:
         return range(self.order)
@@ -145,11 +164,7 @@ class FiniteGroup:
         return self.names.index(name)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return bool((self.array == self.array.T).all())
 
     def commutes(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
@@ -183,23 +198,39 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """A greedy generating set S: the smallest element outside the
         closure of {e} under y -> y s (s in S) joins S, until the closure
-        is the whole group.  Each level of the closure marks its products
-        in a boolean mask."""
+        is the whole group.
+
+        The closure is a breadth-first search over Python lists, one
+        column ``y -> y s`` per generator, read once.  The closure before
+        s joined is closed under the earlier generators, so its members
+        need only the new column; each element reached after that is
+        expanded by every column once, |G| |S| steps in all."""
         if self._generators is None:
-            t = self.array
-            reached = np.zeros(self.order, dtype=bool)
+            reached = bytearray(self.order)
             reached[self.identity] = True
+            members = [self.identity]
             gens: list[int] = []
-            while not reached.all():
-                gens.append(int(np.argmin(reached)))
-                cols = t[:, gens]
-                frontier = np.flatnonzero(reached)
-                while frontier.size:
-                    hit = np.zeros(self.order, dtype=bool)
-                    hit[cols[frontier]] = True
-                    hit &= ~reached
-                    reached |= hit
-                    frontier = np.flatnonzero(hit)
+            columns: list[list[int]] = []
+            smallest = 0
+            while len(members) < self.order:
+                while reached[smallest]:
+                    smallest += 1
+                gens.append(smallest)
+                column = self.array[:, smallest].tolist()
+                columns.append(column)
+                fresh = []
+                for y in members:
+                    z = column[y]
+                    if not reached[z]:
+                        reached[z] = True
+                        fresh.append(z)
+                for y in fresh:  # grows while it is read: the queue of the search
+                    for col in columns:
+                        z = col[y]
+                        if not reached[z]:
+                            reached[z] = True
+                            fresh.append(z)
+                members += fresh
             self._generators = tuple(gens)
         return self._generators
 

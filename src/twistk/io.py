@@ -41,7 +41,7 @@ from .multipliers import (
     trivial_multiplier,
 )
 from .products import Bihomomorphism, ProductMultiplier
-from .torus import IrrationalBasis, parse_exponent
+from .torus import IrrationalBasis, _ratio, parse_exponent
 
 
 # 4x the largest order the benchmark decides; condition-k and center on
@@ -270,7 +270,8 @@ def encode_witness_element(sigma: Multiplier, element) -> object:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """An option's rational, read as ``torus._ratio`` reads an exact number."""
     try:
-        return Fraction(str(text))
+        return Fraction(*_ratio(str(text)))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -73,22 +75,42 @@ def _canonical_coeffs(coeffs) -> tuple[tuple[str, Fraction], ...]:
     return tuple((label, acc[label]) for label in sorted(acc) if acc[label])
 
 
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _exponent_limit() -> int:
+    """The least decimal exponent ``_ratio`` refuses: the digit limit of
+    ``int()`` (``sys.get_int_max_str_digits()``, Python 3.10.7 on), or its
+    default 4300 where the interpreter has none or it is switched off."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _ratio(value) -> tuple[int, int]:
     """An exact JSON number as (numerator, denominator) in lowest terms,
     the denominator positive.  An integer, "-?digits" or "-?digits/digits"
     (ASCII, nonzero denominator) is read with int(); any other spelling
     goes to Fraction(), which decides what is accepted and how a refusal
     reads, except that a float (Fraction() would read 0.1 as
-    3602879701896397/2^55) or a bool (0 or 1) is refused."""
+    3602879701896397/2^55) or a bool (0 or 1) is refused, and so is a
+    decimal exponent whose power of ten has more digits than int() reads
+    (``_exponent_limit()``): Fraction() would build that power exactly,
+    which takes seconds to hours for a short spelling."""
     if type(value) is int:
         return value, 1
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        den = den if slash else "1"
-        if num.removeprefix("-").isdigit() and den.isdigit() and den.strip("0"):
-            num, den = int(num), int(den)
-            g = math.gcd(num, den)
-            return num // g, den // g
+    if type(value) is str:
+        if value.isascii():
+            num, slash, den = value.partition("/")
+            den = den if slash else "1"
+            if num.removeprefix("-").isdigit() and den.isdigit() and den.strip("0"):
+                num, den = int(num), int(den)
+                g = math.gcd(num, den)
+                return num // g, den // g
+        exponent = _EXPONENT.search(value)
+        if exponent:
+            limit = _exponent_limit()
+            digits = exponent[1].replace("_", "")
+            if len(digits) > limit or int(digits) >= limit:
+                raise ValueError(f"exact number {value!r} has a decimal exponent of {limit} or more")
     if type(value) in (float, bool):
         raise ValueError(f"exact number must be a string \"p/q\" or an integer, got {value!r}")
     x = Fraction(value)

@@ -19,6 +19,8 @@
 - ``check_sigma_tilde`` and ``regularity_identity_check``: the
   conjugation and product phase identities, checked pair by pair on
   RotationNumbers (only tests call them).
+- ``generators_ref``: the greedy generating set found by the numpy
+  closure that marked each level of the search in a boolean mask.
 """
 
 from __future__ import annotations
@@ -328,3 +330,24 @@ def two_of_three_loop(sigma: ProductMultiplier, a: int) -> tuple[bool, bool]:
         if not lhs.is_integral() or not rhs.is_integral():
             cond_iv = False
     return cond_iii, cond_iv
+
+
+def generators_ref(g: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating set of ``FiniteGroup.generators`` by the numpy
+    search it replaced: the smallest unreached element joins S, and each
+    level of the closure marks its products in a boolean mask."""
+    t = g.array
+    reached = np.zeros(g.order, dtype=bool)
+    reached[g.identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        cols = t[:, gens]
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros(g.order, dtype=bool)
+            hit[cols[frontier]] = True
+            hit &= ~reached
+            reached |= hit
+            frontier = np.flatnonzero(hit)
+    return tuple(gens)

@@ -1,0 +1,104 @@
+"""Numbers that are short to spell but out of reach: a --tol whose float
+is zero or infinite, and a decimal exponent whose power of ten is longer
+than ``int()`` reads.  Each exits 2 with one stderr line, at once."""
+
+import json
+import sys
+import time
+
+import pytest
+
+from twistk.cli import main
+from twistk.groups import cyclic
+from twistk.io import SchemaError, parse_fraction
+from twistk.torus import _exponent_limit, _ratio
+
+LIMIT = _exponent_limit()
+
+
+def _exits_2_quickly(argv, capsys, name):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", (argv, err)
+    assert len(err.splitlines()) == 1 and name in err, err
+    assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize("tol", ["1e400", "1e-400", "10" + "0" * 400, "1/1" + "0" * 400])
+def test_tol_outside_float_range_exits_2(tol, capsys):
+    klein = json.dumps({"type": "klein", "n": 2, "k": 1})
+    _exits_2_quickly(["center", "--inline", klein, "--tol", tol], capsys, "--tol")
+
+
+def test_tol_in_float_range_still_runs(capsys):
+    klein = json.dumps({"type": "klein", "n": 2, "k": 1})
+    assert main(["center", "--inline", klein, "--tol", "1e-300"]) == 0
+    assert main(["center", "--inline", klein, "--tol", "1e300"]) in (0, 1)
+    capsys.readouterr()
+
+
+def _table(rat):
+    zero = {"rat": "0", "irr": {}}
+    return {"type": "table", "group": cyclic(2).to_json(), "values": [[zero, zero], [zero, {"rat": rat, "irr": {}}]]}
+
+
+def _torus_rat(rat):
+    return {"type": "torus", "n": 2, "theta": {"1,2": {"rat": rat}}}
+
+
+def _torus_irr(c):
+    return {"type": "torus", "n": 2, "theta": {"1,2": {"rat": "0", "irr": {"t": c}}}, "basis": ["t"]}
+
+
+EXPONENTS = ["1e10000000", "1E-10000000", "7.5e+1_0000000", f"1e{LIMIT}", "1e١٠٠٠٠٠"]
+
+
+@pytest.mark.parametrize("spelling", EXPONENTS)
+@pytest.mark.parametrize("where", [_table, _torus_rat, _torus_irr], ids=["table rat", "torus rat", "irr coefficient"])
+def test_long_exponents_exit_2(where, spelling, capsys):
+    _exits_2_quickly(["condition-k", "--inline", json.dumps(where(spelling))], capsys, "decimal exponent")
+
+
+def test_exponent_limit_is_the_int_digit_limit():
+    assert _ratio(f"1e{LIMIT - 1}") == (10 ** (LIMIT - 1), 1)
+    assert _ratio(f"3e-{LIMIT - 1}") == (3, 10 ** (LIMIT - 1))
+    assert _ratio("2.5e" + "0" * 40 + "1") == (25, 1)
+    assert _ratio(" 1E+0_2 ") == (100, 1)
+    for spelling in (f"1e{LIMIT}", f"1e-{LIMIT}", f"0.1e{10 * LIMIT}"):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            _ratio(spelling)
+    with pytest.raises(ValueError, match="decimal exponent"):
+        _ratio("1e" + "1" * (LIMIT + 1))
+
+
+@pytest.mark.parametrize("limit", [0, 5000])
+def test_exponent_limit_holds_when_int_limit_is_off_or_raised(limit, monkeypatch):
+    # with int()'s digit limit switched off, 4300 still bounds the exponent
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    bound = limit or 4300
+    assert _exponent_limit() == bound
+    assert _ratio(f"1e-{bound - 1}") == (1, 10 ** (bound - 1))
+    start = time.perf_counter()
+    for spelling in (f"1e{bound}", "1e10000000", "1e" + "0" * (bound + 1)):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            _ratio(spelling)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_exponent_limit_without_int_limit(monkeypatch):
+    # interpreters before Python 3.10.7 have no digit limit to read
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert _exponent_limit() == 4300
+    assert _ratio("0.5") == (1, 2) and _ratio("1e-8") == (1, 10**8)
+    with pytest.raises(ValueError, match="decimal exponent"):
+        _ratio("1e10000000")
+
+
+def test_option_rationals_share_the_limit():
+    assert parse_fraction("1e-8") == parse_fraction("1/100000000")
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="decimal exponent"):
+        parse_fraction("1e10000000")
+    assert time.perf_counter() - start < 0.5
