@@ -50,7 +50,7 @@ from .multipliers import (
     trivial_multiplier,
     validate,
 )
-from .products import Bihomomorphism, assemble, cyclic_bihom, f_degeneracy, two_of_three
+from .products import Bihomomorphism, f_degeneracy, two_of_three
 from .regularity import center_basis, class_function, condition_k, is_regular_element, regular_classes
 from .torus import IrrationalBasis, RotationNumber, rot
 

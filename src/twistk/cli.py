@@ -8,16 +8,20 @@ Exit codes:
 - 1 when a validation failed (the report carries the witness) or a
   decision refused (the report carries an "error" field):
   - "not a multiplier": before condition-k, regular-classes, center or
-    f-degeneracy, a finite input is proven a multiplier through the
-    generating set of its group, the proof ``validate`` runs
-    (``multipliers.require_multiplier``); a table that fails is refused
-    with the violating ``witness`` triple (a, s, c), or identity pair
-    (a, e), and the failed ``reason`` (regularity that varies on a class,
-    impossible after that proof, is refused with the same error and a
-    "detail"); before validate or decompose on a free_product, each
-    factor table is proven the same way, and a factor that fails is
-    refused with the same fields plus ``"factor": 1 | 2`` (the witness
-    indexes that factor's group);
+    f-degeneracy, a finite input is proven a multiplier, by the proof
+    ``validate`` runs (``multipliers.require_multiplier``).  A klein
+    input, a table or trivial input whose entries are all 0, and a
+    direct_product whose two factors are proven are multipliers by
+    construction (its f is proven a bihomomorphism when it is decoded).
+    Any other input, such as a nonzero table, is proven through the
+    generating set of its group; one that fails is refused with the
+    violating ``witness`` triple (a, s, c), or identity pair (a, e), and
+    the failed ``reason`` (regularity that varies on a class, impossible
+    after that proof, is refused with the same error and a "detail").
+    Before validate or decompose on a free_product, each factor table is
+    proven the same way, and a factor that fails is refused with the
+    same fields plus ``"factor": 1 | 2`` (the witness indexes that
+    factor's group);
   - "center routes disagree": the combinatorial and numeric center
     dimensions differ;
   - "ill-conditioned": the numeric oracle found no clean spectral gap.

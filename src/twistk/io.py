@@ -45,7 +45,8 @@ from .torus import IrrationalBasis, _ratio, parse_exponent
 
 
 # 4x the largest order the benchmark decides; condition-k and center on
-# klein(32, 1) take about 1 and 2 s.  One value is in use, so not a flag.
+# klein(32, 1) take about 0.1 and 1.8 s (2 shared vCPUs, one BLAS thread).
+# One value is in use, so not a flag.
 MAX_ORDER = 1024
 
 

@@ -13,13 +13,18 @@ array holds the rational part times D, mod D, and slot i the coefficient
 of the i-th declared symbol times D.  Every finite class of H^2(G, T) has
 a representative with values in the |G|-th roots of unity, so D stays
 small in practice; an array whose sums could pass 2^63 holds exact
-Python ints instead of int64, so no comparison ever wraps.  A finite
-multiplier has one proof, run as numpy operations on this array and the
-group's ``array``: ``validate`` checks the identity row and column, then
-the cocycle identity on the |S| |G|^2 triples (a, s, c) with s in the
-generating set S of ``FiniteGroup.generators``, which proves it on all
-|G|^3 triples (Light's test); ``require_multiplier`` raises on its
-failure.
+Python ints instead of int64, so no comparison ever wraps.
+
+A table from outside the program is proven by ``validate``, as numpy
+operations on this array and the group's ``array``: the identity row and
+column, then the cocycle identity on the |S| |G|^2 triples (a, s, c)
+with s in the generating set S of ``FiniteGroup.generators``, which
+proves it on all |G|^3 triples (Light's test); ``require_multiplier``
+raises on its failure.  The library families are multipliers by
+construction, and ``proven_by_construction`` says when: a Klein
+multiplier is bilinear, an all-zero table is the trivial multiplier, and
+a direct product is one when both of its factors are.  ``validate``
+scans only a multiplier that this does not prove.
 
 A finite family writes its closed form once, in ``_compile``; ``vector``
 and ``value`` read the compiled entry.  A table is kept as its distinct
@@ -264,6 +269,11 @@ class FiniteMultiplier(Multiplier):
     def _compile(self) -> Exponents:
         raise NotImplementedError
 
+    def proven_by_construction(self) -> bool:
+        """Whether the way sigma was made proves it a multiplier, so that
+        ``validate`` need not scan its table."""
+        return False
+
     def vector(self, a: int, b: int) -> list[int]:
         return self.exponents().array[a, b].tolist()
 
@@ -310,6 +320,10 @@ class TableMultiplier(Tabulated, FiniteMultiplier):
     def values(self) -> tuple[tuple[RotationNumber, ...], ...]:
         return self._grid()
 
+    def proven_by_construction(self) -> bool:
+        """Every distinct entry is 0: the trivial multiplier."""
+        return bool(self.distinct.is_zero(self.distinct.array).all())
+
     def to_table(self) -> "TableMultiplier":
         return self
 
@@ -331,6 +345,11 @@ class KleinMultiplier(FiniteMultiplier):
         z = cyclic(n)
         self.group = direct_product(z, z)
 
+    def proven_by_construction(self) -> bool:
+        """sigma_k is a bilinear form on Z_n x Z_n, and every bilinear form is
+        a 2-cocycle that vanishes on the identity row and column."""
+        return True
+
     def _compile(self) -> Exponents:
         x = np.arange(self.n * self.n, dtype=np.int64)
         table = self.k * (x % self.n)[:, None] * (x // self.n)[None, :] % self.n
@@ -346,48 +365,6 @@ def trivial_multiplier(group: FiniteGroup) -> TableMultiplier:
     return TableMultiplier.from_distinct(group, compile_params([ZERO]), zeros)
 
 
-def abelian_group(orders: Sequence[int]) -> FiniteGroup:
-    """Product of cyclic groups Z_orders[0] x Z_orders[1] x ..., row-major packing."""
-    g = cyclic(orders[0])
-    for n in orders[1:]:
-        g = direct_product(g, cyclic(n))
-    return g
-
-
-def bilinear_multiplier(orders: Sequence[int], bmatrix: Sequence[Sequence[Fraction]]) -> TableMultiplier:
-    """sigma(a, b) = sum_ij B[i][j] a_i b_j on a product of cyclic groups.
-
-    Any bilinear form is a 2-cocycle; well-definedness mod the cyclic
-    orders requires B[i][j] * orders[i] and B[i][j] * orders[j] integral,
-    i.e. B[i][j] a multiple of 1/gcd(orders[i], orders[j]).
-    """
-    k = len(orders)
-    for i in range(k):
-        for j in range(k):
-            c = Fraction(bmatrix[i][j])
-            g = math.gcd(orders[i], orders[j])
-            if (c * g).denominator != 1:
-                raise ValueError(f"B[{i}][{j}] = {c} is not a multiple of 1/gcd = 1/{g}")
-    group = abelian_group(orders)
-
-    def unpack(idx: int) -> list[int]:
-        coords = []
-        for n in reversed(orders):
-            idx, r = divmod(idx, n)
-            coords.append(r)
-        return coords[::-1]
-
-    coords = [unpack(a) for a in range(group.order)]
-    values = [
-        [
-            RotationNumber(sum(Fraction(bmatrix[i][j]) * ca[i] * cb[j] for i in range(k) for j in range(k)))
-            for cb in coords
-        ]
-        for ca in coords
-    ]
-    return TableMultiplier(group, values)
-
-
 # -- validation --------------------------------------------------------------
 
 
@@ -399,15 +376,19 @@ def validate(
 ) -> ValidationReport:
     """Check the cocycle identity and the identity-row normalization.
 
-    A finite multiplier is proven through the generating set S of its
-    group: the identity row and column, then the cocycle identity on the
-    triples (a, s, c) with s in S.  In the extension T x G with product
-    (x,a)(y,b) = (x+y+sigma(a,b), ab) these say that every (x, s)
-    associates in the middle; the middle elements that associate are
-    closed under products (Light's test) and (x, e) is one of them, so the
-    closure of {e} under y -> y s, which is G, satisfies the identity for
-    all a, c.  A valid table reports ``checked`` = |G|^3, the triples the
-    proof covers.  A failure reports the first (a, s, c) in the order a,
+    A finite multiplier that ``proven_by_construction`` proves (a Klein
+    multiplier, an all-zero table, a direct product whose factors both
+    pass ``validate``) is a multiplier by construction and is not
+    scanned.  Any other, such as a table read from input, is proven
+    through the generating set S of its group: the identity row and
+    column, then the cocycle identity on the triples (a, s, c) with s in
+    S.  In the extension T x G with product (x,a)(y,b) =
+    (x+y+sigma(a,b), ab) these say that every (x, s) associates in the
+    middle; the middle elements that associate are closed under products
+    (Light's test) and (x, e) is one of them, so the closure of {e} under
+    y -> y s, which is G, satisfies the identity for all a, c.  Either
+    proof of a valid multiplier reports ``checked`` = |G|^3, the triples
+    it covers.  A failure reports the first (a, s, c) in the order a,
     then s in the order of S, then c, and ``checked`` = (a |S| + j) |G| + c
     triples compared before it, s the j-th generator; a failing identity
     row or column reports (a, e) and ``checked`` = |G|.
@@ -419,6 +400,8 @@ def validate(
     if isinstance(sigma, FiniteMultiplier):
         g = sigma.group
         n, e = g.order, g.identity
+        if sigma.proven_by_construction():
+            return ValidationReport(True, n**3, "exhaustive")
         ex = sigma.exponents()
         a = _unit_failure(ex, e)
         if a is not None:
@@ -541,22 +524,6 @@ def coboundary_twist(sigma: FiniteMultiplier, beta: Sequence[RotationNumber]) ->
         for a in g.elements()
     ]
     return TableMultiplier(g, values)
-
-
-def random_coboundary(
-    group: FiniteGroup,
-    rng: random.Random,
-    denominators: Sequence[int] = (2, 3, 4, 5, 6, 8, 12),
-) -> list[RotationNumber]:
-    """A random beta: G -> T with rational values and beta(e) = 1."""
-    beta = []
-    for a in group.elements():
-        if a == group.identity:
-            beta.append(ZERO)
-        else:
-            q = rng.choice(denominators)
-            beta.append(RotationNumber(Fraction(rng.randrange(q), q)))
-    return beta
 
 
 # -- normalization ------------------------------------------------------------

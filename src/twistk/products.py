@@ -9,25 +9,15 @@ degeneracy on finite classes decides condition K for the product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, cyclic, direct_product
-from .multipliers import (
-    DomainMismatch,
-    Exponents,
-    FiniteMultiplier,
-    Tabulated,
-    compile_params,
-    dedupe,
-    one_frame,
-)
+from .groups import FiniteGroup, direct_product
+from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, Tabulated, dedupe, one_frame, validate
 from .regularity import is_regular_element
-from .torus import ZERO, RotationNumber
+from .torus import RotationNumber
 
 
 class InvalidBihomomorphism(ValueError):
@@ -89,40 +79,6 @@ class Bihomomorphism(Tabulated):
             raise InvalidBihomomorphism(f"not multiplicative in slot 2 at ({a1};{a2},{b2})")
 
 
-def trivial_bihom(g1: FiniteGroup, g2: FiniteGroup) -> Bihomomorphism:
-    return Bihomomorphism.from_distinct(g1, g2, compile_params([ZERO]), np.zeros((g1.order, g2.order), dtype=np.intp))
-
-
-def cyclic_bihom(n1: int, n2: int, numerator: int) -> Bihomomorphism:
-    """On Z_n1 x Z_n2: f(x, y) = numerator * x * y / gcd(n1, n2).
-
-    The gcd denominator is exactly what well-definedness mod both cyclic
-    orders allows, so every bihomomorphism of cyclic groups arises this
-    way; this is the convenience constructor for cyclic factors only.
-    """
-    g = math.gcd(n1, n2)
-    table = [
-        [RotationNumber(Fraction(numerator * x * y, g)) for y in range(n2)] for x in range(n1)
-    ]
-    return Bihomomorphism(cyclic(n1), cyclic(n2), table)
-
-
-def bihom_from_characters(
-    g1: FiniteGroup, chi1: Sequence[int], d1: int, g2: FiniteGroup, chi2: Sequence[int], d2: int
-) -> Bihomomorphism:
-    """f(a, b) = chi1(a) chi2(b) / lcm(d1, d2) from homomorphisms
-    chi_i: G_i -> Z_{d_i}, given as value tables."""
-    d = math.lcm(d1, d2)
-    table = [
-        [
-            RotationNumber(Fraction((chi1[a1] * (d // d1)) * (chi2[a2] * (d // d2)), d))
-            for a2 in g2.elements()
-        ]
-        for a1 in g1.elements()
-    ]
-    return Bihomomorphism(g1, g2, table)
-
-
 def _check_domains(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> None:
     if not (np.array_equal(f.g1.array, sigma1.group.array) and np.array_equal(f.g2.array, sigma2.group.array)):
         raise DomainMismatch("bihomomorphism groups do not match the factor multipliers")
@@ -140,6 +96,13 @@ class ProductMultiplier(FiniteMultiplier):
         self.group = direct_product(sigma1.group, sigma2.group)
         self._n2 = sigma2.group.order
 
+    def proven_by_construction(self) -> bool:
+        """Both factors pass ``validate``.  f is a bihomomorphism, proven when
+        it was made, so the term f(b1, a2) adds no cocycle defect and
+        vanishes on the identity row and column: the defect of sigma is
+        that of sigma1 plus that of sigma2, and both are 0."""
+        return bool(validate(self.sigma1)) and bool(validate(self.sigma2))
+
     def split(self, a: int) -> tuple[int, int]:
         return divmod(a, self._n2)
 
@@ -151,20 +114,6 @@ class ProductMultiplier(FiniteMultiplier):
         table = table.reshape(n, n, 1 + len(labels))
         table[..., 0] %= D
         return Exponents(D, labels, table)
-
-
-def assemble(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> ProductMultiplier:
-    return ProductMultiplier(sigma1, sigma2, f)
-
-
-def restriction(sigma: ProductMultiplier, factor: int) -> list[list[RotationNumber]]:
-    """The restriction of sigma to G_factor x {e} (resp. {e} x G_factor)."""
-    n2 = sigma._n2
-    if factor == 1:
-        g = sigma.sigma1.group
-        return [[sigma.value(a1 * n2, b1 * n2) for b1 in g.elements()] for a1 in g.elements()]
-    g = sigma.sigma2.group
-    return [[sigma.value(a2, b2) for b2 in g.elements()] for a2 in g.elements()]
 
 
 @dataclass

@@ -6,22 +6,138 @@ catalog is rebuilt identically in every run.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
+
+import numpy as np
 
 import twistk as tk
 from twistk.groups import FiniteGroup, cyclic, dihedral, direct_product, quaternion, symmetric
 from twistk.multipliers import (
     FiniteMultiplier,
     TableMultiplier,
-    bilinear_multiplier,
     coboundary_twist,
+    compile_params,
     normalize,
-    random_coboundary,
     trivial_multiplier,
 )
-from twistk.products import Bihomomorphism, ProductMultiplier, bihom_from_characters, cyclic_bihom, trivial_bihom
+from twistk.products import Bihomomorphism, ProductMultiplier
+from twistk.torus import ZERO, RotationNumber
+
+
+# -- builders of test multipliers -------------------------------------------
+
+
+def abelian_group(orders: Sequence[int]) -> FiniteGroup:
+    """Product of cyclic groups Z_orders[0] x Z_orders[1] x ..., row-major packing."""
+    g = cyclic(orders[0])
+    for n in orders[1:]:
+        g = direct_product(g, cyclic(n))
+    return g
+
+
+def bilinear_multiplier(orders: Sequence[int], bmatrix: Sequence[Sequence[Fraction]]) -> TableMultiplier:
+    """sigma(a, b) = sum_ij B[i][j] a_i b_j on a product of cyclic groups.
+
+    Any bilinear form is a 2-cocycle; well-definedness mod the cyclic
+    orders requires B[i][j] * orders[i] and B[i][j] * orders[j] integral,
+    i.e. B[i][j] a multiple of 1/gcd(orders[i], orders[j]).
+    """
+    k = len(orders)
+    for i in range(k):
+        for j in range(k):
+            c = Fraction(bmatrix[i][j])
+            g = math.gcd(orders[i], orders[j])
+            if (c * g).denominator != 1:
+                raise ValueError(f"B[{i}][{j}] = {c} is not a multiple of 1/gcd = 1/{g}")
+    group = abelian_group(orders)
+
+    def unpack(idx: int) -> list[int]:
+        coords = []
+        for n in reversed(orders):
+            idx, r = divmod(idx, n)
+            coords.append(r)
+        return coords[::-1]
+
+    coords = [unpack(a) for a in range(group.order)]
+    values = [
+        [
+            RotationNumber(sum(Fraction(bmatrix[i][j]) * ca[i] * cb[j] for i in range(k) for j in range(k)))
+            for cb in coords
+        ]
+        for ca in coords
+    ]
+    return TableMultiplier(group, values)
+
+
+def random_coboundary(
+    group: FiniteGroup,
+    rng: random.Random,
+    denominators: Sequence[int] = (2, 3, 4, 5, 6, 8, 12),
+) -> list[RotationNumber]:
+    """A random beta: G -> T with rational values and beta(e) = 1."""
+    beta = []
+    for a in group.elements():
+        if a == group.identity:
+            beta.append(ZERO)
+        else:
+            q = rng.choice(denominators)
+            beta.append(RotationNumber(Fraction(rng.randrange(q), q)))
+    return beta
+
+
+def trivial_bihom(g1: FiniteGroup, g2: FiniteGroup) -> Bihomomorphism:
+    return Bihomomorphism.from_distinct(g1, g2, compile_params([ZERO]), np.zeros((g1.order, g2.order), dtype=np.intp))
+
+
+def cyclic_bihom(n1: int, n2: int, numerator: int) -> Bihomomorphism:
+    """On Z_n1 x Z_n2: f(x, y) = numerator * x * y / gcd(n1, n2).
+
+    The gcd denominator is exactly what well-definedness mod both cyclic
+    orders allows, so every bihomomorphism of cyclic groups arises this
+    way; this is the convenience constructor for cyclic factors only.
+    """
+    g = math.gcd(n1, n2)
+    table = [
+        [RotationNumber(Fraction(numerator * x * y, g)) for y in range(n2)] for x in range(n1)
+    ]
+    return Bihomomorphism(cyclic(n1), cyclic(n2), table)
+
+
+def bihom_from_characters(
+    g1: FiniteGroup, chi1: Sequence[int], d1: int, g2: FiniteGroup, chi2: Sequence[int], d2: int
+) -> Bihomomorphism:
+    """f(a, b) = chi1(a) chi2(b) / lcm(d1, d2) from homomorphisms
+    chi_i: G_i -> Z_{d_i}, given as value tables."""
+    d = math.lcm(d1, d2)
+    table = [
+        [
+            RotationNumber(Fraction((chi1[a1] * (d // d1)) * (chi2[a2] * (d // d2)), d))
+            for a2 in g2.elements()
+        ]
+        for a1 in g1.elements()
+    ]
+    return Bihomomorphism(g1, g2, table)
+
+
+def assemble(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> ProductMultiplier:
+    return ProductMultiplier(sigma1, sigma2, f)
+
+
+def restriction(sigma: ProductMultiplier, factor: int) -> list[list[RotationNumber]]:
+    """The restriction of sigma to G_factor x {e} (resp. {e} x G_factor)."""
+    n2 = sigma._n2
+    if factor == 1:
+        g = sigma.sigma1.group
+        return [[sigma.value(a1 * n2, b1 * n2) for b1 in g.elements()] for a1 in g.elements()]
+    g = sigma.sigma2.group
+    return [[sigma.value(a2, b2) for b2 in g.elements()] for a2 in g.elements()]
+
+
+# -- catalogs ------------------------------------------------------------------
 
 
 def klein_catalog() -> list[tuple[str, FiniteMultiplier]]:

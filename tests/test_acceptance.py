@@ -15,7 +15,7 @@ from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, klein_catalog, product_triples, random_normalized_tables
+from catalog import assemble, finite_catalog, klein_catalog, product_triples, random_normalized_tables
 from reference import check_sigma_tilde, regularity_identity_check
 
 import twistk as tk
@@ -34,7 +34,7 @@ from twistk.lattices import (
     qtheta_dimension,
 )
 from twistk.multipliers import normalize, trivial_multiplier, validate
-from twistk.products import assemble, f_degeneracy, two_of_three
+from twistk.products import f_degeneracy, two_of_three
 from twistk.regularity import center_basis, condition_k, regular_classes
 from twistk.torus import ZERO, IrrationalBasis, rot
 

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, product_triples, small_groups
-from reference import compile_values, lambda_exact
+from catalog import finite_catalog, product_triples, random_coboundary, small_groups
+from reference import _light_validate_ref, compile_values, lambda_exact
 
 from twistk.algebra import _commutator_system, center_dimension_numeric
 from twistk.cli import main
@@ -46,7 +46,6 @@ from twistk.multipliers import (
     TableMultiplier,
     coboundary_twist,
     klein,
-    random_coboundary,
     require_multiplier,
     trivial_multiplier,
     validate,
@@ -79,28 +78,6 @@ def _validate_ref(sigma):
                 if s_ab + table[ab][c] != table[a][row_b[c]] + table[b][c]:
                     return False
     return True
-
-
-def _light_validate_ref(sigma):
-    """(ok, checked, witness, reason) of the generating-set proof: the identity
-    row and column, then the first (a, s, c) in the order a, s in the order
-    of ``generators()``, c, with the number of triples compared before it."""
-    g = sigma.group
-    n = g.order
-    e = g.identity
-    val = sigma.value
-    for a in range(n):
-        if not val(a, e).is_integral() or not val(e, a).is_integral():
-            return False, n, (a, e, None), "identity row/column"
-    mul, gens = g.table, g.generators()
-    checked = 0
-    for a in range(n):
-        for s in gens:
-            for c in range(n):
-                if val(a, s) + val(mul[a][s], c) != val(a, mul[s][c]) + val(s, c):
-                    return False, checked, (a, s, c), "cocycle identity"
-                checked += 1
-    return True, n**3, None, None
 
 
 def _conjugacy_classes_ref(g):

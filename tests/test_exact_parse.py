@@ -11,14 +11,14 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, random_normalized_tables, small_groups
+from catalog import cyclic_bihom, finite_catalog, random_normalized_tables, small_groups
 from reference import _rotations, classes_by_split, compile_values, regular_classes_loop
 
 from twistk.cli import main
 from twistk.groups import cyclic, direct_product, symmetric
 from twistk.io import decode_multiplier, encode_multiplier
 from twistk.multipliers import TableMultiplier, klein
-from twistk.products import ProductMultiplier, cyclic_bihom
+from twistk.products import ProductMultiplier
 from twistk.regularity import ClassInconsistency, regular_classes
 from twistk.torus import RotationNumber, _ratio, rot
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import product_triples
+from catalog import abelian_group, product_triples
 
 from twistk.groups import (
     FiniteGroup,
@@ -22,7 +22,7 @@ from twistk.groups import (
     trivial,
 )
 from twistk.io import decode_group
-from twistk.multipliers import abelian_group, klein
+from twistk.multipliers import klein
 from twistk.products import ProductMultiplier
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from catalog import bilinear_multiplier, random_coboundary
 
 import twistk as tk
 from twistk.groups import cyclic, direct_product, symmetric
@@ -11,12 +12,10 @@ from twistk.multipliers import (
     KleinMultiplier,
     SimilarityWitness,
     TableMultiplier,
-    bilinear_multiplier,
     coboundary_twist,
     is_similar,
     klein,
     normalize,
-    random_coboundary,
     trivial_multiplier,
     validate,
 )

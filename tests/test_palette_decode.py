@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, random_normalized_tables, small_groups
+from catalog import finite_catalog, random_coboundary, random_normalized_tables, small_groups, trivial_bihom
 from reference import _rotations, compile_values
 
 import twistk.cli
@@ -33,10 +33,9 @@ from twistk.multipliers import (
     coboundary_twist,
     klein,
     normalize,
-    random_coboundary,
     trivial_multiplier,
 )
-from twistk.products import ProductMultiplier, trivial_bihom
+from twistk.products import ProductMultiplier
 from twistk.torus import ZERO, rot
 
 

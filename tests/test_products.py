@@ -7,23 +7,27 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import _s3_sign_values, product_triples
+from catalog import (
+    _s3_sign_values,
+    assemble,
+    bihom_from_characters,
+    cyclic_bihom,
+    product_triples,
+    random_coboundary,
+    restriction,
+    trivial_bihom,
+)
 from reference import regularity_identity_check, two_of_three_loop
 
 import twistk as tk
 from twistk.groups import cyclic, dihedral, direct_product, symmetric
-from twistk.multipliers import TableMultiplier, coboundary_twist, random_coboundary, trivial_multiplier, validate
+from twistk.multipliers import TableMultiplier, coboundary_twist, trivial_multiplier, validate
 from twistk.products import (
     Bihomomorphism,
     DegeneracyReport,
-    bihom_from_characters,
     InvalidBihomomorphism,
     ProductMultiplier,
-    assemble,
-    cyclic_bihom,
     f_degeneracy,
-    restriction,
-    trivial_bihom,
     two_of_three,
 )
 from twistk.regularity import condition_k, is_regular_element
