@@ -51,7 +51,7 @@ from .multipliers import (
     validate,
 )
 from .products import Bihomomorphism, f_degeneracy, two_of_three
-from .regularity import center_basis, class_function, condition_k, is_regular_element, regular_classes
+from .regularity import center_basis, condition_k, is_regular_element, regular_classes
 from .torus import IrrationalBasis, RotationNumber, rot
 
 __version__ = "0.1.0"

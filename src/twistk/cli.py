@@ -24,6 +24,8 @@ Exit codes:
     factor's group);
   - "center routes disagree": the combinatorial and numeric center
     dimensions differ;
+  - "f-degeneracy routes disagree": f-degeneracy and condition K of the
+    product, equivalent by the product lemma, came out different;
   - "ill-conditioned": the numeric oracle found no clean spectral gap.
 - 2 on malformed input or an unsupported command/input combination.
 
@@ -167,6 +169,9 @@ def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     out = _report_base(args)
     out.update(report.to_json())
     out["condition_k"] = regular_classes(sigma).condition_k
+    if out["condition_k"] != report.nondegenerate:
+        out["error"] = "f-degeneracy routes disagree"
+        return 1, out
     return 0, out
 
 

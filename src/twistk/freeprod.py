@@ -366,14 +366,13 @@ class Decomposition:
 
 def _restriction_table(sigma: Multiplier, group: FiniteGroup, factor: int) -> TableMultiplier:
     """sigma on the one-letter words of one factor (1 at the identity) in
-    sigma's frame, slot 0 reduced mod D, one distinct entry per pair."""
+    sigma's frame, slot 0 reduced mod D."""
     ex, e, n = sigma.exponents(), group.identity, group.order
     zero = [0] * (1 + len(ex.labels))
     rows = [zero if e in (a, b) else sigma.vector(((factor, a),), ((factor, b),)) for a in range(n) for b in range(n)]
     rows = [[x[0] % ex.D, *x[1:]] for x in rows]
-    dtype = exact_dtype(max(ex.D, *(abs(x) for row in rows for x in row)))
-    distinct = Exponents(ex.D, ex.labels, np.array(rows, dtype=dtype))
-    return TableMultiplier.from_distinct(group, distinct, np.arange(n * n, dtype=np.intp).reshape(n, n))
+    table = np.array(rows, dtype=exact_dtype(max(ex.D, *(abs(x) for row in rows for x in row))))
+    return TableMultiplier.from_exponents(group, Exponents(ex.D, ex.labels, table.reshape(n, n, -1)))
 
 
 def decompose(

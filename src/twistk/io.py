@@ -10,10 +10,12 @@ A spec whose dense table or matrix would exceed MAX_ORDER on a side is
 refused before anything of that size is built.
 
 A finite input is decoded straight into arrays: a group table into one
-``intp`` array, and a ``values`` or ``f.table`` grid into its distinct
-entries, compiled to one integer row each (``compile_entries``), and the
-``intp`` index of each entry into them, from which the compiled exponent
-array is gathered.  A torus or g3 spec compiles its ``theta`` or ``mu``
+``intp`` array, and a ``values`` or ``f.table`` grid into the compiled
+exponent array that is all a table or bihomomorphism keeps.  Each
+distinct entry of the grid is parsed and compiled once, to one integer
+row (``compile_entries``), and the array is gathered from those rows;
+the distinct entries and the index into them live only inside
+``_palette``.  A torus or g3 spec compiles its ``theta`` or ``mu``
 entries the same way, one row per key.  No RotationNumber is made while
 any input is decoded.
 """
@@ -119,10 +121,10 @@ def _typed_key(v) -> object:
     return key
 
 
-def _palette(rows, shape: tuple[int, int]) -> tuple[Exponents, np.ndarray]:
-    """A ``values`` or ``f.table`` grid of the given shape as its distinct
-    entry contents, compiled (one row each), and the ``intp`` index of each
-    entry into them.
+def _palette(rows, shape: tuple[int, int]) -> Exponents:
+    """A ``values`` or ``f.table`` grid of the given shape compiled to an
+    (m, n, 1+k) array: its distinct entry contents are compiled, one row
+    each, and gathered by the ``intp`` index of each entry into them.
 
     When every "rat" is a string or an integer and every "irr" is empty,
     the "rat" alone keys an entry, found in C-level passes over the grid;
@@ -138,7 +140,8 @@ def _palette(rows, shape: tuple[int, int]) -> tuple[Exponents, np.ndarray]:
     distinct = dict(zip(keys, entries))
     slot = dict(zip(distinct, range(len(distinct))))
     index = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return compile_entries(list(map(parse_exponent, distinct.values()))), index.reshape(shape)
+    compiled = compile_entries(list(map(parse_exponent, distinct.values())))
+    return Exponents(compiled.D, compiled.labels, compiled.array[index.reshape(shape)])
 
 
 def _parameters(data, field: str, key: str, spelling: str) -> tuple[list[tuple[int, int]], Exponents]:
@@ -165,9 +168,8 @@ def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier
 def decode_multiplier(data) -> Multiplier:
     """Decode a multiplier spec; every malformed spec raises SchemaError.
 
-    A table or a bihomomorphism is decoded by ``_palette``: its distinct
-    entries are compiled to integer rows, and the compiled array is
-    gathered from them by the index."""
+    A table or a bihomomorphism is decoded by ``_palette`` to its compiled
+    array."""
     try:
         return _decode(data)
     except SchemaError:
@@ -186,14 +188,13 @@ def _decode(data) -> Multiplier:
         return trivial_multiplier(decode_group(_require(data, "group")))
     if kind == "table":
         group = decode_group(_require(data, "group"))
-        distinct, index = _palette(_require(data, "values"), (group.order, group.order))
-        return TableMultiplier.from_distinct(group, distinct, index)
+        return TableMultiplier.from_exponents(group, _palette(_require(data, "values"), (group.order, group.order)))
     if kind == "direct_product":
         sigma1, sigma2 = _finite_factors(data, kind)
         g1, g2 = sigma1.group, sigma2.group
         _check_order(g1.order * g2.order, "direct product order |G1|*|G2|")
-        distinct, index = _palette(_require(_require(data, "f"), "table"), (g1.order, g2.order))
-        return ProductMultiplier(sigma1, sigma2, Bihomomorphism.from_distinct(g1, g2, distinct, index))
+        f = _palette(_require(_require(data, "f"), "table"), (g1.order, g2.order))
+        return ProductMultiplier(sigma1, sigma2, Bihomomorphism.from_exponents(g1, g2, f))
     if kind == "torus":
         n = _integer(_require(data, "n"), "n")
         _check_order(n, "torus rank n")

@@ -27,12 +27,12 @@ a direct product is one when both of its factors are.  ``validate``
 scans only a multiplier that this does not prove.
 
 A finite family writes its closed form once, in ``_compile``; ``vector``
-and ``value`` read the compiled entry.  A table is kept as its distinct
-entries, compiled by ``compile_entries`` to a (P, 1+k) array, and the
-``intp`` index of each entry into them, which gathers the compiled
-table (``Tabulated``).  A decoded table is compiled from the integers
-``torus.parse_exponent`` reads; the distinct entries become
-RotationNumbers (``palette``) only when ``value`` first asks.
+and ``value`` read the compiled entry.  A table keeps nothing but this
+array: a grid of RotationNumbers is compiled when the table is made
+(``compile_grid``), a decoded one from the integers
+``torus.parse_exponent`` reads, and ``from_exponents`` takes an array
+as it is.  ``value`` is the one place a finite multiplier makes
+RotationNumbers: one per distinct compiled entry, when first asked for.
 
 An infinite family (torus, g3, free product) takes integer combinations
 of finitely many parameters: ``exponents()`` holds the P parameters,
@@ -174,44 +174,13 @@ def compile_params(values: Iterable[RotationNumber]) -> Exponents:
     ])
 
 
-def dedupe(rows: Sequence[Sequence[RotationNumber]]) -> tuple[Exponents, np.ndarray, list[RotationNumber]]:
-    """A dense table as its distinct entry objects compiled, the ``intp``
-    index of each entry into them, and the objects (the palette)."""
-    flat = [x for row in rows for x in row]
-    ids = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
-    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    palette = [flat[i] for i in first]
-    return compile_params(palette), index.reshape(len(rows), -1), palette
-
-
-class Tabulated:
-    """A table held as its P distinct entries, compiled to a (P, 1+k)
-    ``Exponents`` (``distinct``), and the ``intp`` ``index`` of each entry
-    into them.  ``palette``, the distinct entries as RotationNumbers, is
-    built from ``distinct`` on first use; a decoded table is decided
-    without it."""
-
-    distinct: Exponents
-    index: np.ndarray
-    _palette: list[RotationNumber] | None
-
-    def _tabulate(self, distinct: Exponents, index: np.ndarray, palette: list | None = None) -> Exponents:
-        """Keep the table; return it compiled, distinct.array gathered by the index."""
-        self.distinct, self.index, self._palette = distinct, index, palette
-        return Exponents(distinct.D, distinct.labels, distinct.array[index])
-
-    @property
-    def palette(self) -> list[RotationNumber]:
-        if self._palette is None:
-            self._palette = [self.distinct.rotation(x) for x in self.distinct.array.tolist()]
-        return self._palette
-
-    def value(self, a: int, b: int) -> RotationNumber:
-        return self.palette[self.index[a, b]]
-
-    def _grid(self) -> tuple[tuple[RotationNumber, ...], ...]:
-        """The table as rows of RotationNumbers (palette objects, shared)."""
-        return tuple(tuple(map(self.palette.__getitem__, row)) for row in self.index.tolist())
+def compile_grid(rows: Sequence[Sequence[RotationNumber]]) -> Exponents:
+    """An (m, n) grid of RotationNumbers as one (m, n, 1+k) array: its
+    distinct contents compiled by ``compile_params``, then gathered."""
+    slot: dict[RotationNumber, int] = {}
+    index = np.array([[slot.setdefault(x, len(slot)) for x in row] for row in rows], dtype=np.intp)
+    distinct = compile_params(slot)
+    return Exponents(distinct.D, distinct.labels, distinct.array[index.reshape(len(rows), -1)])
 
 
 @dataclass
@@ -259,6 +228,7 @@ class FiniteMultiplier(Multiplier):
 
     group: FiniteGroup
     _exponents: Exponents | None = None
+    _rotations: dict[tuple[int, ...], RotationNumber] | None = None
 
     def exponents(self) -> Exponents:
         """The compiled (|G|, |G|, 1+k) form, computed once per instance."""
@@ -274,6 +244,17 @@ class FiniteMultiplier(Multiplier):
         ``validate`` need not scan its table."""
         return False
 
+    def value(self, a: int, b: int) -> RotationNumber:
+        """sigma(a, b): one RotationNumber per distinct compiled entry, made
+        when first asked for and shared by every pair with that entry."""
+        x = tuple(self.exponents().array[a, b].tolist())
+        if self._rotations is None:
+            self._rotations = {}
+        v = self._rotations.get(x)
+        if v is None:
+            v = self._rotations[x] = self._exponents.rotation(x)
+        return v
+
     def vector(self, a: int, b: int) -> list[int]:
         return self.exponents().array[a, b].tolist()
 
@@ -287,8 +268,7 @@ class FiniteMultiplier(Multiplier):
         return self.group.identity
 
     def to_table(self) -> "TableMultiplier":
-        n = self.group.order
-        return TableMultiplier(self.group, [[self.value(a, b) for b in range(n)] for a in range(n)])
+        return TableMultiplier.from_exponents(self.group, self.exponents())
 
     def is_normalized(self) -> bool:
         """sigma(a, a^-1) = 1 for every a."""
@@ -296,33 +276,31 @@ class FiniteMultiplier(Multiplier):
         return bool(ex.is_zero(ex.array[np.arange(g.order), g.inverses]).all())
 
 
-class TableMultiplier(Tabulated, FiniteMultiplier):
-    """Dense |G| x |G| table, held as its distinct entries and the
-    (|G|, |G|) index into them (``Tabulated``); the compiled array is
-    gathered when the table is made."""
+class TableMultiplier(FiniteMultiplier):
+    """Dense |G| x |G| table, held only as its compiled array."""
 
     def __init__(self, group: FiniteGroup, values: Sequence[Sequence[RotationNumber]]):
         n = group.order
         if len(values) != n or any(len(row) != n for row in values):
             raise DomainMismatch("table shape does not match group order")
         self.group = group
-        self._exponents = self._tabulate(*dedupe(values))
+        self._exponents = compile_grid(values)
 
     @classmethod
-    def from_distinct(cls, group: FiniteGroup, distinct: Exponents, index: np.ndarray) -> "TableMultiplier":
-        """The table distinct.array[index]; ``index`` is (|G|, |G|) and intp."""
+    def from_exponents(cls, group: FiniteGroup, exponents: Exponents) -> "TableMultiplier":
+        """The table of a compiled (|G|, |G|, 1+k) array."""
         sigma = cls.__new__(cls)
-        sigma.group = group
-        sigma._exponents = sigma._tabulate(distinct, index)
+        sigma.group, sigma._exponents = group, exponents
         return sigma
 
     @property
     def values(self) -> tuple[tuple[RotationNumber, ...], ...]:
-        return self._grid()
+        n = self.group.order
+        return tuple(tuple(self.value(a, b) for b in range(n)) for a in range(n))
 
     def proven_by_construction(self) -> bool:
-        """Every distinct entry is 0: the trivial multiplier."""
-        return bool(self.distinct.is_zero(self.distinct.array).all())
+        """Every entry is 0: the trivial multiplier."""
+        return not self._exponents.array.any()
 
     def to_table(self) -> "TableMultiplier":
         return self
@@ -361,8 +339,8 @@ def klein(n: int, k: int) -> KleinMultiplier:
 
 
 def trivial_multiplier(group: FiniteGroup) -> TableMultiplier:
-    zeros = np.zeros((group.order, group.order), dtype=np.intp)
-    return TableMultiplier.from_distinct(group, compile_params([ZERO]), zeros)
+    zeros = np.zeros((group.order, group.order, 1), dtype=np.int64)
+    return TableMultiplier.from_exponents(group, Exponents(1, (), zeros))
 
 
 # -- validation --------------------------------------------------------------
@@ -519,11 +497,11 @@ def coboundary_twist(sigma: FiniteMultiplier, beta: Sequence[RotationNumber]) ->
         raise DomainMismatch("beta length != group order")
     if not (-beta[g.identity]).is_integral():
         raise ValueError("beta(e) must be 1")
-    values = [
-        [beta[a] + beta[b] - beta[g.mul(a, b)] + sigma.value(a, b) for b in g.elements()]
-        for a in g.elements()
-    ]
-    return TableMultiplier(g, values)
+    D, labels, (b, e) = one_frame((compile_params(beta), sigma.exponents()))
+    table = b[:, None] + b[None, :] - b[g.array] + e
+    table[..., 0] %= D
+    table = table.astype(exact_dtype(max(D, int(abs(table).max()))))
+    return TableMultiplier.from_exponents(g, Exponents(D, labels, table))
 
 
 # -- normalization ------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FiniteGroup, direct_product
-from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, Tabulated, dedupe, one_frame, validate
+from .multipliers import DomainMismatch, Exponents, FiniteMultiplier, compile_grid, one_frame, validate
 from .regularity import is_regular_element
 from .torus import RotationNumber
 
@@ -28,12 +28,12 @@ class LemmaViolation(RuntimeError):
     """The two-of-three regularity lemma failed: an implementation bug."""
 
 
-class Bihomomorphism(Tabulated):
+class Bihomomorphism:
     """f: G1 x G2 -> T, multiplicative in each variable separately.
 
-    Stored like a table multiplier (``Tabulated``): the distinct entries,
-    the (|G1|, |G2|) index into them and the compiled ``exponents`` (shape
-    (|G1|, |G2|, 1+k)) gathered by it.  Validated exhaustively on
+    Held only as its compiled ``exponents``, of shape (|G1|, |G2|, 1+k):
+    a grid of RotationNumbers is compiled when f is made, and ``value``
+    and ``table`` read the array back.  Validated exhaustively on
     construction: f(a1 b1, a2) = f(a1, a2) + f(b1, a2) and symmetrically,
     which forces f(e, .) = f(., e) = 0.
     """
@@ -41,28 +41,23 @@ class Bihomomorphism(Tabulated):
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup, table: Sequence[Sequence[RotationNumber]]):
         if len(table) != g1.order or any(len(row) != g2.order for row in table):
             raise InvalidBihomomorphism("table shape does not match |G1| x |G2|")
-        self._store(g1, g2, *dedupe(table))
+        self.g1, self.g2, self.exponents = g1, g2, compile_grid(table)
+        self._validate()
 
     @classmethod
-    def from_distinct(
-        cls, g1: FiniteGroup, g2: FiniteGroup, distinct: Exponents, index: np.ndarray
-    ) -> "Bihomomorphism":
-        """The table distinct.array[index]; ``index`` is (|G1|, |G2|) and intp."""
+    def from_exponents(cls, g1: FiniteGroup, g2: FiniteGroup, exponents: Exponents) -> "Bihomomorphism":
+        """The bihomomorphism of a compiled (|G1|, |G2|, 1+k) array."""
         f = cls.__new__(cls)
-        f._store(g1, g2, distinct, index)
+        f.g1, f.g2, f.exponents = g1, g2, exponents
+        f._validate()
         return f
 
-    def _store(
-        self, g1: FiniteGroup, g2: FiniteGroup, distinct: Exponents, index: np.ndarray, palette: list | None = None
-    ) -> None:
-        self.g1 = g1
-        self.g2 = g2
-        self.exponents = self._tabulate(distinct, index, palette)
-        self._validate()
+    def value(self, a1: int, a2: int) -> RotationNumber:
+        return self.exponents.rotation(self.exponents.array[a1, a2].tolist())
 
     @property
     def table(self) -> tuple[tuple[RotationNumber, ...], ...]:
-        return self._grid()
+        return tuple(tuple(map(self.exponents.rotation, row)) for row in self.exponents.array.tolist())
 
     def _validate(self) -> None:
         ex = self.exponents
@@ -164,17 +159,17 @@ def f_degeneracy(
     # every x commutes with itself, so each element starts one run of them
     admits = ~np.logical_and.reduceat(fails1, np.flatnonzero(np.diff(x1, prepend=-1)), axis=0)
     admits |= ~np.logical_and.reduceat(fails2, np.flatnonzero(np.diff(x2, prepend=-1)), axis=1)
-    classes = (g1.conjugacy_classes(), g2.conjugacy_classes())
-    members = [np.concatenate([c.members for c in cs]) for cs in classes]
-    starts = [np.cumsum([0] + [len(c) for c in cs[:-1]]) for cs in classes]
-    by_class = np.logical_or.reduceat(admits[members[0]], starts[0], axis=0)
-    by_class = np.logical_or.reduceat(by_class[:, members[1]], starts[1], axis=1)
-    trivial = [next(i for i, c in enumerate(cs) if c.members == (g.identity,)) for cs, g in zip(classes, (g1, g2))]
-    by_class[tuple(trivial)] = True
+    layouts = g1.class_layout(), g2.class_layout()
+    (order1, starts1), (order2, starts2) = layouts
+    by_class = np.logical_or.reduceat(admits[order1], starts1, axis=0)
+    by_class = np.logical_or.reduceat(by_class[:, order2], starts2, axis=1)
+    # the identity's class: the one whose representative (smallest member) is e
+    trivial = tuple(np.flatnonzero(order[starts] == g.identity)[0] for (order, starts), g in zip(layouts, (g1, g2)))
+    by_class[trivial] = True
     failing = np.flatnonzero(~by_class)
     if failing.size:
-        i, j = divmod(int(failing[0]), len(classes[1]))
-        c1, c2 = classes[0][i], classes[1][j]
+        i, j = divmod(int(failing[0]), len(starts2))
+        c1, c2 = g1.conjugacy_classes()[i], g2.conjugacy_classes()[j]
         return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
     return DegeneracyReport(True, None)
 

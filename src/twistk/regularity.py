@@ -1,11 +1,14 @@
 """Regular elements, regular conjugacy classes, condition K, and the
-explicit center of a finite twisted group algebra.
+explicit center of a finite twisted group algebra, all decided on the
+compiled table of the multiplier (``FiniteMultiplier.exponents``).
 
 An element a is regular for sigma when sigma(a, b) = sigma(b, a) for
 every b commuting with a; regularity is constant on conjugacy classes.
-For a finite group, condition K means no nontrivial class is regular,
-and the center of the twisted algebra has one basis element per regular
-class, built from the covariant class function.
+For a finite group, condition K means no nontrivial class is regular.
+The center of the twisted algebra has one basis element per regular
+class (``center_basis``), whose coefficients are the covariant class
+function, one difference of table entries per conjugator; they become
+RotationNumbers only in the basis returned.
 """
 
 from __future__ import annotations
@@ -17,16 +20,12 @@ import numpy as np
 from .algebra import AlgebraElement
 from .groups import ConjugacyClass
 from .multipliers import FiniteMultiplier
-from .torus import RotationNumber
 
 
 class ClassInconsistency(RuntimeError):
-    """Regularity differed inside one conjugacy class: the input is not a
-    valid multiplier (impossible for a true cocycle)."""
-
-
-class NotRegular(ValueError):
-    """The class function was requested for a class that is not regular."""
+    """Regularity differed inside one conjugacy class, or the conjugators of
+    a class flagged regular gave its class function two values: the input
+    is not a valid multiplier (impossible for a true cocycle)."""
 
 
 @dataclass
@@ -53,15 +52,6 @@ class RegularityReport:
                 for cls, flag in self.classes
             ],
         }
-
-
-@dataclass
-class ClassFunction:
-    """f on one regular class: unit phases with f(representative) = 1,
-    covariant under conjugation twisted by sigma."""
-
-    cls: ConjugacyClass
-    values: dict[int, RotationNumber]
 
 
 def regular_elements(sigma: FiniteMultiplier) -> np.ndarray:
@@ -106,44 +96,31 @@ def condition_k(sigma: FiniteMultiplier) -> bool:
     return regular_classes(sigma).condition_k
 
 
-def class_function(sigma: FiniteMultiplier, cls: ConjugacyClass) -> ClassFunction:
-    """f(a c a^-1) = sigma(a, c) conj(sigma(a c a^-1, a)) for the base point c.
-
-    The base point is the smallest element index of the class.  The value
-    at each member is computed from every conjugator a in G, and any
-    disagreement raises NotRegular: for a valid multiplier, agreement for
-    all conjugators is equivalent to regularity of the class, so this
-    doubles as an executable well-definedness proof.
-    """
-    g = sigma.group
-    base = min(cls.members)
-    values: dict[int, RotationNumber] = {}
-    for a in g.elements():
-        x = g.conj(a, base)
-        v = sigma.value(a, base) - sigma.value(x, a)
-        if x in values:
-            if values[x] != v:
-                raise NotRegular(
-                    f"conflicting values at {x}: {values[x]!r} vs {v!r} (class of "
-                    f"{cls.representative} is not regular)"
-                )
-        else:
-            values[x] = v
-    if set(values) != set(cls.members):
-        raise ClassInconsistency("conjugation orbit of the base point missed class members")
-    return ClassFunction(cls, values)
-
-
 def center_basis(sigma: FiniteMultiplier) -> list[AlgebraElement]:
-    """One element T_C = sum_{c in C} f(c) delta_c per regular class C.
+    """One element T_C = sum_{c in C} f(c) delta_c per regular class C, in
+    class order, read off the compiled table E.
 
-    The list is linearly independent (disjoint supports) and spans the
-    center; each T_C commutes exactly with every lambda(a).
+    With b the smallest member of C, each a in G reaches the member
+    x(a) = a b a^-1, where the exponent of f is E[a, b] - E[x(a), a] (so
+    f(b) = 1, and f is covariant under conjugation twisted by sigma).  The
+    conjugators that reach one member must agree; they do exactly when C
+    is regular, and a disagreement raises ClassInconsistency.  The list is
+    linearly independent (disjoint supports) and spans the center; each
+    T_C commutes exactly with every lambda(a).
     """
+    g, ex = sigma.group, sigma.exponents()
+    E, conjugators = ex.array, np.arange(g.order)
     basis = []
     for cls, flag in regular_classes(sigma).classes:
         if not flag:
             continue
-        f = class_function(sigma, cls)
-        basis.append(AlgebraElement(sigma.group, {c: f.values[c] for c in cls.members}))
+        b = cls.representative
+        x = g.array[g.array[:, b], g.inverses]
+        f = E[:, b] - E[x, conjugators]
+        members, first, reached = np.unique(x, return_index=True, return_inverse=True)
+        agree = ex.is_zero(f - f[first][reached])
+        if not agree.all():
+            member = x[np.flatnonzero(~agree)[0]]
+            raise ClassInconsistency(f"conjugators of {member} disagree: the class of {b} is not regular")
+        basis.append(AlgebraElement(g, dict(zip(members.tolist(), map(ex.rotation, f[first].tolist())))))
     return basis

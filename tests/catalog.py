@@ -17,10 +17,10 @@ import numpy as np
 import twistk as tk
 from twistk.groups import FiniteGroup, cyclic, dihedral, direct_product, quaternion, symmetric
 from twistk.multipliers import (
+    Exponents,
     FiniteMultiplier,
     TableMultiplier,
     coboundary_twist,
-    compile_params,
     normalize,
     trivial_multiplier,
 )
@@ -90,7 +90,7 @@ def random_coboundary(
 
 
 def trivial_bihom(g1: FiniteGroup, g2: FiniteGroup) -> Bihomomorphism:
-    return Bihomomorphism.from_distinct(g1, g2, compile_params([ZERO]), np.zeros((g1.order, g2.order), dtype=np.intp))
+    return Bihomomorphism.from_exponents(g1, g2, Exponents(1, (), np.zeros((g1.order, g2.order, 1), dtype=np.int64)))
 
 
 def cyclic_bihom(n1: int, n2: int, numerator: int) -> Bihomomorphism:

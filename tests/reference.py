@@ -23,6 +23,8 @@
   closure that marked each level of the search in a boolean mask.
 - ``_light_validate_ref``: the report of ``validate``'s generating-set
   proof, computed triple by triple on RotationNumbers.
+- ``class_function_ref``: the class function of one regular class, by the
+  per-conjugator RotationNumber loop that ``center_basis`` replaced.
 """
 
 from __future__ import annotations
@@ -375,3 +377,30 @@ def _light_validate_ref(sigma):
                     return False, checked, (a, s, c), "cocycle identity"
                 checked += 1
     return True, n**3, None, None
+
+
+def class_function_ref(sigma: FiniteMultiplier, cls: ConjugacyClass) -> dict[int, RotationNumber]:
+    """f(a c a^-1) = sigma(a, c) conj(sigma(a c a^-1, a)) for the base point c.
+
+    The base point is the smallest element index of the class.  The value
+    at each member is computed from every conjugator a in G, and any
+    disagreement raises ValueError: for a valid multiplier, agreement for
+    all conjugators is equivalent to regularity of the class.
+    """
+    g = sigma.group
+    base = min(cls.members)
+    values: dict[int, RotationNumber] = {}
+    for a in g.elements():
+        x = g.conj(a, base)
+        v = sigma.value(a, base) - sigma.value(x, a)
+        if x in values:
+            if values[x] != v:
+                raise ValueError(
+                    f"conflicting values at {x}: {values[x]!r} vs {v!r} (class of "
+                    f"{cls.representative} is not regular)"
+                )
+        else:
+            values[x] = v
+    if set(values) != set(cls.members):
+        raise ClassInconsistency("conjugation orbit of the base point missed class members")
+    return values

@@ -115,7 +115,6 @@ def _specs():
 
 def _same_grid(tabulated, grid, rows):
     ref = _rotations(rows)
-    assert [[tabulated.palette[i] for i in row] for row in tabulated.index.tolist()] == ref
     assert [[tabulated.value(a, b) for b in range(len(ref[0]))] for a in range(len(ref))] == ref
     assert [list(row) for row in grid] == ref
 

@@ -7,7 +7,9 @@ skipped; ``from __future__`` imports are directives, not names.  A use is
 a name or an attribute read outside the definition itself, in the
 package, the tests, the demos or the benchmark; an import alone is not a
 use, since ``__init__`` imports every public name.  A public definition
-that only the tests use is listed in ``TEST_ONLY``, which may only shrink.
+that only the tests use is listed in ``TEST_ONLY``, and a public method or
+property of a package class that only the tests read in
+``TEST_ONLY_METHODS``; both may only shrink.
 """
 
 import ast
@@ -102,3 +104,40 @@ def test_public_definitions_used_outside_tests():
     test_only = {name for name in _public_definitions() if name.split(": ")[1] not in used}
     assert sorted(test_only - TEST_ONLY) == [], "only tests use these: move them to tests/ or use them"
     assert sorted(TEST_ONLY - test_only) == [], "used outside the tests now, or gone: drop them from TEST_ONLY"
+
+
+# Public methods and properties of package classes that only the tests
+# read, as "module.py: Class.name".  Like TEST_ONLY, the set may only shrink.
+TEST_ONLY_METHODS = frozenset({
+    "algebra.py: PhaseSum.one",
+    "algebra.py: AlgebraElement.delta",
+    "algebra.py: AlgebraElement.support",
+    "algebra.py: AlgebraElement.to_vector",
+    "groups.py: FiniteGroup.is_abelian",
+    "groups.py: FiniteGroup.class_of",
+    "products.py: TwoOfThreeReport.truth_vector",
+})
+
+
+def _public_methods() -> list[str]:
+    """Every public method and property of a top-level class, as
+    "module.py: Class.name"."""
+    return [
+        f"{path.name}: {stmt.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, ast.ClassDef)
+        for node in stmt.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def test_public_methods_used_outside_tests():
+    """A method counts as used when its name is read as a name or an
+    attribute anywhere in the package, the demos or the benchmark.  The
+    check is by name alone, so a method that shares its name with another
+    (``inverse``, ``value``) counts as used wherever that name is read."""
+    used = _used_in("src", "demos", "bench")
+    test_only = {name for name in _public_methods() if name.rsplit(".", 1)[1] not in used}
+    assert sorted(test_only - TEST_ONLY_METHODS) == [], "only tests read these: move them to tests/ or use them"
+    assert sorted(TEST_ONLY_METHODS - test_only) == [], "read outside the tests now, or gone: drop them"

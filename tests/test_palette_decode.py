@@ -23,6 +23,7 @@ from catalog import finite_catalog, random_coboundary, random_normalized_tables,
 from reference import _rotations, compile_values
 
 import twistk.cli
+import twistk.io
 from twistk.cli import _same_values, main
 from twistk.freeprod import free_product_multiplier
 from twistk.groups import FiniteGroup, GroupTableError, cyclic, direct_product, symmetric
@@ -140,18 +141,28 @@ def test_respelled_tables_decode_like_the_reference():
             _check_decode(_respell(spec, rng), i)
 
 
-def test_palette_is_one_entry_per_distinct_content():
+def _parsed(monkeypatch):
+    """The entries ``io`` passes to ``parse_exponent`` from now on."""
+    parsed = []
+    parse = twistk.io.parse_exponent
+    monkeypatch.setattr(twistk.io, "parse_exponent", lambda entry: parsed.append(entry) or parse(entry))
+    return parsed
+
+
+def test_palette_is_one_entry_per_distinct_content(monkeypatch):
     spec = _table_spec(klein(16, 1))
+    parsed = _parsed(monkeypatch)
     sigma = decode_multiplier(spec)
-    assert len(sigma.palette) == 16 and sigma.index.dtype == np.intp and sigma.index.shape == (256, 256)
+    assert len(parsed) == 16
     assert sigma.exponents().array.shape == (256, 256, 1)
 
 
-def test_integer_and_string_rat_do_not_share_a_palette_entry():
+def test_integer_and_string_rat_do_not_share_a_palette_entry(monkeypatch):
     values = [[{"rat": 0}, {"rat": "0"}], [{"rat": "0", "irr": {}}, {"rat": 1, "irr": {}}]]
+    parsed = _parsed(monkeypatch)
     sigma = decode_multiplier({"type": "table", "group": cyclic(2).to_json(), "values": values})
     # keys 0, "0" and 1: three palette entries, all the value 1
-    assert len(sigma.palette) == 3 and all(sigma.value(a, b) == ZERO for a in range(2) for b in range(2))
+    assert len(parsed) == 3 and all(sigma.value(a, b) == ZERO for a in range(2) for b in range(2))
 
 
 @pytest.mark.parametrize("bad", [{"rat": 1.0}, {"rat": True}, {"rat": 1, "irr": {"t": 1.0}}, {"rat": 1, "irr": None}])
@@ -183,7 +194,6 @@ def test_trivial_multiplier_is_an_array_of_zeros():
     sigma = trivial_multiplier(g)
     ex = sigma.exponents()
     assert (ex.D, ex.labels, ex.array.shape) == (1, (), (6, 6, 1)) and not ex.array.any()
-    assert sigma.palette == [ZERO] and not sigma.index.any()
     assert sigma.values == tuple((ZERO,) * 6 for _ in range(6))
 
 

@@ -1,4 +1,3 @@
-import random
 import sys
 from pathlib import Path
 
@@ -13,14 +12,12 @@ from twistk.groups import cyclic, symmetric
 from twistk.multipliers import TableMultiplier, klein, trivial_multiplier
 from twistk.regularity import (
     ClassInconsistency,
-    NotRegular,
     center_basis,
-    class_function,
     condition_k,
     is_regular_element,
     regular_classes,
 )
-from twistk.torus import ZERO, rot
+from twistk.torus import rot
 
 
 def test_identity_always_regular():
@@ -73,43 +70,6 @@ def test_report_json():
     assert data["condition_k"] is True
     assert {c["rep"] for c in data["classes"] if c["regular"]} == {0}
     assert all(c["size"] == 1 for c in data["classes"])
-
-
-def test_class_function_identity_class():
-    s = klein(4, 2)
-    cls = s.group.class_of(s.group.identity)
-    f = class_function(s, cls)
-    assert f.values == {s.group.identity: ZERO}
-
-
-def test_class_function_abelian_singleton():
-    s = klein(4, 2)
-    cls = s.group.class_of(2 * 4 + 0)  # the element (2, 0), regular
-    f = class_function(s, cls)
-    assert f.values == {2 * 4 + 0: ZERO}
-
-
-def test_class_function_covariance_nonabelian():
-    rng = random.Random(0)
-    s = trivial_multiplier(symmetric(3))
-    for cls in s.group.conjugacy_classes():
-        f = class_function(s, cls)
-        base = min(cls.members)
-        assert f.values[base].is_integral()
-        g = s.group
-        for a in g.elements():
-            for c in cls.members:
-                x = g.conj(a, c)
-                lhs = f.values[x]
-                rhs = s.value(a, c) - s.value(x, a) + f.values[c]
-                assert lhs == rhs
-
-
-def test_class_function_not_regular_raises():
-    s = klein(2, 1)
-    cls = s.group.class_of(0 * 2 + 1)  # (0, 1) is not regular for k = 1
-    with pytest.raises(NotRegular):
-        class_function(s, cls)
 
 
 def test_center_basis_matrix_algebra_case():
