@@ -36,7 +36,6 @@ from .freeprod import (
     FreeProductMultiplier,
     decompose,
     free_product_multiplier,
-    reduce_pair,
     rewrite_to_X,
 )
 from .multipliers import (

@@ -10,19 +10,22 @@ rewritten over that alphabet by a coset-tracking scan with transversal
 {g1 g2}, and the multiply-back oracle for the rewriting is a hard
 correctness contract, exercised by the test suite on every path.
 
-The free product multiplier's values are sums of factor table entries:
-tau, beta and the value are integer vector sums over the two compiled
-factor tables (beta memoized per word), and ``tau``, ``beta`` and
-``value`` return the RotationNumber of the vector.  ``decompose`` reads
-a multiplier on G1 * G2 through ``vector`` and checks its decomposition
-on integer vectors in that multiplier's own frame.
+Words are read straight off the factor tables (``FreeProduct``).  The
+multiplier's tau, beta and value are integer vector sums of factor table
+entries; ``tau``, ``beta`` and ``value`` return the RotationNumber of the
+vector.  tau is the shared zero at once when the boundary letters lie in
+different factors, beta on a word of fewer than 4 letters (``_beta``),
+and memoized per word above that; ``vector`` is tau when all three betas
+are that zero.  ``decompose`` checks a multiplier on G1 * G2 through its
+``vector``, in that multiplier's own frame, with the prefix telescope
+memoized per word within one check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .multipliers import (
     NotNormalized,
     SimilarityWitness,
     TableMultiplier,
+    draw,
     exact_dtype,
     one_frame,
 )
@@ -44,7 +48,7 @@ FPWord = tuple[Letter, ...]
 Generator = tuple[int, int]       # ([a, b]) as (a index in G1, b index in G2)
 XWord = tuple[tuple[Generator, int], ...]
 
-# Words whose beta one FreeProductMultiplier keeps; its memo is emptied when full.
+# Words one beta or prefix-telescope memo keeps; a memo is emptied when full.
 BETA_MEMO = 1 << 16
 
 
@@ -61,15 +65,20 @@ class SimilarityFailure(RuntimeError):
 
 
 class FreeProduct:
-    """Word arithmetic in G1 * G2 for two finite table groups."""
+    """Word arithmetic in G1 * G2 for two finite table groups, read off the
+    factor tables ``_mul[i]`` (``g_i.table``), their identities, the dict
+    ``_inverse`` of inverse letters and the letters ``_letters[i]`` of each
+    factor, in element order, that ``random_word`` draws from."""
 
     identity: FPWord = ()
 
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup):
         self.g1 = g1
         self.g2 = g2
-        # _letters[i]: the non-identity elements of factor i, in element order
-        self._letters = (None, *(tuple(a for a in g.elements() if a != g.identity) for g in (g1, g2)))
+        self._mul = (None, g1.table, g2.table)
+        self._identity = (None, g1.identity, g2.identity)
+        self._letters = (None, *(tuple((i, a) for a in g.elements() if a != g.identity) for i, g in ((1, g1), (2, g2))))
+        self._inverse = {letter: self.inverse_letter(letter) for letter in self._letters[1] + self._letters[2]}
 
     def factor(self, i: int) -> FiniteGroup:
         return self.g1 if i == 1 else self.g2
@@ -97,13 +106,12 @@ class FreeProduct:
         """Reduce an arbitrary letter sequence (merging and cancelling)."""
         stack: list[Letter] = []
         for factor, elem in letters:
-            g = self.factor(factor)
-            if elem == g.identity:
+            e = self._identity[factor]
+            if elem == e:
                 continue
             if stack and stack[-1][0] == factor:
-                merged = g.mul(stack[-1][1], elem)
-                stack.pop()
-                if merged != g.identity:
+                merged = self._mul[factor][stack.pop()[1]][elem]
+                if merged != e:
                     stack.append((factor, merged))
             else:
                 stack.append((factor, elem))
@@ -116,36 +124,31 @@ class FreeProduct:
     def multiply(self, x: FPWord, y: FPWord) -> FPWord:
         """Reduced product: cancel inverse boundary letters, merge same-factor
         boundary letters, recurse inward."""
-        x = list(x)
-        j = 0
-        while x and j < len(y):
-            factor, elem = x[-1]
+        i, j, n = len(x), 0, len(y)
+        while i and j < n:
+            factor, elem = x[i - 1]
             yf, ye = y[j]
             if factor != yf:
                 break
-            g = self.factor(factor)
-            merged = g.mul(elem, ye)
-            if merged == g.identity:
-                x.pop()
-                j += 1
-            else:
-                x[-1] = (factor, merged)
-                j += 1
-                break
-        return tuple(x) + tuple(y[j:])
+            merged = self._mul[factor][elem][ye]
+            i, j = i - 1, j + 1
+            if merged != self._identity[factor]:
+                return x[:i] + ((factor, merged),) + y[j:]
+        return x[:i] + y[j:]
 
     def inverse(self, x: FPWord) -> FPWord:
-        return tuple(self.inverse_letter(l) for l in reversed(x))
+        inverse = self._inverse
+        return tuple([inverse[letter] for letter in reversed(x)])
 
     def factor_images(self, x: FPWord) -> tuple[int, int]:
         """The images of x under the projection G1 * G2 -> G1 x G2."""
-        p1 = self.g1.identity
-        p2 = self.g2.identity
+        _, t1, t2 = self._mul
+        _, p1, p2 = self._identity
         for factor, elem in x:
             if factor == 1:
-                p1 = self.g1.mul(p1, elem)
+                p1 = t1[p1][elem]
             else:
-                p2 = self.g2.mul(p2, elem)
+                p2 = t2[p2][elem]
         return p1, p2
 
     def in_kernel(self, x: FPWord) -> bool:
@@ -155,52 +158,32 @@ class FreeProduct:
     # -- random words ------------------------------------------------------
 
     def random_word(self, rng: random.Random, max_len: int) -> FPWord:
-        length = rng.randint(0, max_len)
+        """Draws (``multipliers.draw``) as ``rng.randint(0, max_len)`` for the
+        length, ``rng.choice((1, 2))`` for the first factor, then a letter of
+        each factor in turn; a trivial factor has none, so ``word`` merges."""
+        length = draw(rng, 0, max_len)
         if length == 0:
             return ()
-        factor = rng.choice((1, 2))
+        factor = 1 + draw(rng, 0, 1)
         letters = []
         for _ in range(length):
             choices = self._letters[factor]
             if choices:
-                letters.append((factor, rng.choice(choices)))
+                letters.append(choices[draw(rng, 0, len(choices) - 1)])
             factor = 3 - factor
-        return tuple(letters)
+        if self._letters[1] and self._letters[2]:
+            return tuple(letters)
+        return self.word(letters)
 
     def random_kernel_word(self, rng: random.Random, max_len: int) -> FPWord:
         w = self.random_word(rng, max(0, max_len - 2))
         p1, p2 = self.factor_images(w)
-        tail: list[Letter] = []
-        if p1 != self.g1.identity:
-            tail.append((1, self.g1.inv(p1)))
-        if p2 != self.g2.identity:
-            tail.append((2, self.g2.inv(p2)))
-        return self.multiply(w, self.word(tail))
-
-
-def reduce_pair(fp: FreeProduct, x: FPWord, y: FPWord) -> tuple[FPWord, FPWord]:
-    """Cancel the longest run of exactly-inverse boundary letters.
-
-    Whole letters only: the returned pair (x_w, y_w) satisfies
-    x_w y_w = x y and its boundary letters are not exact inverses (they
-    may still merge, which is tau's same-factor case).  A reduced pair is
-    returned unchanged.
-    """
-    k = 0
-    limit = min(len(x), len(y))
-    while k < limit and x[len(x) - 1 - k] == fp.inverse_letter(y[k]):
-        k += 1
-    return x[: len(x) - k], y[k:]
+        return self.multiply(w, self.word([(1, self.g1.inv(p1)), (2, self.g2.inv(p2))]))
 
 
 def commutator_word(fp: FreeProduct, a: int, b: int) -> FPWord:
     """[a, b] = a b a^-1 b^-1 as a reduced word."""
-    return (
-        (1, a),
-        (2, b),
-        (1, fp.g1.inv(a)),
-        (2, fp.g2.inv(b)),
-    )
+    return (1, a), (2, b), (1, fp.g1.inv(a)), (2, fp.g2.inv(b))
 
 
 def expand_syllable(fp: FreeProduct, gen: Generator, power: int) -> FPWord:
@@ -222,8 +205,8 @@ def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
     p1, p2 = fp.factor_images(x)
     if p1 != fp.g1.identity or p2 != fp.g2.identity:
         raise NotInKernel(f"factor images ({p1}, {p2}) != identity")
-    e1 = fp.g1.identity
-    e2 = fp.g2.identity
+    _, t1, t2 = fp._mul
+    _, e1, e2 = fp._identity
     c1, c2 = e1, e2
     syllables: list[list] = []  # [generator, power], merged on the fly
 
@@ -239,12 +222,12 @@ def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
         if factor == 1:
             if c1 != e1 and c2 != e2:
                 emit((c1, c2), 1)
-            c1g = fp.g1.mul(c1, elem)
+            c1g = t1[c1][elem]
             if c1g != e1 and c2 != e2:
                 emit((c1g, c2), -1)
             c1 = c1g
         else:
-            c2 = fp.g2.mul(c2, elem)
+            c2 = t2[c2][elem]
     if (c1, c2) != (e1, e2):
         raise NotInKernel("scan did not return to the identity coset")
     return tuple((gen, power) for gen, power in syllables)
@@ -290,17 +273,28 @@ class FreeProductMultiplier(Multiplier):
     # -- the pieces -------------------------------------------------------
 
     def _tau(self, x: FPWord, y: FPWord) -> Sequence[int]:
-        xw, yw = reduce_pair(self.fp, x, y)
-        if not xw or not yw:
+        """The factor value where x and y meet once the run of inverse boundary
+        letters cancels; zero across factors or if a side runs out."""
+        if not x or not y or x[-1][0] != y[0][0]:
             return self._zero
-        rf, relem = xw[-1]
-        sf, selem = yw[0]
+        inverse = self.fp._inverse
+        i, j = len(x) - 1, 0
+        while x[i] == inverse[y[j]]:
+            i, j = i - 1, j + 1
+            if i < 0 or j == len(y):
+                return self._zero
+        (rf, relem), (sf, selem) = x[i], y[j]
         if rf != sf:
             return self._zero
         return self._tables[rf][relem][selem]
 
     def _beta(self, x: FPWord) -> Sequence[int]:
-        """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when full."""
+        """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when
+        full.  A reduced word of 1 to 3 alternating letters has one factor's
+        letter once, its non-identity image there, so it lies off the
+        commutator subgroup; it and the empty word get the shared zero."""
+        if len(x) < 4:
+            return self._zero
         memo = self._beta_memo
         value = memo.get(x)
         if value is None:
@@ -319,8 +313,12 @@ class FreeProductMultiplier(Multiplier):
         return tuple(sum(slot) for slot in zip(*(self._tau(left, right) for left, right in zip(words, words[1:]))))
 
     def vector(self, x: FPWord, y: FPWord) -> list[int]:
-        xy = self.fp.multiply(x, y)
-        return [p + q - r + s for p, q, r, s in zip(self._beta(x), self._beta(y), self._beta(xy), self._tau(x, y))]
+        beta, zero = self._beta, self._zero
+        bx, by, bxy = beta(x), beta(y), beta(self.fp.multiply(x, y))
+        tau = self._tau(x, y)
+        if bx is zero and by is zero and bxy is zero:
+            return list(tau)
+        return [p + q - r + s for p, q, r, s in zip(bx, by, bxy, tau)]
 
     def tau(self, x: FPWord, y: FPWord) -> RotationNumber:
         """sigma_i at the boundary letters of the reduced pair, 1 across
@@ -375,6 +373,26 @@ def _restriction_table(sigma: Multiplier, group: FiniteGroup, factor: int) -> Ta
     return TableMultiplier.from_exponents(group, Exponents(ex.D, ex.labels, table.reshape(n, n, -1)))
 
 
+def _telescope(vector: Callable, zero: list[int]) -> Callable[[FPWord], list[int]]:
+    """b0(x) = b0(x[:-1]) + sigma(x[:-1], x[-1:]), 0 on words of at most one
+    letter, with a memo of its own per prefix (at most BETA_MEMO words);
+    integer sums are exact, so the memo changes no value."""
+    memo: dict[FPWord, list[int]] = {}
+
+    def b0(x: FPWord) -> list[int]:
+        k = len(x)
+        while k > 1 and x[:k] not in memo:
+            k -= 1
+        total = memo[x[:k]] if k > 1 else zero
+        for k in range(max(k, 1), len(x)):
+            if len(memo) >= BETA_MEMO:
+                memo.clear()
+            total = memo[x[: k + 1]] = [t + v for t, v in zip(total, vector(x[:k], x[k : k + 1]))]
+        return total
+
+    return b0
+
+
 def decompose(
     sigma: Multiplier,
     g1: FiniteGroup,
@@ -386,11 +404,12 @@ def decompose(
     """Recover (sigma1, sigma2, beta) from a normalized multiplier on G1 * G2.
 
     sigma1 and sigma2 are the restrictions to the factors.  The prefix
-    telescope b0(x) = sigma(x1,x2) + sigma(x1 x2, x3) + ... twists sigma
-    exactly onto the boundary cocycle tau of the restrictions (products
-    of letter operators form a tau-projective family once sigma is
-    normalized), so the full witness to the reconstructed free product
-    composes it with that product's commutator-subgroup function:
+    telescope b0(x) = sigma(x1,x2) + sigma(x1 x2, x3) + ... (``_telescope``;
+    the check and the witness memoize it apart) twists sigma exactly onto
+    the boundary cocycle tau of the restrictions (products of letter
+    operators form a tau-projective family once sigma is normalized), so
+    the full witness to the reconstructed free product composes it with
+    that product's commutator-subgroup function:
 
         beta = b0 + beta_candidate,
         (sigma1 * sigma2)(x, y) = beta(x) + beta(y) - beta(xy) + sigma(x, y).
@@ -411,25 +430,18 @@ def decompose(
     fp = candidate.fp
     vector = sigma.vector
     zero = [0] * (1 + len(ex.labels))
-
-    def prefix_telescope(x: FPWord) -> Sequence[int]:
-        total = zero
-        prefix = x[:1]
-        for letter in x[1:]:
-            total = [t + v for t, v in zip(total, vector(prefix, (letter,)))]
-            prefix += (letter,)
-        return total
+    witness_b0 = _telescope(vector, zero)
 
     def beta_fn(x: FPWord) -> RotationNumber:
-        return ex.rotation([p + q for p, q in zip(prefix_telescope(x), candidate._beta(x))])
+        return ex.rotation([p + q for p, q in zip(witness_b0(x), candidate._beta(x))])
 
+    b0 = _telescope(vector, zero)
     checked = 0
     for _ in range(pairs):
         x = fp.random_word(rng, max_len)
         y = fp.random_word(rng, max_len)
         xy = fp.multiply(x, y)
-        b0 = map(prefix_telescope, (x, y, xy))
-        twisted = [p + q - r + s for p, q, r, s in zip(*b0, vector(x, y))]
+        twisted = [p + q - r + s for p, q, r, s in zip(b0(x), b0(y), b0(xy), vector(x, y))]
         if not ex.vanishes([p - q for p, q in zip(twisted, candidate._tau(x, y))]):
             raise SimilarityFailure((x, y))
         checked += 1

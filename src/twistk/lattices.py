@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .intlinalg import clear_denominators, integer_kernel, rational_rank
-from .multipliers import Exponents, Multiplier, compile_params
+from .multipliers import Exponents, Multiplier, compile_params, draw
 from .torus import IrrationalBasis, RotationNumber
 
 Vector = tuple[int, ...]
@@ -228,7 +228,7 @@ class LatticeMultiplier(Multiplier):
         return (0,) * self.n
 
     def random_element(self, rng: random.Random, box: int):
-        return tuple(rng.randint(-box, box) for _ in range(self.n))
+        return tuple([draw(rng, -box, box) for _ in range(self.n)])
 
 
 # -- the rank-3 free nilpotent group of class 2 --------------------------------
@@ -403,4 +403,4 @@ class G3Multiplier(Multiplier):
         return G3_IDENTITY
 
     def random_element(self, rng: random.Random, box: int):
-        return tuple(rng.randint(-box, box) for _ in range(6))
+        return tuple([draw(rng, -box, box) for _ in range(6)])

@@ -25,6 +25,10 @@
   proof, computed triple by triple on RotationNumbers.
 - ``class_function_ref``: the class function of one regular class, by the
   per-conjugator RotationNumber loop that ``center_basis`` replaced.
+- The free-product word arithmetic that calls the factor groups per
+  letter: ``multiply_ref``, ``factor_images_ref``, ``reduce_pair`` with
+  ``tau_ref``, ``beta_ref`` and ``vector_ref`` (no memo, no shortcut),
+  and the unmemoized ``prefix_telescope_ref`` of ``decompose``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from twistk.freeprod import FPWord, FreeProduct, FreeProductMultiplier, expand_syllable, rewrite_to_X
 from twistk.groups import ConjugacyClass, FiniteGroup
 from twistk.multipliers import Exponents, FiniteMultiplier, exact_dtype
 from twistk.products import ProductMultiplier
@@ -404,3 +409,95 @@ def class_function_ref(sigma: FiniteMultiplier, cls: ConjugacyClass) -> dict[int
     if set(values) != set(cls.members):
         raise ClassInconsistency("conjugation orbit of the base point missed class members")
     return values
+
+
+def multiply_ref(fp: FreeProduct, x: FPWord, y: FPWord) -> FPWord:
+    """Reduced product: cancel inverse boundary letters, merge same-factor
+    boundary letters, recurse inward."""
+    x = list(x)
+    j = 0
+    while x and j < len(y):
+        factor, elem = x[-1]
+        yf, ye = y[j]
+        if factor != yf:
+            break
+        g = fp.factor(factor)
+        merged = g.mul(elem, ye)
+        if merged == g.identity:
+            x.pop()
+            j += 1
+        else:
+            x[-1] = (factor, merged)
+            j += 1
+            break
+    return tuple(x) + tuple(y[j:])
+
+
+def factor_images_ref(fp: FreeProduct, x: FPWord) -> tuple[int, int]:
+    """The images of x under the projection G1 * G2 -> G1 x G2."""
+    p1 = fp.g1.identity
+    p2 = fp.g2.identity
+    for factor, elem in x:
+        if factor == 1:
+            p1 = fp.g1.mul(p1, elem)
+        else:
+            p2 = fp.g2.mul(p2, elem)
+    return p1, p2
+
+
+def reduce_pair(fp: FreeProduct, x: FPWord, y: FPWord) -> tuple[FPWord, FPWord]:
+    """Cancel the longest run of exactly-inverse boundary letters.
+
+    Whole letters only: the returned pair (x_w, y_w) satisfies
+    x_w y_w = x y and its boundary letters are not exact inverses (they
+    may still merge, which is tau's same-factor case).  A reduced pair is
+    returned unchanged.
+    """
+    k = 0
+    limit = min(len(x), len(y))
+    while k < limit and x[len(x) - 1 - k] == fp.inverse_letter(y[k]):
+        k += 1
+    return x[: len(x) - k], y[k:]
+
+
+def tau_ref(sigma: FreeProductMultiplier, x: FPWord, y: FPWord) -> Sequence[int]:
+    """The vector of tau(x, y): the factor value at the boundary letters of
+    the reduced pair, 0 across factors or against the identity."""
+    xw, yw = reduce_pair(sigma.fp, x, y)
+    zero = (0,) * (1 + len(sigma.exponents().labels))
+    if not xw or not yw:
+        return zero
+    rf, relem = xw[-1]
+    sf, selem = yw[0]
+    if rf != sf:
+        return zero
+    return sigma._tables[rf][relem][selem]
+
+
+def beta_ref(sigma: FreeProductMultiplier, x: FPWord) -> Sequence[int]:
+    """The vector of beta(x), with no memo and no length shortcut."""
+    fp = sigma.fp
+    zero = (0,) * (1 + len(sigma.exponents().labels))
+    if factor_images_ref(fp, x) != (fp.g1.identity, fp.g2.identity):
+        return zero
+    xw = rewrite_to_X(fp, x)
+    if len(xw) <= 1:
+        return zero
+    words = [expand_syllable(fp, gen, power) for gen, power in xw]
+    return tuple(sum(slot) for slot in zip(*(tau_ref(sigma, left, right) for left, right in zip(words, words[1:]))))
+
+
+def vector_ref(sigma: FreeProductMultiplier, x: FPWord, y: FPWord) -> list[int]:
+    xy = multiply_ref(sigma.fp, x, y)
+    b = [beta_ref(sigma, w) for w in (x, y, xy)]
+    return [p + q - r + s for p, q, r, s in zip(*b, tau_ref(sigma, x, y))]
+
+
+def prefix_telescope_ref(vector, zero: list[int], x: FPWord) -> list[int]:
+    """b0(x) = sigma(x1,x2) + sigma(x1 x2, x3) + ..., one call per letter."""
+    total = zero
+    prefix = x[:1]
+    for letter in x[1:]:
+        total = [t + v for t, v in zip(total, vector(prefix, (letter,)))]
+        prefix += (letter,)
+    return total

@@ -22,11 +22,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import random_normalized_tables
-from reference import mu_params, theta_entries
+from reference import mu_params, reduce_pair, theta_entries
 
 import twistk.cli
 from twistk.cli import main
-from twistk.freeprod import FreeProductMultiplier, expand_syllable, reduce_pair, rewrite_to_X
+from twistk.freeprod import FreeProductMultiplier, expand_syllable, rewrite_to_X
 from twistk.groups import cyclic
 from twistk.intlinalg import clear_denominators, integer_kernel
 from twistk.io import encode_multiplier, encode_witness_element
