@@ -15,7 +15,7 @@ from .algebra import (
     involution,
     trace,
 )
-from .groups import FiniteGroup, build, cyclic, dihedral, direct_product, quaternion, symmetric
+from .groups import FiniteGroup, build, cyclic, dihedral, direct_product, symmetric
 from .lattices import (
     G3Multiplier,
     LatticeMultiplier,

@@ -141,7 +141,7 @@ def _run_center(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         raise JobError("center requires a finite multiplier")
     require_multiplier(sigma)
     report = regular_classes(sigma)
-    combinatorial = sum(1 for _, flag in report.classes if flag)
+    combinatorial = int(report.flags.sum())
     numeric = center_dimension_numeric(sigma, tol=float(args.tol))
     out = _report_base(args)
     out.update({"combinatorial": combinatorial, "numeric": numeric})

@@ -15,7 +15,10 @@ on the generating set S of ``generators``, |S| |G|^2 comparisons.  The
 library constructors below build groups by construction, so
 ``FiniteGroup`` itself checks the shape and finds the identity and
 inverses but does not test associativity; the test suite proves the
-library's tables through ``build``.  ``generators`` also gives the
+library's tables through ``build``.  Two constructors search for
+nothing: ``cyclic`` knows its identity 0 and inverses -a mod n, and
+``direct_product`` takes its identity (e1, e2) and inverses
+(a1^-1, a2^-1) from its factors.  ``generators`` also gives the
 generating set on which ``multipliers.validate`` proves a
 cocycle and ``algebra.center_dimension_numeric`` builds its system.
 """
@@ -23,7 +26,7 @@ cocycle and ``algebra.center_dimension_numeric`` builds its system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -66,40 +69,50 @@ class FiniteGroup:
         if n == 0:
             raise GroupTableError("empty table")
         try:
-            self.array = np.asarray(table, dtype=np.intp)
+            array = np.asarray(table, dtype=np.intp)
         except (ValueError, OverflowError):  # ragged, or an entry beyond intp
             raise GroupTableError("table is not square over {0..n-1}") from None
         # a negative entry reads as a huge unsigned one
-        if self.array.shape != (n, n) or self.array.view(np.uintp).max() >= n:
+        if array.shape != (n, n) or array.view(np.uintp).max() >= n:
             raise GroupTableError("table is not square over {0..n-1}")
-        self.order = n
-        self.identity = self._find_identity()
-        self.inverses = self._find_inverses()  # intp array: inverses[a] = a^-1
-        # the tuple views of ``table`` and ``inverses``, empty until ``_views``
-        self._table: tuple[tuple[int, ...], ...] = ()
-        self._inverses: tuple[int, ...] = ()
+        identity = self._find_identity(array)
+        inverses = self._find_inverses(array, identity)  # intp array: inverses[a] = a^-1
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != n:
                 raise GroupTableError("names length != order")
-        self.names: tuple[str, ...] = names or tuple(str(i) for i in range(n))
+        self._fill(array, identity, inverses, names or tuple(str(i) for i in range(n)))
+
+    @classmethod
+    def _known(cls, array: np.ndarray, identity: int, inverses: np.ndarray, names: tuple[str, ...]) -> FiniteGroup:
+        """The group of a table whose maker knows its identity and inverses
+        (``cyclic``, ``direct_product``): nothing is searched."""
+        group = cls.__new__(cls)
+        group._fill(array, identity, inverses, names)
+        return group
+
+    def _fill(self, array: np.ndarray, identity: int, inverses: np.ndarray, names: tuple[str, ...]) -> None:
+        self.array, self.order, self.identity, self.inverses, self.names = array, len(array), identity, inverses, names
+        # the tuple views of ``table`` and ``inverses``, empty until ``_views``
+        self._table: tuple[tuple[int, ...], ...] = ()
+        self._inverses: tuple[int, ...] = ()
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._layout: tuple[np.ndarray, np.ndarray] | None = None
         self._generators: tuple[int, ...] | None = None
 
     # -- construction checks ----------------------------------------------
 
-    def _find_identity(self) -> int:
-        t = self.array
-        units = np.arange(self.order)
+    @staticmethod
+    def _find_identity(t: np.ndarray) -> int:
+        units = np.arange(len(t))
         found = np.flatnonzero((t == units).all(axis=1) & (t.T == units).all(axis=1))
         if found.size == 0:
             raise NoIdentity("no two-sided identity")
         return int(found[0])
 
-    def _find_inverses(self) -> np.ndarray:
-        t = self.array
-        inverse = (t == self.identity) & (t.T == self.identity)
+    @staticmethod
+    def _find_inverses(t: np.ndarray, identity: int) -> np.ndarray:
+        inverse = (t == identity) & (t.T == identity)
         missing = np.flatnonzero(~inverse.any(axis=1))
         if missing.size:
             raise NoInverse(f"element {missing[0]} has no two-sided inverse")
@@ -175,8 +188,13 @@ class FiniteGroup:
     def class_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The elements listed class by class, in the order of
         ``conjugacy_classes``, and the position in that list where each
-        class starts."""
-        if self._layout is None:
+        class starts.  Every class of an abelian group is {a}, so both are
+        ``arange(order)`` there; otherwise the conjugates c a c^-1 of each a
+        are gathered and the classes keyed by their smallest members."""
+        if self._layout is None and self.is_abelian():
+            singletons = np.arange(self.order)
+            self._layout = singletons, singletons
+        elif self._layout is None:
             t = self.array
             conj = t[t, self.inverses[:, None]]  # conj[c, a] = c a c^-1
             smallest = conj.min(axis=0)  # the smallest member of the class of a
@@ -234,12 +252,6 @@ class FiniteGroup:
             self._generators = tuple(gens)
         return self._generators
 
-    def class_of(self, a: int) -> ConjugacyClass:
-        for cls in self.conjugacy_classes():
-            if a in cls.members:
-                return cls
-        raise ValueError(a)
-
     def to_json(self) -> dict:
         return {"order": self.order, "table": self.array.tolist(), "names": list(self.names)}
 
@@ -281,7 +293,7 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     elements = np.arange(n, dtype=np.intp)
-    return FiniteGroup(np.add.outer(elements, elements) % n)
+    return FiniteGroup._known(np.add.outer(elements, elements) % n, 0, -elements % n, tuple(map(str, range(n))))
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -292,8 +304,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """
     n1, n2 = g1.order, g2.order
     table = g1.array[:, None, :, None] * n2 + g2.array[None, :, None, :]
-    names = [f"({g1.names[a1]},{g2.names[a2]})" for a1 in range(n1) for a2 in range(n2)]
-    return FiniteGroup(table.reshape(n1 * n2, n1 * n2), names)
+    inverses = (g1.inverses[:, None] * n2 + g2.inverses).ravel()
+    names = tuple(f"({a1},{a2})" for a1 in g1.names for a2 in g2.names)
+    return FiniteGroup._known(table.reshape(n1 * n2, n1 * n2), g1.identity * n2 + g2.identity, inverses, names)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -323,31 +336,3 @@ def symmetric(n: int) -> FiniteGroup:
 
     return _from_function(elems, op, ["".join(map(str, p)) for p in elems])
 
-
-def quaternion() -> FiniteGroup:
-    """The quaternion group Q8 on {1,-1,i,-i,j,-j,k,-k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mult = {}
-    units = ["1", "i", "j", "k"]
-    rules = {
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
-    for a, b in product(units, repeat=2):
-        if a == "1":
-            mult[(a, b)] = (1, b)
-        elif b == "1":
-            mult[(a, b)] = (1, a)
-        else:
-            mult[(a, b)] = rules[(a, b)]
-
-    def op(x, y):
-        sx, ux = x
-        sy, uy = y
-        s, u = mult[(ux, uy)]
-        return (sx * sy * s, u)
-
-    elems = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"), (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
-    return _from_function(elems, op, names)

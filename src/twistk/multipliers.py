@@ -87,10 +87,15 @@ class NotAMultiplier(ValueError):
 @dataclass(frozen=True, eq=False)
 class Exponents:
     """Exponents over a common denominator D: entry x of ``array`` (its last
-    axis) stands for (x[0] + sum_i x[i] * labels[i - 1]) / D, with x[0] in
-    [0, D).  ``array`` is (|G|, |G|, 1+k) for a finite multiplier and
-    (P, 1+k) for the parameters of an infinite family; int64, or object
-    (exact Python ints) when a sum of four entries could reach 2^63."""
+    axis) stands for (x[0] + sum_i x[i] * labels[i - 1]) / D.  ``array`` is
+    (|G|, |G|, 1+k) for a finite multiplier and (P, 1+k) for the parameters
+    of an infinite family; int64, or object (exact Python ints) when a sum
+    of four entries could reach 2^63.
+
+    Every maker of a stored array reduces slot 0 into [0, D), so two stored
+    entries are one circle value exactly when they are equal slot by slot
+    (``equal``); a difference or a sum of entries is not reduced, and
+    ``is_zero`` tests it mod D."""
 
     D: int
     labels: tuple[str, ...]
@@ -103,6 +108,12 @@ class Exponents:
         if diff.shape[-1] > 1:
             zero &= (diff[..., 1:] == 0).all(axis=-1)
         return zero
+
+    def equal(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Which stored entries of x and y (last axis the slots) are the same
+        value: slot 0 of each lies in [0, D), so equal in every slot."""
+        same = x == y
+        return same[..., 0] if same.shape[-1] == 1 else same.all(axis=-1)
 
     def vanishes(self, x: Sequence[int]) -> bool:
         """Whether one vector of Python ints is 0 mod 1 (``is_zero`` of one exponent)."""
@@ -330,8 +341,12 @@ class KleinMultiplier(FiniteMultiplier):
         return True
 
     def _compile(self) -> Exponents:
-        x = np.arange(self.n * self.n, dtype=np.int64)
-        table = self.k * (x % self.n)[:, None] * (x // self.n)[None, :] % self.n
+        """Gathered from the n x n table k a2 b1 mod n: row a of the product
+        table is row a2 = a mod n of it, each column b1 = b // n repeated
+        over the n columns b that share it."""
+        x = np.arange(self.n, dtype=np.int64)
+        small = self.k * np.multiply.outer(x, x) % self.n  # small[a2, b1]
+        table = np.repeat(np.tile(small, (self.n, 1)), self.n, axis=1)
         return Exponents(self.n, (), table[:, :, None])
 
 

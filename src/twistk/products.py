@@ -141,7 +141,8 @@ def f_degeneracy(
     The classes of G1 x G2 are the C1 x C2, taken in the product's class
     order, and "some b" splits into some b1 for 1. or some b2 for 2.  Both
     tests run as one ``is_zero`` mask each over the centralizer pairs of
-    the factor, on sigma1, sigma2 and f recast to one frame.
+    the factor, on sigma1, sigma2 and f recast to one frame.  The failing
+    C1 x C2 is cut from the factors' ``class_layout``.
     """
     _check_domains(sigma1, sigma2, f)
     g1, g2 = sigma1.group, sigma2.group
@@ -169,8 +170,9 @@ def f_degeneracy(
     failing = np.flatnonzero(~by_class)
     if failing.size:
         i, j = divmod(int(failing[0]), len(starts2))
-        c1, c2 = g1.conjugacy_classes()[i], g2.conjugacy_classes()[j]
-        return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
+        ends1, ends2 = np.append(starts1[1:], g1.order), np.append(starts2[1:], g2.order)
+        c1, c2 = order1[starts1[i] : ends1[i]], order2[starts2[j] : ends2[j]]
+        return DegeneracyReport(False, tuple((c1[:, None] * g2.order + c2).ravel().tolist()))
     return DegeneracyReport(True, None)
 
 

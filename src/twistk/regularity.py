@@ -5,6 +5,11 @@ compiled table of the multiplier (``FiniteMultiplier.exponents``).
 An element a is regular for sigma when sigma(a, b) = sigma(b, a) for
 every b commuting with a; regularity is constant on conjugacy classes.
 For a finite group, condition K means no nontrivial class is regular.
+Both sides are stored entries of the table, compared for equality; on
+an abelian group every class is {a}, and a is regular iff sigma(a, .) =
+sigma(., a) (Kleppner, Math. Ann. 158, 1965).  The per-class answer is
+kept as arrays over ``FiniteGroup.class_layout`` (``RegularityReport``);
+a ``ConjugacyClass`` is made only for the witness, or when asked for.
 The center of the twisted algebra has one basis element per regular
 class (``center_basis``), whose coefficients are the covariant class
 function, one difference of table entries per conjugator; they become
@@ -13,12 +18,10 @@ RotationNumbers only in the basis returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import AlgebraElement
-from .groups import ConjugacyClass
+from .groups import ConjugacyClass, FiniteGroup
 from .multipliers import FiniteMultiplier
 
 
@@ -28,18 +31,33 @@ class ClassInconsistency(RuntimeError):
     is not a valid multiplier (impossible for a true cocycle)."""
 
 
-@dataclass
 class RegularityReport:
-    """Per-class flags; ``witness`` is the first nontrivial regular class in
-    class order, or None, and condition K holds exactly when it is None."""
+    """Per-class flags over ``group.class_layout()``, held as arrays in class
+    order: the ``representatives`` (smallest members), ``sizes`` and
+    regularity ``flags`` of the classes, which ``to_json`` reads.  The one
+    ``ConjugacyClass`` made is ``witness``, the first nontrivial regular
+    class, or None; condition K holds exactly when it is None.  ``classes``
+    pairs every class with its flag, built when asked for."""
 
-    classes: tuple[tuple[ConjugacyClass, bool], ...]
-    witness: ConjugacyClass | None
-    regular_element_count: int
+    def __init__(self, group: FiniteGroup, flags: np.ndarray):
+        order, starts = group.class_layout()
+        self.group, self.flags, self.representatives = group, flags, order[starts]
+        self.sizes = np.diff(starts, append=group.order)
+        self.regular_element_count = int(self.sizes[flags].sum())
+        found = np.flatnonzero(flags & (self.representatives != group.identity))  # the class of e is {e}
+        self.witness: ConjugacyClass | None = None
+        if found.size:
+            i = found[0]
+            members = order[starts[i] : starts[i] + self.sizes[i]].tolist()
+            self.witness = ConjugacyClass(tuple(members), members[0])
 
     @property
     def condition_k(self) -> bool:
         return self.witness is None
+
+    @property
+    def classes(self) -> tuple[tuple[ConjugacyClass, bool], ...]:
+        return tuple(zip(self.group.conjugacy_classes(), self.flags.tolist()))
 
     def regular_classes(self) -> list[ConjugacyClass]:
         return [cls for cls, flag in self.classes if flag]
@@ -48,18 +66,18 @@ class RegularityReport:
         return {
             "condition_k": self.condition_k,
             "classes": [
-                {"rep": cls.representative, "size": len(cls), "regular": flag}
-                for cls, flag in self.classes
+                {"rep": rep, "size": size, "regular": flag}
+                for rep, size, flag in zip(self.representatives.tolist(), self.sizes.tolist(), self.flags.tolist())
             ],
         }
 
 
 def regular_elements(sigma: FiniteMultiplier) -> np.ndarray:
     """Boolean array over G: a is regular iff no b with ab = ba has
-    sigma(a, b) != sigma(b, a)."""
+    sigma(a, b) != sigma(b, a), compared as stored entries (``Exponents.equal``)."""
     ex = sigma.exponents()
     t = sigma.group.array
-    asymmetric = ~ex.is_zero(ex.array - ex.array.transpose(1, 0, 2))
+    asymmetric = ~ex.equal(ex.array, ex.array.transpose(1, 0, 2))
     return ~(asymmetric & (t == t.T)).any(axis=1)
 
 
@@ -73,20 +91,15 @@ def regular_classes(sigma: FiniteMultiplier) -> RegularityReport:
     ``class_layout``)."""
     g = sigma.group
     regular = regular_elements(sigma)
-    classes = g.conjugacy_classes()
     order, starts = g.class_layout()
     flags = regular[order]
     low, high = np.minimum.reduceat(flags, starts), np.maximum.reduceat(flags, starts)
     mixed = np.flatnonzero(low != high)
     if mixed.size:
-        cls = classes[mixed[0]]
+        cls = g.conjugacy_classes()[mixed[0]]
         members = {m: bool(regular[m]) for m in cls.members}
         raise ClassInconsistency(f"class of {cls.representative} mixes regular and non-regular members: {members}")
-    flagged = tuple(zip(classes, high.tolist()))
-    witness = next(
-        (cls for cls, flag in flagged if flag and (len(cls) > 1 or cls.representative != g.identity)), None
-    )
-    return RegularityReport(flagged, witness, int(regular.sum()))
+    return RegularityReport(g, high)
 
 
 def condition_k(sigma: FiniteMultiplier) -> bool:
@@ -110,11 +123,9 @@ def center_basis(sigma: FiniteMultiplier) -> list[AlgebraElement]:
     """
     g, ex = sigma.group, sigma.exponents()
     E, conjugators = ex.array, np.arange(g.order)
+    report = regular_classes(sigma)
     basis = []
-    for cls, flag in regular_classes(sigma).classes:
-        if not flag:
-            continue
-        b = cls.representative
+    for b in report.representatives[report.flags].tolist():
         x = g.array[g.array[:, b], g.inverses]
         f = E[:, b] - E[x, conjugators]
         members, first, reached = np.unique(x, return_index=True, return_inverse=True)

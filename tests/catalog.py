@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 import twistk as tk
-from twistk.groups import FiniteGroup, cyclic, dihedral, direct_product, quaternion, symmetric
+from twistk.groups import FiniteGroup, cyclic, dihedral, direct_product, symmetric
 from twistk.multipliers import (
     Exponents,
     FiniteMultiplier,
@@ -29,6 +29,25 @@ from twistk.torus import ZERO, RotationNumber
 
 
 # -- builders of test multipliers -------------------------------------------
+
+
+def quaternion() -> FiniteGroup:
+    """The quaternion group Q8 on {1,-1,i,-i,j,-j,k,-k}, by the Hamilton
+    product of the unit quaternions (a, b, c, d) = a + bi + cj + dk."""
+    units = [tuple(sign * (i == axis) for i in range(4)) for axis in range(4) for sign in (1, -1)]
+
+    def mul(p, q):
+        a, b, c, d = p
+        w, x, y, z = q
+        return (
+            a * w - b * x - c * y - d * z,
+            a * x + b * w + c * z - d * y,
+            a * y - b * z + c * w + d * x,
+            a * z + b * y - c * x + d * w,
+        )
+
+    table = [[units.index(mul(p, q)) for q in units] for p in units]
+    return FiniteGroup(table, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 def abelian_group(orders: Sequence[int]) -> FiniteGroup:

@@ -7,7 +7,14 @@
 - The exact regular representations ``lambda_exact`` and ``rho_bar_exact``
   as generalized permutation matrices (``GenPermMatrix``).
 - ``classes_by_split`` and ``regular_classes_loop``: conjugacy classes
-  cut with ``np.split`` and the per-class regularity loop.
+  cut with ``np.split`` and the per-class regularity loop, which builds
+  the report of one ``ConjugacyClass`` per class (``ClassReportRef``).
+- ``class_layout_ref``: the class layout by the conjugation gather, which
+  ``FiniteGroup.class_layout`` skips on abelian groups; ``class_of``, the
+  class of one element.
+- ``klein_exponents_ref``: the Klein table k a2 b1 mod n, entry by entry.
+- ``regular_elements_ref``: regularity read off the differences
+  sigma(a, b) - sigma(b, a) with ``Exponents.is_zero``.
 - ``theta_entries`` and ``mu_params``: the parameters of a ``Theta`` or a
   ``MuMatrix`` as RotationNumbers, read back from its JSON encoding.
 - ``decode_params_ref``: the torus and g3 decode that read each parameter
@@ -34,6 +41,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,7 +51,7 @@ from twistk.freeprod import FPWord, FreeProduct, FreeProductMultiplier, expand_s
 from twistk.groups import ConjugacyClass, FiniteGroup
 from twistk.multipliers import Exponents, FiniteMultiplier, exact_dtype
 from twistk.products import ProductMultiplier
-from twistk.regularity import ClassInconsistency, RegularityReport, regular_elements
+from twistk.regularity import ClassInconsistency, regular_elements
 from twistk.intlinalg import rational_rank
 from twistk.torus import ZERO, IrrationalBasis, RotationNumber
 
@@ -166,8 +174,67 @@ def classes_by_split(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     )
 
 
-def regular_classes_loop(sigma: FiniteMultiplier) -> RegularityReport:
-    """``regular_classes`` with one minimum and one maximum per class."""
+@dataclass
+class ClassReportRef:
+    """The regularity report as one ``ConjugacyClass`` per class with its
+    flag, the witness and the count of regular elements."""
+
+    classes: tuple[tuple[ConjugacyClass, bool], ...]
+    witness: ConjugacyClass | None
+    regular_element_count: int
+
+    @property
+    def condition_k(self) -> bool:
+        return self.witness is None
+
+    def regular_classes(self) -> list[ConjugacyClass]:
+        return [cls for cls, flag in self.classes if flag]
+
+    def to_json(self) -> dict:
+        return {
+            "condition_k": self.condition_k,
+            "classes": [
+                {"rep": cls.representative, "size": len(cls), "regular": flag}
+                for cls, flag in self.classes
+            ],
+        }
+
+
+def class_layout_ref(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The elements class by class and the start of each class, from the
+    conjugates c a c^-1 of every a, on any group."""
+    t = g.array
+    smallest = t[t, g.inverses[:, None]].min(axis=0)
+    order = np.argsort(smallest, kind="stable")
+    _, starts = np.unique(smallest[order], return_index=True)
+    return order, starts
+
+
+def class_of(g: FiniteGroup, a: int) -> ConjugacyClass:
+    for cls in g.conjugacy_classes():
+        if a in cls.members:
+            return cls
+    raise ValueError(a)
+
+
+def klein_exponents_ref(n: int, k: int) -> list[list[int]]:
+    """sigma_k((a1, a2), (b1, b2)) = k a2 b1 / n at a = a1 n + a2, b = b1 n + b2,
+    as the numerator mod n, one entry at a time."""
+    return [[k * (a % n) * (b // n) % n for b in range(n * n)] for a in range(n * n)]
+
+
+def regular_elements_ref(sigma: FiniteMultiplier) -> np.ndarray:
+    """a is regular iff sigma(a, b) - sigma(b, a) is 0 mod 1 (``is_zero``)
+    for every b that commutes with a."""
+    ex = sigma.exponents()
+    t = sigma.group.array
+    asymmetric = ~ex.is_zero(ex.array - ex.array.transpose(1, 0, 2))
+    return ~(asymmetric & (t == t.T)).any(axis=1)
+
+
+def regular_classes_loop(sigma: FiniteMultiplier) -> ClassReportRef:
+    """``regular_classes`` with one minimum and one maximum per class, as a
+    ``ClassReportRef``."""
     g = sigma.group
     regular = regular_elements(sigma)
     flagged = []
@@ -186,7 +253,7 @@ def regular_classes_loop(sigma: FiniteMultiplier) -> RegularityReport:
             regular_count += len(cls)
             if witness is None and (len(cls) > 1 or cls.representative != g.identity):
                 witness = cls
-    return RegularityReport(tuple(flagged), witness, regular_count)
+    return ClassReportRef(tuple(flagged), witness, regular_count)
 
 
 def check_sigma_tilde(sigma: FiniteMultiplier) -> tuple[int, int] | None:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import abelian_group, product_triples
+from catalog import abelian_group, product_triples, quaternion
+from reference import class_of
 
 from twistk.groups import (
     FiniteGroup,
@@ -17,7 +18,6 @@ from twistk.groups import (
     cyclic,
     dihedral,
     direct_product,
-    quaternion,
     symmetric,
     trivial,
 )
@@ -114,7 +114,7 @@ def test_class_partition_and_identity_class():
         classes = g.conjugacy_classes()
         assert sum(len(c) for c in classes) == g.order
         assert sorted(x for c in classes for x in c.members) == list(range(g.order))
-        assert g.class_of(g.identity).members == (g.identity,)
+        assert class_of(g, g.identity).members == (g.identity,)
 
 
 def test_centralizer_properties():

@@ -87,7 +87,6 @@ TEST_ONLY = frozenset({
     "algebra.py: involution",
     "freeprod.py: free_product_multiplier",
     "freeprod.py: xword_to_word",
-    "groups.py: quaternion",
     "io.py: decode_word",
     "io.py: encode_multiplier",
     "lattices.py: commutator_phase",
@@ -113,8 +112,6 @@ TEST_ONLY_METHODS = frozenset({
     "algebra.py: AlgebraElement.delta",
     "algebra.py: AlgebraElement.support",
     "algebra.py: AlgebraElement.to_vector",
-    "groups.py: FiniteGroup.is_abelian",
-    "groups.py: FiniteGroup.class_of",
     "products.py: TwoOfThreeReport.truth_vector",
 })
 

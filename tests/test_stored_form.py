@@ -53,8 +53,8 @@ def test_center_basis_refuses_a_class_flagged_regular_wrongly(monkeypatch):
     report = regular_classes(sigma)
     target = 0 * 2 + 1  # (0, 1) is not regular for k = 1
     assert [flag for cls, flag in report.classes if target in cls.members] == [False]
-    flags = tuple((cls, flag or target in cls.members) for cls, flag in report.classes)
-    forged = RegularityReport(flags, report.witness, report.regular_element_count)
+    flags = np.array([flag or target in cls.members for cls, flag in report.classes])
+    forged = RegularityReport(sigma.group, flags)
     monkeypatch.setattr(twistk.regularity, "regular_classes", lambda s: forged)
     with pytest.raises(ClassInconsistency):
         center_basis(sigma)
