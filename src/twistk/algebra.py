@@ -3,6 +3,9 @@
 Two evaluation paths coexist on purpose.  The exact path works with
 formal Q-linear combinations of unit phases (PhaseSum) so convolution,
 involution, trace and commutation identities hold with zero tolerance.
+Every exact result is collected by one routine, ``_summed``, from its
+(phase, magnitude) terms: ``convolve`` emits one term per pair of
+coefficient terms and collects each product coefficient once.
 The float path counts the center dimension as the SVD nullspace of the
 commutators with lambda(s), s in a generating set; it is an oracle
 independent of the combinatorial machinery.
@@ -12,7 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,28 +29,31 @@ class IllConditioned(RuntimeError):
     """Singular values cluster at the tolerance; refusing to guess."""
 
 
+def _summed(pairs: Iterable[tuple[RotationNumber, Fraction]]) -> dict[RotationNumber, Fraction]:
+    """The magnitudes of (phase, magnitude) pairs summed per phase, with the
+    phases whose sum is zero dropped."""
+    acc: dict[RotationNumber, Fraction] = {}
+    for phase, mag in pairs:
+        old = acc.get(phase)
+        acc[phase] = mag if old is None else old + mag
+    return {phase: mag for phase, mag in acc.items() if mag}
+
+
 class PhaseSum:
     """Exact scalar: a finite Q-linear combination of unit circle phases.
 
     Represents sum_i q_i * e^(2 pi i x_i) with rational q_i and exponents
-    x_i (RotationNumber).  Sums, products and conjugates stay in this
-    ring; equality is formal, which is sound (equal formal sums evaluate
-    equal) and complete for every identity this package asserts, since
-    those identities match term by term.
+    x_i (RotationNumber), built from (phase, magnitude) pairs by
+    ``_summed``.  Sums, products and conjugates stay in this ring;
+    equality is formal, which is sound (equal formal sums evaluate equal)
+    and complete for every identity this package asserts, since those
+    identities match term by term.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[RotationNumber, Fraction] | None = None):
-        acc: dict[RotationNumber, Fraction] = {}
-        if terms:
-            for phase, mag in terms.items():
-                mag = Fraction(mag)
-                if mag:
-                    acc[phase] = acc.get(phase, Fraction(0)) + mag
-                    if not acc[phase]:
-                        del acc[phase]
-        self.terms = acc
+    def __init__(self, pairs: Iterable[tuple[RotationNumber, Fraction]] = ()):
+        self.terms = _summed(pairs)
 
     @staticmethod
     def zero() -> "PhaseSum":
@@ -54,11 +61,11 @@ class PhaseSum:
 
     @staticmethod
     def one() -> "PhaseSum":
-        return PhaseSum({ZERO: Fraction(1)})
+        return PhaseSum.phase(ZERO)
 
     @staticmethod
     def phase(x: RotationNumber, mag: Fraction | int = 1) -> "PhaseSum":
-        return PhaseSum({x: Fraction(mag)})
+        return PhaseSum([(x, Fraction(mag))])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -67,61 +74,27 @@ class PhaseSum:
         return bool(self.terms)
 
     def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        acc = dict(self.terms)
-        for phase, mag in other.terms.items():
-            acc[phase] = acc.get(phase, Fraction(0)) + mag
-            if not acc[phase]:
-                del acc[phase]
-        out = PhaseSum()
-        out.terms = acc
-        return out
+        return PhaseSum(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "PhaseSum":
-        out = PhaseSum()
-        out.terms = {phase: -mag for phase, mag in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "PhaseSum") -> "PhaseSum":
-        return self + (-other)
+        return PhaseSum((p, -m) for p, m in self.terms.items())
 
     def __mul__(self, other) -> "PhaseSum":
         if isinstance(other, PhaseSum):
-            acc: dict[RotationNumber, Fraction] = {}
-            for p1, m1 in self.terms.items():
-                for p2, m2 in other.terms.items():
-                    p = p1 + p2
-                    acc[p] = acc.get(p, Fraction(0)) + m1 * m2
-                    if not acc[p]:
-                        del acc[p]
-            out = PhaseSum()
-            out.terms = acc
-            return out
+            return PhaseSum((p + q, m * n) for p, m in self.terms.items() for q, n in other.terms.items())
         if isinstance(other, (int, Fraction)):
-            out = PhaseSum()
-            out.terms = {p: m * other for p, m in self.terms.items()} if other else {}
-            return out
+            return PhaseSum((p, m * other) for p, m in self.terms.items())
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def rotated(self, x: RotationNumber) -> "PhaseSum":
-        """Multiplication by the unit phase e^(2 pi i x)."""
-        out = PhaseSum()
-        out.terms = {p + x: m for p, m in self.terms.items()}
-        return out
-
     def conjugate(self) -> "PhaseSum":
-        out = PhaseSum()
-        out.terms = {-p: m for p, m in self.terms.items()}
-        return out
+        return PhaseSum((-p, m) for p, m in self.terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseSum):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def evaluate(self, basis: IrrationalBasis | None = None) -> complex:
         return sum((float(m) * p.evaluate(basis) for p, m in self.terms.items()), 0j)
@@ -133,29 +106,15 @@ class PhaseSum:
         return f"PhaseSum({bits})"
 
 
-def _as_phasesum(value) -> PhaseSum:
-    if isinstance(value, PhaseSum):
-        return value
-    if isinstance(value, RotationNumber):
-        return PhaseSum.phase(value)
-    if isinstance(value, (int, Fraction)):
-        return PhaseSum({ZERO: Fraction(value)})
-    raise TypeError(f"cannot coerce {type(value).__name__} to PhaseSum")
-
-
 class AlgebraElement:
-    """Finitely supported function G -> exact scalars (an l^1(G, sigma) element)."""
+    """Finitely supported function G -> PhaseSum (an l^1(G, sigma) element);
+    zero coefficients are dropped."""
 
     __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: FiniteGroup, coeffs: Mapping[int, object] | None = None):
+    def __init__(self, group: FiniteGroup, coeffs: Mapping[int, PhaseSum] | None = None):
         self.group = group
-        self.coeffs: dict[int, PhaseSum] = {}
-        if coeffs:
-            for a, v in coeffs.items():
-                ps = _as_phasesum(v)
-                if ps:
-                    self.coeffs[int(a)] = ps
+        self.coeffs: dict[int, PhaseSum] = {int(a): v for a, v in (coeffs or {}).items() if v}
 
     @staticmethod
     def delta(group: FiniteGroup, a: int, phase: RotationNumber = ZERO, mag: Fraction | int = 1) -> "AlgebraElement":
@@ -167,32 +126,10 @@ class AlgebraElement:
     def support(self):
         return self.coeffs.keys()
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.group is not other.group and not np.array_equal(self.group.array, other.group.array):
-            raise ValueError("elements live on different groups")
-        out = AlgebraElement(self.group)
-        acc = dict(self.coeffs)
-        for a, v in other.coeffs.items():
-            s = acc.get(a, PhaseSum.zero()) + v
-            if s:
-                acc[a] = s
-            else:
-                acc.pop(a, None)
-        out.coeffs = acc
-        return out
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        neg = AlgebraElement(other.group)
-        neg.coeffs = {a: -v for a, v in other.coeffs.items()}
-        return self + neg
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return np.array_equal(self.group.array, other.group.array) and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def to_vector(self, basis: IrrationalBasis | None = None) -> np.ndarray:
         vec = np.zeros(self.group.order, dtype=complex)
@@ -208,33 +145,28 @@ class AlgebraElement:
 
 
 def convolve(sigma: FiniteMultiplier, f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Twisted convolution: (f * g)(a) = sum_b f(b) sigma(b, b^-1 a) g(b^-1 a)."""
-    grp = sigma.group
-    acc: dict[int, PhaseSum] = {}
+    """Twisted convolution: (f * g)(a) = sum_b f(b) sigma(b, b^-1 a) g(b^-1 a).
+
+    Each pair of coefficient terms p, m of f(b) and q, n of g(d) emits the
+    one term (p + q + sigma(b, d), m n) of the product coefficient at bd;
+    the terms of each product coefficient are collected once, by
+    ``_summed``."""
+    grp, terms = sigma.group, {}
     for b, fb in f.coeffs.items():
         for d, gd in g.coeffs.items():
-            a = grp.mul(b, d)
-            term = (fb * gd).rotated(sigma.value(b, d))
-            s = acc.get(a, PhaseSum.zero()) + term
-            if s:
-                acc[a] = s
-            else:
-                acc.pop(a, None)
-    out = AlgebraElement(grp)
-    out.coeffs = acc
-    return out
+            x, pairs = sigma.value(b, d), terms.setdefault(grp.mul(b, d), [])
+            pairs.extend((p + q + x, m * n) for p, m in fb.terms.items() for q, n in gd.terms.items())
+    return AlgebraElement(grp, {a: PhaseSum(pairs) for a, pairs in terms.items()})
 
 
 def involution(sigma: FiniteMultiplier, f: AlgebraElement) -> AlgebraElement:
     """f^*(a) = conj(sigma(a, a^-1)) conj(f(a^-1))."""
-    grp = sigma.group
-    acc: dict[int, PhaseSum] = {}
+    grp, out = sigma.group, {}
     for b, fb in f.coeffs.items():
         a = grp.inv(b)
-        acc[a] = fb.conjugate().rotated(-sigma.value(a, b))
-    out = AlgebraElement(grp)
-    out.coeffs = {a: v for a, v in acc.items() if v}
-    return out
+        x = sigma.value(a, b)
+        out[a] = PhaseSum((p - x, m) for p, m in fb.conjugate().terms.items())
+    return AlgebraElement(grp, out)
 
 
 def trace(f: AlgebraElement) -> PhaseSum:

@@ -33,7 +33,9 @@ Exit 2 also refuses numbers out of range, before the input is decoded:
 --tol must be a positive rational whose float is positive and finite,
 --fuzz and --box at least 1.  It refuses specs too large for a dense
 table, before any table is built: klein n*n, torus n, or |G1|*|G2| of a
-direct_product above io.MAX_ORDER (1024).
+direct_product above io.MAX_ORDER (1024).  On a free_product, where
+--box bounds the word length and so the time and memory, validate and
+decompose refuse a --box above io.MAX_ORDER before any word is drawn.
 
 The parser is built once, at import; its parsed arguments are the job.
 Reports are byte-identical for identical jobs: all randomness is
@@ -58,6 +60,7 @@ import sys
 from .algebra import IllConditioned, center_dimension_numeric, identify_matrix_algebra
 from .freeprod import FreeProductMultiplier, SimilarityFailure, decompose
 from .io import (
+    MAX_ORDER,
     SchemaError,
     decode_multiplier,
     encode_witness_element,
@@ -80,9 +83,12 @@ def _report_base(args: argparse.Namespace) -> dict:
     return {"command": args.command, "seed": args.seed}
 
 
-def _require_factors(sigma: FreeProductMultiplier) -> None:
-    """Prove both factor tables of a free product multiplier; a failure
-    raises NotAMultiplier with the ``factor`` (1 or 2) that failed."""
+def _check_free_product(args: argparse.Namespace, sigma: FreeProductMultiplier) -> None:
+    """Refuse a word length bound --box above MAX_ORDER, then prove both
+    factor tables of a free product multiplier; a failure raises
+    NotAMultiplier with the ``factor`` (1 or 2) that failed."""
+    if args.box > MAX_ORDER:
+        raise JobError(f"--box (word length) on a free_product is at most MAX_ORDER = {MAX_ORDER}, got {args.box}")
     for factor, s in ((1, sigma.sigma1), (2, sigma.sigma2)):
         try:
             require_multiplier(s)
@@ -93,7 +99,7 @@ def _require_factors(sigma: FreeProductMultiplier) -> None:
 
 def _run_validate(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if isinstance(sigma, FreeProductMultiplier):
-        _require_factors(sigma)
+        _check_free_product(args, sigma)
     rng = random.Random(args.seed)
     report = validate(sigma, rng=rng, triples=args.fuzz, box=args.box)
     out = _report_base(args)
@@ -178,7 +184,7 @@ def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
 def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FreeProductMultiplier):
         raise JobError("decompose requires a free_product input")
-    _require_factors(sigma)
+    _check_free_product(args, sigma)
     rng = random.Random(args.seed)
     out = _report_base(args)
     try:

@@ -14,7 +14,7 @@ Words are read straight off the factor tables (``FreeProduct``).  The
 multiplier's tau, beta and value are integer vector sums of factor table
 entries; ``tau``, ``beta`` and ``value`` return the RotationNumber of the
 vector.  tau is the shared zero at once when the boundary letters lie in
-different factors, beta on a word of fewer than 4 letters (``_beta``),
+different factors, beta on a word of at most 4 letters (``_beta``),
 and memoized per word above that; ``vector`` is tau when all three betas
 are that zero.  ``decompose`` checks a multiplier on G1 * G2 through its
 ``vector``, in that multiplier's own frame, with the prefix telescope
@@ -290,10 +290,11 @@ class FreeProductMultiplier(Multiplier):
 
     def _beta(self, x: FPWord) -> Sequence[int]:
         """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when
-        full.  A reduced word of 1 to 3 alternating letters has one factor's
-        letter once, its non-identity image there, so it lies off the
-        commutator subgroup; it and the empty word get the shared zero."""
-        if len(x) < 4:
+        full; a word of at most 4 letters gets the shared zero.  With 1 to 3
+        letters, one factor's letter occurs once, so the word lies off the
+        commutator subgroup.  A 4-letter kernel word is a b a^-1 b^-1, one
+        commutator or its inverse: one syllable, with no pair for tau."""
+        if len(x) < 5:
             return self._zero
         memo = self._beta_memo
         value = memo.get(x)

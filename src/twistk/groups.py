@@ -98,6 +98,7 @@ class FiniteGroup:
         self._inverses: tuple[int, ...] = ()
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._layout: tuple[np.ndarray, np.ndarray] | None = None
+        self._commuting: np.ndarray | None = None
         self._generators: tuple[int, ...] | None = None
 
     # -- construction checks ----------------------------------------------
@@ -176,14 +177,21 @@ class FiniteGroup:
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
+    def commuting(self) -> np.ndarray:
+        """The mask ``array == array.T``: [a, b] is True when ab = ba.  It is
+        built on its first use and kept, like the class layout."""
+        if self._commuting is None:
+            self._commuting = self.array == self.array.T
+        return self._commuting
+
     def is_abelian(self) -> bool:
-        return bool((self.array == self.array.T).all())
+        return bool(self.commuting().all())
 
     def commutes(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
 
     def centralizer(self, a: int) -> tuple[int, ...]:
-        return tuple(b for b in range(self.order) if self.commutes(a, b))
+        return tuple(np.flatnonzero(self.commuting()[a]).tolist())
 
     def class_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The elements listed class by class, in the order of

@@ -5,7 +5,8 @@ A multiplier on G is a function sigma: G x G -> T with
     sigma(a,b) sigma(ab,c) = sigma(a,bc) sigma(b,c),
     sigma(a,e) = sigma(e,a) = 1,
 
-stored here additively as RotationNumber exponents.
+written additively, sigma(a, b) = e^(2 pi i x) with x an exponent as in
+``torus``; what a multiplier stores is the compiled integer array below.
 
 A finite multiplier is compiled once, by ``exponents()``, to integers
 over a common denominator D (``Exponents``): slot 0 of an (|G|, |G|, 1+k)

@@ -150,11 +150,11 @@ def f_degeneracy(
     frame = Exponents(D, labels, F)
     # 1. fails at the centralizer pair (x1, y1) of G1 and a2 when
     # f(y1, a2) = sigma1(y1, x1) - sigma1(x1, y1); row p of x1, y1 is pair p
-    x1, y1 = np.nonzero(g1.array == g1.array.T)
+    x1, y1 = np.nonzero(g1.commuting())
     fails1 = frame.is_zero(F[y1] - (e1[y1, x1] - e1[x1, y1])[:, None])
     # 2. fails at a1 and the centralizer pair (x2, y2) of G2 when
     # f(a1, y2) = sigma2(x2, y2) - sigma2(y2, x2)
-    x2, y2 = np.nonzero(g2.array == g2.array.T)
+    x2, y2 = np.nonzero(g2.commuting())
     fails2 = frame.is_zero(F[:, y2] - (e2[x2, y2] - e2[y2, x2])[None, :])
     # admits[a1, a2]: some b admits (a1, a2); the pairs are sorted by x, and
     # every x commutes with itself, so each element starts one run of them

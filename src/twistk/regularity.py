@@ -13,14 +13,14 @@ a ``ConjugacyClass`` is made only for the witness, or when asked for.
 The center of the twisted algebra has one basis element per regular
 class (``center_basis``), whose coefficients are the covariant class
 function, one difference of table entries per conjugator; they become
-RotationNumbers only in the basis returned.
+phases (``PhaseSum``) only in the basis returned.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, PhaseSum
 from .groups import ConjugacyClass, FiniteGroup
 from .multipliers import FiniteMultiplier
 
@@ -76,9 +76,8 @@ def regular_elements(sigma: FiniteMultiplier) -> np.ndarray:
     """Boolean array over G: a is regular iff no b with ab = ba has
     sigma(a, b) != sigma(b, a), compared as stored entries (``Exponents.equal``)."""
     ex = sigma.exponents()
-    t = sigma.group.array
     asymmetric = ~ex.equal(ex.array, ex.array.transpose(1, 0, 2))
-    return ~(asymmetric & (t == t.T)).any(axis=1)
+    return ~(asymmetric & sigma.group.commuting()).any(axis=1)
 
 
 def is_regular_element(sigma: FiniteMultiplier, a: int) -> bool:
@@ -133,5 +132,6 @@ def center_basis(sigma: FiniteMultiplier) -> list[AlgebraElement]:
         if not agree.all():
             member = x[np.flatnonzero(~agree)[0]]
             raise ClassInconsistency(f"conjugators of {member} disagree: the class of {b} is not regular")
-        basis.append(AlgebraElement(g, dict(zip(members.tolist(), map(ex.rotation, f[first].tolist())))))
+        coeffs = {m: PhaseSum.phase(ex.rotation(v)) for m, v in zip(members.tolist(), f[first].tolist())}
+        basis.append(AlgebraElement(g, coeffs))
     return basis

@@ -164,10 +164,6 @@ class RotationNumber:
             raise TypeError(f"scale expects an integer, got {type(k).__name__}")
         return RotationNumber(self.rat * k, tuple((l, c * k) for l, c in self.coeffs))
 
-    def conjugate(self) -> "RotationNumber":
-        """Exponent of the complex conjugate value."""
-        return -self
-
     def halve(self) -> "RotationNumber":
         """One square root: the representative in [0,1) divided by two.
 

@@ -32,6 +32,9 @@
   proof, computed triple by triple on RotationNumbers.
 - ``class_function_ref``: the class function of one regular class, by the
   per-conjugator RotationNumber loop that ``center_basis`` replaced.
+- ``convolve_ref`` and ``involution_ref``: the exact twisted convolution
+  and involution term by term, each product coefficient added into a
+  copy of the running sum, as coefficient terms (phase -> magnitude).
 - The free-product word arithmetic that calls the factor groups per
   letter: ``multiply_ref``, ``factor_images_ref``, ``reduce_pair`` with
   ``tau_ref``, ``beta_ref`` and ``vector_ref`` (no memo, no shortcut),
@@ -476,6 +479,52 @@ def class_function_ref(sigma: FiniteMultiplier, cls: ConjugacyClass) -> dict[int
     if set(values) != set(cls.members):
         raise ClassInconsistency("conjugation orbit of the base point missed class members")
     return values
+
+
+def _added(acc: dict, terms: dict) -> dict:
+    """A copy of the running sum ``acc`` with ``terms`` added, phase by
+    phase, and the phases whose sum is zero dropped."""
+    out = dict(acc)
+    for phase, mag in terms.items():
+        out[phase] = out.get(phase, Fraction(0)) + mag
+        if not out[phase]:
+            del out[phase]
+    return out
+
+
+def convolve_ref(sigma: FiniteMultiplier, f, g) -> dict[int, dict[RotationNumber, Fraction]]:
+    """The terms of each coefficient of the twisted convolution f * g, one
+    pair (b, d) at a time: the product f(b) g(d) is summed term by term,
+    rotated by sigma(b, d) and added to a copy of the running coefficient
+    at bd, which is dropped when it cancels to zero."""
+    grp = sigma.group
+    acc: dict[int, dict] = {}
+    for b, fb in f.coeffs.items():
+        for d, gd in g.coeffs.items():
+            product: dict = {}
+            for p1, m1 in fb.terms.items():
+                for p2, m2 in gd.terms.items():
+                    product = _added(product, {p1 + p2: m1 * m2})
+            x = sigma.value(b, d)
+            a = grp.mul(b, d)
+            total = _added(acc.get(a, {}), {p + x: m for p, m in product.items()})
+            if total:
+                acc[a] = total
+            else:
+                acc.pop(a, None)
+    return acc
+
+
+def involution_ref(sigma: FiniteMultiplier, f) -> dict[int, dict[RotationNumber, Fraction]]:
+    """The terms of each coefficient of f^*(a) = conj(sigma(a, a^-1))
+    conj(f(a^-1)): each phase negated, then rotated by -sigma(a, a^-1)."""
+    grp = sigma.group
+    acc = {}
+    for b, fb in f.coeffs.items():
+        a = grp.inv(b)
+        x = sigma.value(a, b)
+        acc[a] = {-p + -x: m for p, m in fb.terms.items()}
+    return {a: terms for a, terms in acc.items() if terms}
 
 
 def multiply_ref(fp: FreeProduct, x: FPWord, y: FPWord) -> FPWord:

@@ -2,6 +2,7 @@
 
 - ``class_layout`` against the conjugation gather, on every abelian group
   (and on the others, where the gather still runs);
+- the cached commutation mask against ``array == array.T``;
 - the identity and inverses that ``cyclic`` and ``direct_product`` know,
   against the search that ``FiniteGroup(table)`` runs;
 - the compiled Klein table against its closed form, entry by entry;
@@ -109,6 +110,21 @@ def test_abelian_layout_gathers_no_conjugates(monkeypatch):
     monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: pytest.fail("the gather ran on an abelian group"))
     order, starts = g.class_layout()
     assert len(g.conjugacy_classes()) == g.order == len(starts)
+
+
+def test_commutation_mask_is_the_table_against_its_transpose():
+    groups = [(name, sigma.group) for name, sigma in finite_catalog()]
+    for name, s1, s2, f in product_triples():
+        groups += [(name, s1.group), (name, s2.group), (name, ProductMultiplier(s1, s2, f).group)]
+    for name, g in groups:
+        mask = g.commuting()
+        assert np.array_equal(mask, g.array == g.array.T) and g.commuting() is mask, name
+        assert g.is_abelian() == bool(mask.all()), name
+        assert g.centralizer(g.order - 1) == tuple(b for b in g.elements() if g.commutes(g.order - 1, b)), name
+    # a fresh group keeps the one mask that its regularity scan built
+    sigma = ProductMultiplier(*product_triples()[-1][1:])
+    regular_classes(sigma)
+    assert sigma.group._commuting is not None and sigma.group.commuting() is sigma.group._commuting
 
 
 def test_direct_product_units_match_the_search():

@@ -16,6 +16,7 @@
   commands still answer: no fuzz loop draws through them.
 """
 
+import itertools
 import json
 import random
 import sys
@@ -202,8 +203,18 @@ def test_short_words_have_zero_beta():
         fp = sigma.fp
         rng = random.Random(7)
         for _ in range(300):
-            w = fp.random_word(rng, 3)
+            w = fp.random_word(rng, 4)
             assert sigma._beta(w) is sigma._zero and tuple(beta_ref(sigma, w)) == sigma._zero
+        # every reduced 4-letter word; those in the kernel are one commutator each
+        words = [
+            word
+            for first in (1, 2)
+            for word in itertools.product(*(fp._letters[first if i % 2 == 0 else 3 - first] for i in range(4)))
+        ]
+        assert any(fp.in_kernel(w) for w in words)
+        for w in words:
+            assert sigma._beta(w) is sigma._zero and tuple(beta_ref(sigma, w)) == sigma._zero
+        assert not sigma._beta_memo  # no word of <= 4 letters was rewritten
 
 
 @pytest.mark.parametrize("pair", [("klein2", "S3"), ("Z4", "klein3"), ("klein2", "Z3")], ids=lambda p: "*".join(p))

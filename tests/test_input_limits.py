@@ -1,6 +1,7 @@
 """Numbers that are short to spell but out of reach: a --tol whose float
-is zero or infinite, and a decimal exponent whose power of ten is longer
-than ``int()`` reads.  Each exits 2 with one stderr line, at once."""
+is zero or infinite, a decimal exponent whose power of ten is longer
+than ``int()`` reads, and a free product's word length --box above
+``io.MAX_ORDER``.  Each exits 2 with one stderr line, at once."""
 
 import json
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from twistk.cli import main
 from twistk.groups import cyclic
-from twistk.io import SchemaError, parse_fraction
+from twistk.io import MAX_ORDER, SchemaError, encode_multiplier, parse_fraction
+from twistk.multipliers import trivial_multiplier
 from twistk.torus import _exponent_limit, _ratio
 
 LIMIT = _exponent_limit()
@@ -102,3 +104,13 @@ def test_option_rationals_share_the_limit():
     with pytest.raises(SchemaError, match="decimal exponent"):
         parse_fraction("1e10000000")
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+def test_free_product_box_above_max_order_exits_2(command, capsys):
+    # Z2 * Z3 with trivial sigma: words, time and memory grow with --box
+    factors = {f"sigma{i}": encode_multiplier(trivial_multiplier(cyclic(n))) for i, n in ((1, 2), (2, 3))}
+    free = json.dumps({"type": "free_product", **factors})
+    _exits_2_quickly([command, "--inline", free, "--box", str(MAX_ORDER + 1)], capsys, "--box")
+    assert main([command, "--inline", free, "--box", str(MAX_ORDER), "--fuzz", "1"]) == 0
+    capsys.readouterr()
