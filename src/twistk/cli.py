@@ -33,7 +33,9 @@ Exit 2 also refuses numbers out of range, before the input is decoded:
 --tol must be a positive rational whose float is positive and finite,
 --fuzz and --box at least 1.  It refuses specs too large for a dense
 table, before any table is built: klein n*n, torus n, or |G1|*|G2| of a
-direct_product above io.MAX_ORDER (1024).  On a free_product, where
+direct_product above io.MAX_ORDER (1024), products nested deeper than
+io.MAX_DEPTH (32), input that is not UTF-8 or JSON nested past the
+parser's recursion limit.  On a free_product, where
 --box bounds the word length and so the time and memory, validate and
 decompose refuse a --box above io.MAX_ORDER before any word is drawn.
 
@@ -294,9 +296,10 @@ def _load(args: argparse.Namespace):
     """Read the input, check the option ranges, decode; the JSON tree is
     dropped when this returns."""
     if args.input is not None:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
     else:
+        args.inline.encode()  # argv bytes that are not UTF-8 arrive as lone surrogates
         data = json.loads(args.inline)
     args.tol = parse_fraction(args.tol)
     _check_ranges(args)
@@ -309,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         sigma = _load(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeError, RecursionError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, JobError) as exc:

@@ -12,15 +12,16 @@ as is the tuple of inverses behind ``inv``.
 A table from outside the program is proven once, by ``build``: shape,
 two-sided identity, two-sided inverses and associativity by Light's test
 on the generating set S of ``generators``, |S| |G|^2 comparisons.  The
-library constructors below build groups by construction, so
-``FiniteGroup`` itself checks the shape and finds the identity and
-inverses but does not test associativity; the test suite proves the
-library's tables through ``build``.  Two constructors search for
-nothing: ``cyclic`` knows its identity 0 and inverses -a mod n, and
-``direct_product`` takes its identity (e1, e2) and inverses
-(a1^-1, a2^-1) from its factors.  ``generators`` also gives the
-generating set on which ``multipliers.validate`` proves a
-cocycle and ``algebra.center_dimension_numeric`` builds its system.
+library constructors build groups by construction: ``FiniteGroup``
+finds the identity and inverses without testing associativity (the test
+suite proves the library's tables through ``build``), and ``cyclic`` and
+``direct_product`` search for nothing.  They know the identity (0, or
+(e1, e2)), the inverses (-a mod n, or (a1^-1, a2^-1)) and whether the
+group is abelian (always, or when both factors are), so ``is_abelian``,
+``commuting`` and ``class_layout`` read no table there, and they defer
+``array`` and ``names`` to their first read.  ``generators`` gives the
+set on which ``multipliers.validate`` proves a cocycle and
+``algebra.center_dimension_numeric`` builds its system.
 """
 
 from __future__ import annotations
@@ -78,21 +79,23 @@ class FiniteGroup:
         identity = self._find_identity(array)
         inverses = self._find_inverses(array, identity)  # intp array: inverses[a] = a^-1
         if names is not None:
-            names = tuple(str(s) for s in names)
+            names = tuple(map(str, names))
             if len(names) != n:
                 raise GroupTableError("names length != order")
-        self._fill(array, identity, inverses, names or tuple(str(i) for i in range(n)))
+        self._fill(n, array, identity, inverses, names or tuple(map(str, range(n))), None)
 
     @classmethod
-    def _known(cls, array: np.ndarray, identity: int, inverses: np.ndarray, names: tuple[str, ...]) -> FiniteGroup:
-        """The group of a table whose maker knows its identity and inverses
-        (``cyclic``, ``direct_product``): nothing is searched."""
+    def _known(cls, order, array: Callable, identity, inverses, names: Callable, abelian: bool) -> FiniteGroup:
+        """The group of a constructor that knows its identity, inverses and
+        whether it is abelian (``cyclic``, ``direct_product``): nothing is
+        searched, and ``array`` and ``names`` are makers, called on first read."""
         group = cls.__new__(cls)
-        group._fill(array, identity, inverses, names)
+        group._fill(order, array, identity, inverses, names, abelian)
         return group
 
-    def _fill(self, array: np.ndarray, identity: int, inverses: np.ndarray, names: tuple[str, ...]) -> None:
-        self.array, self.order, self.identity, self.inverses, self.names = array, len(array), identity, inverses, names
+    def _fill(self, order: int, array, identity: int, inverses: np.ndarray, names, abelian: bool | None) -> None:
+        self.order, self.identity, self.inverses = order, identity, inverses
+        self._array, self._names, self._abelian = array, names, abelian  # or makers; None: not yet known
         # the tuple views of ``table`` and ``inverses``, empty until ``_views``
         self._table: tuple[tuple[int, ...], ...] = ()
         self._inverses: tuple[int, ...] = ()
@@ -139,6 +142,18 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
+    @property
+    def array(self) -> np.ndarray:
+        if callable(self._array):
+            self._array = self._array()
+        return self._array
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        if callable(self._names):
+            self._names = self._names()
+        return self._names
+
     def _views(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Build the tuple views on the first single lookup.  They are plain
         attributes that ``__init__`` sets empty: a ``cached_property`` would
@@ -178,14 +193,17 @@ class FiniteGroup:
         return self.names.index(name)
 
     def commuting(self) -> np.ndarray:
-        """The mask ``array == array.T``: [a, b] is True when ab = ba.  It is
-        built on its first use and kept, like the class layout."""
+        """The mask ``array == array.T``: [a, b] is True when ab = ba, kept once
+        built; all True, with no table read, on a group known abelian."""
         if self._commuting is None:
-            self._commuting = self.array == self.array.T
+            self._commuting = np.full((self.order,) * 2, True) if self._abelian else self.array == self.array.T
         return self._commuting
 
     def is_abelian(self) -> bool:
-        return bool(self.commuting().all())
+        """Known by construction for ``cyclic`` and ``direct_product``, else found once."""
+        if self._abelian is None:
+            self._abelian = bool(self.commuting().all())
+        return self._abelian
 
     def commutes(self, a: int, b: int) -> bool:
         return self.table[a][b] == self.table[b][a]
@@ -301,20 +319,22 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     elements = np.arange(n, dtype=np.intp)
-    return FiniteGroup._known(np.add.outer(elements, elements) % n, 0, -elements % n, tuple(map(str, range(n))))
+    array = lambda: np.add.outer(elements, elements) % n
+    return FiniteGroup._known(n, array, 0, -elements % n, lambda: tuple(map(str, range(n))), True)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """G1 x G2 with row-major index packing: (i1, i2) -> i1 * |G2| + i2.
 
     The packing is fixed so cocycle tables built on the factors line up
-    with tables built on the product.
+    with tables built on the product, abelian exactly when both factors are.
     """
     n1, n2 = g1.order, g2.order
-    table = g1.array[:, None, :, None] * n2 + g2.array[None, :, None, :]
+    array = lambda: (g1.array[:, None, :, None] * n2 + g2.array[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     inverses = (g1.inverses[:, None] * n2 + g2.inverses).ravel()
-    names = tuple(f"({a1},{a2})" for a1 in g1.names for a2 in g2.names)
-    return FiniteGroup._known(table.reshape(n1 * n2, n1 * n2), g1.identity * n2 + g2.identity, inverses, names)
+    names = lambda: tuple(f"({a1},{a2})" for a1 in g1.names for a2 in g2.names)
+    abelian = g1.is_abelian() and g2.is_abelian()
+    return FiniteGroup._known(n1 * n2, array, g1.identity * n2 + g2.identity, inverses, names, abelian)
 
 
 def dihedral(n: int) -> FiniteGroup:

@@ -50,6 +50,8 @@ from .torus import IrrationalBasis, _ratio, parse_exponent
 # klein(32, 1) take about 0.1 and 1.8 s (2 shared vCPUs, one BLAS thread).
 # One value is in use, so not a flag.
 MAX_ORDER = 1024
+# Deepest nesting of product factors, decoded, proven and compiled recursively.
+MAX_DEPTH = 32
 
 
 class SchemaError(ValueError):
@@ -62,7 +64,7 @@ def _check_order(order: int, what: str) -> None:
 
 
 def _require(data, key: str):
-    if not isinstance(data, Mapping):
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise SchemaError(f"expected a JSON object with field {key!r}, got {type(data).__name__}")
     if key not in data:
         raise SchemaError(f"missing field {key!r}")
@@ -76,10 +78,11 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def decode_group(data) -> FiniteGroup:
+def decode_group(data, proven: FiniteGroup | None = None) -> FiniteGroup:
     """A group table from JSON, proven in full by ``groups.build``.  The
     entries are type-checked in one pass; ``names``, when given, must be a
-    list of strings (``FiniteGroup`` checks its length)."""
+    list of strings (``FiniteGroup`` checks its length).  A table and names
+    equal to those of ``proven``, a group this input already proved, give it."""
     rows = _require(data, "table")
     if set(map(type, chain.from_iterable(rows))) - {int}:
         for x in chain.from_iterable(rows):
@@ -87,6 +90,9 @@ def decode_group(data) -> FiniteGroup:
     names = data.get("names")
     if "names" in data and not (type(names) is list and all(type(name) is str for name in names)):
         raise SchemaError("names must be a list of strings")
+    same = proven is not None and len(rows) == proven.order and rows == proven.array.tolist()
+    if same and (tuple(map(str, range(len(rows)))) if names is None else tuple(names)) == proven.names:
+        return proven  # the second factor of a product of a group with itself
     return build(rows, names)
 
 
@@ -158,8 +164,11 @@ def _parameters(data, field: str, key: str, spelling: str) -> tuple[list[tuple[i
     return keys, compile_entries(entries)
 
 
-def _finite_factors(data, kind: str) -> tuple[FiniteMultiplier, FiniteMultiplier]:
-    factors = (_decode(_require(data, "sigma1")), _decode(_require(data, "sigma2")))
+def _finite_factors(data, kind: str, depth: int) -> tuple[FiniteMultiplier, FiniteMultiplier]:
+    if depth >= MAX_DEPTH:
+        raise SchemaError(f"{kind} nested more than MAX_DEPTH = {MAX_DEPTH} deep")
+    sigma1 = _decode(_require(data, "sigma1"), depth + 1)
+    factors = (sigma1, _decode(_require(data, "sigma2"), depth + 1, getattr(sigma1, "group", None)))
     if not all(isinstance(sigma, FiniteMultiplier) for sigma in factors):
         raise SchemaError(f"{kind} factors must be finite multipliers")
     return factors
@@ -178,19 +187,19 @@ def decode_multiplier(data) -> Multiplier:
         raise SchemaError(f"bad multiplier spec: {type(exc).__name__}: {exc}") from None
 
 
-def _decode(data) -> Multiplier:
+def _decode(data, depth: int = 0, proven: FiniteGroup | None = None) -> Multiplier:
     kind = _require(data, "type")
     if kind == "klein":
         n, k = (_integer(_require(data, key), key) for key in ("n", "k"))
         _check_order(n * n, "klein group order n*n")
         return KleinMultiplier(n, k)
     if kind == "trivial":
-        return trivial_multiplier(decode_group(_require(data, "group")))
+        return trivial_multiplier(decode_group(_require(data, "group"), proven))
     if kind == "table":
-        group = decode_group(_require(data, "group"))
+        group = decode_group(_require(data, "group"), proven)
         return TableMultiplier.from_exponents(group, _palette(_require(data, "values"), (group.order, group.order)))
     if kind == "direct_product":
-        sigma1, sigma2 = _finite_factors(data, kind)
+        sigma1, sigma2 = _finite_factors(data, kind, depth)
         g1, g2 = sigma1.group, sigma2.group
         _check_order(g1.order * g2.order, "direct product order |G1|*|G2|")
         f = _palette(_require(_require(data, "f"), "table"), (g1.order, g2.order))
@@ -205,7 +214,7 @@ def _decode(data) -> Multiplier:
         keys, compiled = _parameters(data, "mu", "([0-9])([0-9])", "ij")
         return G3Multiplier(MuMatrix.from_compiled(keys, compiled, _decode_basis(data)))
     if kind == "free_product":
-        return FreeProductMultiplier(*_finite_factors(data, kind))
+        return FreeProductMultiplier(*_finite_factors(data, kind, depth))
     raise SchemaError(f"unknown multiplier type {kind!r}")
 
 

@@ -62,20 +62,18 @@ class Bihomomorphism:
     def _validate(self) -> None:
         ex = self.exponents
         F = ex.array
-        slot1 = F[self.g1.array] - F[:, None] - F[None, :]  # at (a1, b1, a2)
-        bad = np.flatnonzero(~ex.is_zero(slot1))
-        if bad.size:
-            a1, b1, a2 = np.unravel_index(bad[0], slot1.shape[:3])
+        slot1 = ex.is_zero(F[self.g1.array] - F[:, None] - F[None, :])  # at (a1, b1, a2)
+        if not slot1.all():
+            a1, b1, a2 = np.argwhere(~slot1)[0]
             raise InvalidBihomomorphism(f"not multiplicative in slot 1 at ({a1},{b1};{a2})")
-        slot2 = F[:, self.g2.array] - F[:, :, None] - F[:, None, :]  # at (a1, a2, b2)
-        bad = np.flatnonzero(~ex.is_zero(slot2.transpose(1, 2, 0, 3)))
-        if bad.size:
-            a2, b2, a1 = np.unravel_index(bad[0], (self.g2.order, self.g2.order, self.g1.order))
+        slot2 = ex.is_zero(F[:, self.g2.array] - F[:, :, None] - F[:, None, :])  # at (a1, a2, b2)
+        if not slot2.all():
+            a2, b2, a1 = np.argwhere(~slot2.transpose(1, 2, 0))[0]
             raise InvalidBihomomorphism(f"not multiplicative in slot 2 at ({a1};{a2},{b2})")
 
 
 def _check_domains(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier, f: Bihomomorphism) -> None:
-    if not (np.array_equal(f.g1.array, sigma1.group.array) and np.array_equal(f.g2.array, sigma2.group.array)):
+    if not all(g is h or np.array_equal(g.array, h.array) for g, h in ((f.g1, sigma1.group), (f.g2, sigma2.group))):
         raise DomainMismatch("bihomomorphism groups do not match the factor multipliers")
 
 
@@ -102,12 +100,14 @@ class ProductMultiplier(FiniteMultiplier):
         return divmod(a, self._n2)
 
     def _compile(self) -> Exponents:
-        """E1[a1,b1] + E2[a2,b2] + F[b1,a2], broadcast over a common D and label set."""
+        """E1[a1,b1] + E2[a2,b2] + F[b1,a2] over a common D and label set: E1 + F
+        reduced mod D, plus E2; a slot 0 that reaches D is then lowered by D."""
         D, labels, (e1, e2, f) = one_frame((self.sigma1.exponents(), self.sigma2.exponents(), self.f.exponents))
         n = self.group.order
-        table = e1[:, None, :, None] + e2[None, :, None, :] + f.transpose(1, 0, 2)[None, :, :, None]
-        table = table.reshape(n, n, 1 + len(labels))
-        table[..., 0] %= D
+        partial = e1[:, None] + f.transpose(1, 0, 2)[None]
+        partial[..., 0] %= D
+        table = (partial[:, :, :, None] + e2[None, :, None]).reshape(n, n, 1 + len(labels))
+        np.subtract(table[..., 0], D, out=table[..., 0], where=table[..., 0] >= D)
         return Exponents(D, labels, table)
 
 
@@ -158,8 +158,8 @@ def f_degeneracy(
     fails2 = frame.is_zero(F[:, y2] - (e2[x2, y2] - e2[y2, x2])[None, :])
     # admits[a1, a2]: some b admits (a1, a2); the pairs are sorted by x, and
     # every x commutes with itself, so each element starts one run of them
-    admits = ~np.logical_and.reduceat(fails1, np.flatnonzero(np.diff(x1, prepend=-1)), axis=0)
-    admits |= ~np.logical_and.reduceat(fails2, np.flatnonzero(np.diff(x2, prepend=-1)), axis=1)
+    admits = ~np.logical_and.reduceat(fails1, np.searchsorted(x1, np.arange(g1.order)), axis=0)
+    admits |= ~np.logical_and.reduceat(fails2, np.searchsorted(x2, np.arange(g2.order)), axis=1)
     layouts = g1.class_layout(), g2.class_layout()
     (order1, starts1), (order2, starts2) = layouts
     by_class = np.logical_or.reduceat(admits[order1], starts1, axis=0)

@@ -42,7 +42,7 @@ class RegularityReport:
     def __init__(self, group: FiniteGroup, flags: np.ndarray):
         order, starts = group.class_layout()
         self.group, self.flags, self.representatives = group, flags, order[starts]
-        self.sizes = np.diff(starts, append=group.order)
+        self.sizes = np.append(starts[1:], group.order) - starts
         self.regular_element_count = int(self.sizes[flags].sum())
         found = np.flatnonzero(flags & (self.representatives != group.identity))  # the class of e is {e}
         self.witness: ConjugacyClass | None = None
@@ -74,10 +74,11 @@ class RegularityReport:
 
 def regular_elements(sigma: FiniteMultiplier) -> np.ndarray:
     """Boolean array over G: a is regular iff no b with ab = ba has
-    sigma(a, b) != sigma(b, a), compared as stored entries (``Exponents.equal``)."""
-    ex = sigma.exponents()
-    asymmetric = ~ex.equal(ex.array, ex.array.transpose(1, 0, 2))
-    return ~(asymmetric & sigma.group.commuting()).any(axis=1)
+    sigma(a, b) != sigma(b, a), compared as stored entries (``Exponents.equal``);
+    on an abelian group that is E against its transpose alone, with no mask."""
+    ex, g = sigma.exponents(), sigma.group
+    agree = ex.equal(ex.array, ex.array.transpose(1, 0, 2))
+    return agree.all(axis=1) if g.is_abelian() else (agree | ~g.commuting()).all(axis=1)
 
 
 def is_regular_element(sigma: FiniteMultiplier, a: int) -> bool:

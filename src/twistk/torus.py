@@ -132,11 +132,13 @@ class RotationNumber:
 
     Canonical form (enforced on construction): ``rat`` reduced and in
     [0, 1); ``coeffs`` sorted by label with no zero entries.  Equal values
-    compare equal structurally, by declared independence.
+    compare equal structurally, by declared independence.  The hash is
+    taken once, on first use, and kept in ``_hash``, which equality ignores.
     """
 
     rat: Fraction = Fraction(0)
     coeffs: tuple[tuple[str, Fraction], ...] = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rat = self.rat if type(self.rat) is Fraction else Fraction(self.rat)
@@ -144,6 +146,11 @@ class RotationNumber:
             rat %= 1
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "coeffs", _canonical_coeffs(self.coeffs))
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rat, self.coeffs)))
+        return self._hash
 
     # -- arithmetic ------------------------------------------------------
 

@@ -121,10 +121,15 @@ def test_commutation_mask_is_the_table_against_its_transpose():
         assert np.array_equal(mask, g.array == g.array.T) and g.commuting() is mask, name
         assert g.is_abelian() == bool(mask.all()), name
         assert g.centralizer(g.order - 1) == tuple(b for b in g.elements() if g.commutes(g.order - 1, b)), name
-    # a fresh group keeps the one mask that its regularity scan built
-    sigma = ProductMultiplier(*product_triples()[-1][1:])
+    # a fresh nonabelian product keeps the one mask that its regularity scan
+    # built; an abelian product, known abelian from its factors, builds none
+    triples = {name: (s1, s2, f) for name, s1, s2, f in product_triples()}
+    sigma = ProductMultiplier(*triples["S3xZ6,sign-pairing"])
     regular_classes(sigma)
     assert sigma.group._commuting is not None and sigma.group.commuting() is sigma.group._commuting
+    sigma = ProductMultiplier(*triples["V4xV4,cross"])
+    regular_classes(sigma)
+    assert sigma.group._commuting is None and sigma.group.is_abelian()
 
 
 def test_direct_product_units_match_the_search():

@@ -1,7 +1,10 @@
 """Numbers that are short to spell but out of reach: a --tol whose float
 is zero or infinite, a decimal exponent whose power of ten is longer
 than ``int()`` reads, and a free product's word length --box above
-``io.MAX_ORDER``.  Each exits 2 with one stderr line, at once."""
+``io.MAX_ORDER``; and input that cannot be read: bytes that are not
+UTF-8, JSON nested deeper than the parser recurses, and products nested
+deeper than ``io.MAX_DEPTH``.  Each exits 2 with one stderr line, at
+once."""
 
 import json
 import sys
@@ -11,7 +14,7 @@ import pytest
 
 from twistk.cli import main
 from twistk.groups import cyclic
-from twistk.io import MAX_ORDER, SchemaError, encode_multiplier, parse_fraction
+from twistk.io import MAX_DEPTH, MAX_ORDER, SchemaError, encode_multiplier, parse_fraction
 from twistk.multipliers import trivial_multiplier
 from twistk.torus import _exponent_limit, _ratio
 
@@ -113,4 +116,45 @@ def test_free_product_box_above_max_order_exits_2(command, capsys):
     free = json.dumps({"type": "free_product", **factors})
     _exits_2_quickly([command, "--inline", free, "--box", str(MAX_ORDER + 1)], capsys, "--box")
     assert main([command, "--inline", free, "--box", str(MAX_ORDER), "--fuzz", "1"]) == 0
+    capsys.readouterr()
+
+
+KLEIN = b'{"type": "klein", "n": 2, "k": 1, "note": "\xff"}'
+
+
+def _nested_products(depth):
+    """A direct_product nested ``depth`` deep on trivial factors of order 1,
+    which pass every size cap."""
+    one = encode_multiplier(trivial_multiplier(cyclic(1)))
+    spec = one
+    for _ in range(depth):
+        spec = {"type": "direct_product", "sigma1": spec, "sigma2": one, "f": {"table": [[{"rat": "0"}]]}}
+    return json.dumps(spec).encode()
+
+
+UNREADABLE = {
+    "not UTF-8": (KLEIN, "utf-8"),
+    "deep JSON": (b"[" * 200_000, "recursion"),
+    "deep products": (_nested_products(700), "MAX_DEPTH"),
+    "UTF-8 BOM": (b"\xef\xbb\xbf" + KLEIN.replace(b"\xff", b"x"), "BOM"),
+}
+
+
+@pytest.mark.parametrize("route", ["--input", "--inline"])
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_input_exits_2(name, route, tmp_path, capsys):
+    raw, message = UNREADABLE[name]
+    if route == "--input":
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        source = str(path)
+    else:
+        source = raw.decode("utf-8", "surrogateescape")  # as argv delivers bytes
+    _exits_2_quickly(["regular-classes", route, source], capsys, message)
+
+
+def test_products_nested_max_depth_deep_still_run(capsys):
+    nested = _nested_products(MAX_DEPTH).decode()
+    for command in ("validate", "regular-classes", "condition-k", "f-degeneracy", "center"):
+        assert main([command, "--inline", nested]) == 0, command
     capsys.readouterr()
