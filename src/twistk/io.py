@@ -50,8 +50,7 @@ from .torus import IrrationalBasis, _ratio, parse_exponent
 # klein(32, 1) take about 0.1 and 1.8 s (2 shared vCPUs, one BLAS thread).
 # One value is in use, so not a flag.
 MAX_ORDER = 1024
-# Deepest nesting of product factors, decoded, proven and compiled recursively.
-MAX_DEPTH = 32
+MAX_DEPTH = 32  # deepest nesting of product factors, decoded, proven and compiled recursively
 
 
 class SchemaError(ValueError):
