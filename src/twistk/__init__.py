@@ -21,7 +21,6 @@ from .lattices import (
     LatticeMultiplier,
     MuMatrix,
     Theta,
-    commutator_phase,
     condition_k_lattice,
     g3_condition_k,
     g3_inverse,
@@ -41,9 +40,7 @@ from .freeprod import (
 from .multipliers import (
     KleinMultiplier,
     Multiplier,
-    SimilarityWitness,
     TableMultiplier,
-    is_similar,
     klein,
     normalize,
     trivial_multiplier,

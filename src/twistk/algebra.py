@@ -22,7 +22,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .multipliers import FiniteMultiplier
-from .torus import ZERO, IrrationalBasis, MissingHint, RotationNumber
+from .torus import ZERO, MissingHint, RotationNumber
 
 
 class IllConditioned(RuntimeError):
@@ -60,10 +60,6 @@ class PhaseSum:
         return PhaseSum()
 
     @staticmethod
-    def one() -> "PhaseSum":
-        return PhaseSum.phase(ZERO)
-
-    @staticmethod
     def phase(x: RotationNumber, mag: Fraction | int = 1) -> "PhaseSum":
         return PhaseSum([(x, Fraction(mag))])
 
@@ -96,8 +92,9 @@ class PhaseSum:
             return NotImplemented
         return self.terms == other.terms
 
-    def evaluate(self, basis: IrrationalBasis | None = None) -> complex:
-        return sum((float(m) * p.evaluate(basis) for p, m in self.terms.items()), 0j)
+    def evaluate(self) -> complex:
+        """The complex value of a sum without symbols (``RotationNumber.evaluate``)."""
+        return sum((float(m) * p.evaluate() for p, m in self.terms.items()), 0j)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -123,19 +120,10 @@ class AlgebraElement:
     def coeff(self, a: int) -> PhaseSum:
         return self.coeffs.get(a, PhaseSum.zero())
 
-    def support(self):
-        return self.coeffs.keys()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return np.array_equal(self.group.array, other.group.array) and self.coeffs == other.coeffs
-
-    def to_vector(self, basis: IrrationalBasis | None = None) -> np.ndarray:
-        vec = np.zeros(self.group.order, dtype=complex)
-        for a, v in self.coeffs.items():
-            vec[a] = v.evaluate(basis)
-        return vec
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.coeffs!r})"

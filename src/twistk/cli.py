@@ -255,7 +255,7 @@ def run(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         out.update({"error": error, "detail": str(exc)})
         return 1, out
     except MissingHint as exc:
-        raise JobError(f"{args.command} needs a float hint for symbol {exc.args[0]!r}") from None
+        raise JobError(f"the numeric center needs a table without symbols, and this table has symbol {exc.args[0]!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,10 @@ different factors, beta on a word of at most 4 letters (``_beta``),
 and memoized per word above that; ``vector`` is tau when all three betas
 are that zero.  ``decompose`` checks a multiplier on G1 * G2 through its
 ``vector``, in that multiplier's own frame, with the prefix telescope
-memoized per word within one check.
+memoized per word within one check, and gives its witness beta as a plain
+function of the word.  No word is read from input: the fuzz loops draw
+reduced words (``random_word``), and a report names the letters of a
+witness word (``io.encode_word``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .multipliers import (
     FiniteMultiplier,
     Multiplier,
     NotNormalized,
-    SimilarityWitness,
     TableMultiplier,
     draw,
     exact_dtype,
@@ -82,25 +84,6 @@ class FreeProduct:
 
     def factor(self, i: int) -> FiniteGroup:
         return self.g1 if i == 1 else self.g2
-
-    def letter(self, factor: int, elem: int) -> Letter:
-        g = self.factor(factor)
-        if not 0 <= elem < g.order:
-            raise ValueError(f"element {elem} outside factor {factor}")
-        if elem == g.identity:
-            raise ValueError("letters must be non-identity elements")
-        return (factor, elem)
-
-    def check_word(self, word: FPWord) -> FPWord:
-        prev = 0
-        for factor, elem in word:
-            g = self.factor(factor)
-            if factor == prev:
-                raise ValueError(f"word {word} is not alternating")
-            if elem == g.identity or not 0 <= elem < g.order:
-                raise ValueError(f"bad letter ({factor},{elem})")
-            prev = factor
-        return tuple(word)
 
     def word(self, letters: Sequence[Letter]) -> FPWord:
         """Reduce an arbitrary letter sequence (merging and cancelling)."""
@@ -358,7 +341,7 @@ def free_product_multiplier(sigma1: FiniteMultiplier, sigma2: FiniteMultiplier) 
 class Decomposition:
     sigma1: TableMultiplier
     sigma2: TableMultiplier
-    witness: SimilarityWitness
+    witness: Callable[[FPWord], RotationNumber]  # beta
     candidate: FreeProductMultiplier
     pairs_checked: int
 
@@ -446,4 +429,4 @@ def decompose(
         if not ex.vanishes([p - q for p, q in zip(twisted, candidate._tau(x, y))]):
             raise SimilarityFailure((x, y))
         checked += 1
-    return Decomposition(sigma1, sigma2, SimilarityWitness(beta_fn), candidate, checked)
+    return Decomposition(sigma1, sigma2, beta_fn, candidate, checked)

@@ -186,12 +186,6 @@ class FiniteGroup:
     def __len__(self) -> int:
         return self.order
 
-    def name(self, a: int) -> str:
-        return self.names[a]
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def commuting(self) -> np.ndarray:
         """The mask ``array == array.T``: [a, b] is True when ab = ba, kept once
         built; all True, with no table read, on a group known abelian."""
@@ -204,9 +198,6 @@ class FiniteGroup:
         if self._abelian is None:
             self._abelian = bool(self.commuting().all())
         return self._abelian
-
-    def commutes(self, a: int, b: int) -> bool:
-        return self.table[a][b] == self.table[b][a]
 
     def centralizer(self, a: int) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.commuting()[a]).tolist())

@@ -1,10 +1,13 @@
-"""JSON schemas for groups, multipliers, and words.
+"""JSON schemas for groups and multipliers, decoded; free-product words
+are only encoded, in the witnesses of reports.
 
 Every exact number crosses the wire as a string "p/q" or a JSON
-integer; a float or a bool there is refused, and floats appear only in
-the optional evaluation hints; ``torus.parse_exponent`` reads them all,
-to integers.  The multiplier schema is variant-tagged by "type": klein |
-table | trivial | direct_product | torus | g3 | free_product.
+integer; a float or a bool there is refused, and ``torus.parse_exponent``
+reads them all, to integers.  A torus or g3 spec may carry "hints", an
+object of finite numbers: they are checked and not read, since no
+command evaluates a symbol.  The multiplier schema is variant-tagged by
+"type": klein | table | trivial | direct_product | torus | g3 |
+free_product.
 
 A spec whose dense table or matrix would exceed MAX_ORDER on a side is
 refused before anything of that size is built.
@@ -80,8 +83,9 @@ def _integer(value, what: str) -> int:
 def decode_group(data, proven: FiniteGroup | None = None) -> FiniteGroup:
     """A group table from JSON, proven in full by ``groups.build``.  The
     entries are type-checked in one pass; ``names``, when given, must be a
-    list of strings (``FiniteGroup`` checks its length).  A table and names
-    equal to those of ``proven``, a group this input already proved, give it."""
+    list of distinct strings, since a witness word names its letters
+    (``FiniteGroup`` checks its length).  A table and names equal to those
+    of ``proven``, a group this input already proved, give it."""
     rows = _require(data, "table")
     if set(map(type, chain.from_iterable(rows))) - {int}:
         for x in chain.from_iterable(rows):
@@ -89,6 +93,9 @@ def decode_group(data, proven: FiniteGroup | None = None) -> FiniteGroup:
     names = data.get("names")
     if "names" in data and not (type(names) is list and all(type(name) is str for name in names)):
         raise SchemaError("names must be a list of strings")
+    if names is not None and len(set(names)) != len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise SchemaError(f"names must be distinct; {repeated!r} repeats")
     same = proven is not None and len(rows) == proven.order and rows == proven.array.tolist()
     if same and (tuple(map(str, range(len(rows)))) if names is None else tuple(names)) == proven.names:
         return proven  # the second factor of a product of a group with itself
@@ -96,16 +103,19 @@ def decode_group(data, proven: FiniteGroup | None = None) -> FiniteGroup:
 
 
 def _decode_basis(data) -> IrrationalBasis:
-    """``basis``, when given, must be a list of strings, like ``names``,
-    and each of ``hints`` a JSON int or float, finite as a float."""
+    """``basis``, when given, must be a list of strings, like ``names``;
+    ``hints``, an object whose values are JSON ints or floats, finite as
+    floats.  The hints are checked and dropped."""
     labels = data.get("basis", [])
     if not (type(labels) is list and all(type(label) is str for label in labels)):
         raise SchemaError("basis must be a list of strings")
     hints = data.get("hints", {})
+    if type(hints) is not dict:
+        raise SchemaError("hints must be an object")
     bad = [label for label, v in hints.items() if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
     if bad:
         raise SchemaError(f"hint {bad[0]!r} must be a finite number")
-    return IrrationalBasis(tuple(labels), {str(label): float(v) for label, v in hints.items()})
+    return IrrationalBasis(tuple(labels))
 
 
 # The "irr" of an entry without symbols; only ever compared, never changed.
@@ -250,22 +260,6 @@ def encode_multiplier(sigma: Multiplier) -> dict:
 
 def encode_word(fp: FreeProduct, word: FPWord) -> list:
     return [[str(factor), fp.factor(factor).names[elem]] for factor, elem in word]
-
-
-def decode_word(fp: FreeProduct, data) -> FPWord:
-    letters = []
-    for item in data:
-        factor = int(item[0])
-        if factor not in (1, 2):
-            raise SchemaError(f"bad factor tag {item[0]!r}")
-        group = fp.factor(factor)
-        name = str(item[1])
-        try:
-            elem = group.index_of(name)
-        except ValueError:
-            raise SchemaError(f"unknown element name {name!r} in factor {factor}") from None
-        letters.append(fp.letter(factor, elem))
-    return fp.check_word(tuple(letters))
 
 
 def encode_witness_element(sigma: Multiplier, element) -> object:

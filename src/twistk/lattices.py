@@ -104,7 +104,6 @@ class Theta:
             "n": self.n,
             "theta": {f"{i + 1},{j + 1}": self.exponents.rotation(row).to_json() for (i, j), row in rows},
             "basis": list(self.basis.labels),
-            "hints": dict(self.basis.float_hints),
         }
 
 
@@ -122,13 +121,6 @@ def _torus_vector(theta: Theta, a: Vector, b: Vector) -> list[int]:
 def torus_value(theta: Theta, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
     """Exponent sum_{i<j} a_i t_ij b_j."""
     return theta.exponents.rotation(_torus_vector(theta, _check_rank(theta, a), _check_rank(theta, b)))
-
-
-def commutator_phase(theta: Theta, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
-    """Exponent of sigma(a,b) conj(sigma(b,a)): sum_{i<j} t_ij (a_i b_j - b_i a_j)."""
-    a = _check_rank(theta, a)
-    b = _check_rank(theta, b)
-    return theta.exponents.rotation(theta.exponents.combine([a[i] * b[j] - b[i] * a[j] for i, j in theta.pairs]))
 
 
 def _integral(D: int, matrix: SlotMatrix, v: Sequence[int]) -> bool:
@@ -301,7 +293,6 @@ class MuMatrix:
             "type": "g3",
             "mu": {f"{i}{j}": rows[i - 1][j - 1].to_json() for (i, j) in _MU_KEYS},
             "basis": list(self.basis.labels),
-            "hints": dict(self.basis.float_hints),
         }
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -483,44 +483,6 @@ def require_multiplier(sigma: FiniteMultiplier) -> None:
 # -- similarity ---------------------------------------------------------------
 
 
-class SimilarityWitness:
-    """The function beta: G -> T of a coboundary, with beta(e) = 1."""
-
-    def __init__(self, beta: Sequence | Callable):
-        if callable(beta):
-            self._fn = beta
-        else:
-            values = tuple(beta)
-            self._fn = lambda a: values[a]
-
-    def __call__(self, a) -> RotationNumber:
-        return self._fn(a)
-
-
-def is_similar(
-    sigma: Multiplier,
-    tau: Multiplier,
-    witness: SimilarityWitness,
-    pairs: Iterable[tuple] | None = None,
-) -> bool:
-    """tau(a,b) = beta(a) beta(b) conj(beta(ab)) sigma(a,b) on all checked pairs."""
-    if pairs is None:
-        if not (isinstance(sigma, FiniteMultiplier) and isinstance(tau, FiniteMultiplier)):
-            raise ValueError("explicit pairs required for infinite domains")
-        if not np.array_equal(sigma.group.array, tau.group.array):
-            raise DomainMismatch("similarity requires a common group")
-        g = sigma.group
-        pairs = ((a, b) for a in g.elements() for b in g.elements())
-        mul = g.mul
-    else:
-        mul = sigma.multiply  # word-domain multipliers provide multiply()
-    for a, b in pairs:
-        ab = mul(a, b)
-        if tau.value(a, b) != witness(a) + witness(b) - witness(ab) + sigma.value(a, b):
-            return False
-    return True
-
-
 def coboundary_twist(sigma: FiniteMultiplier, beta: Sequence[RotationNumber]) -> TableMultiplier:
     """The similar multiplier tau(a,b) = beta(a)+beta(b)-beta(ab)+sigma(a,b)."""
     g = sigma.group
@@ -538,8 +500,9 @@ def coboundary_twist(sigma: FiniteMultiplier, beta: Sequence[RotationNumber]) ->
 # -- normalization ------------------------------------------------------------
 
 
-def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, SimilarityWitness]:
-    """A similar multiplier with sigma'(a, a^-1) = 1 for every a.
+def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, tuple[RotationNumber, ...]]:
+    """A similar multiplier with sigma'(a, a^-1) = 1 for every a, and the
+    beta of the coboundary that takes sigma to it (``coboundary_twist``).
 
     beta is chosen pairwise: on each pair {a, a^-1} with a != a^-1 one
     representative gets beta = 1 and the other beta = conj(sigma(r, r^-1));
@@ -560,4 +523,4 @@ def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, SimilarityWitne
             beta[ainv] = -sigma.value(a, ainv)
     beta[g.identity] = ZERO
     normalized = coboundary_twist(sigma, beta)  # type: ignore[arg-type]
-    return normalized, SimilarityWitness(tuple(beta))
+    return normalized, tuple(beta)

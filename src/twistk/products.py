@@ -184,9 +184,6 @@ class TwoOfThreeReport:
     f_symmetric: bool            # (iii) f(a1,b2) = f(b1,a2) on the centralizer
     f_trivial: bool              # (iv)  both pairings = 1 on the centralizer
 
-    def truth_vector(self) -> tuple[bool, bool, bool, bool]:
-        return (self.sigma_regular, self.factor_regular, self.f_symmetric, self.f_trivial)
-
 
 def two_of_three(sigma: ProductMultiplier, a: int) -> TwoOfThreeReport:
     """Evaluate the regularity lemma's four conditions at a and audit it:

@@ -59,9 +59,6 @@ class RegularityReport:
     def classes(self) -> tuple[tuple[ConjugacyClass, bool], ...]:
         return tuple(zip(self.group.conjugacy_classes(), self.flags.tolist()))
 
-    def regular_classes(self) -> list[ConjugacyClass]:
-        return [cls for cls, flag in self.classes if flag]
-
     def to_json(self) -> dict:
         return {
             "condition_k": self.condition_k,

@@ -22,7 +22,8 @@ RationalLike = Union[Fraction, int, str]
 
 
 class MissingHint(KeyError):
-    """Numeric evaluation touched a symbol that has no float hint."""
+    """A numeric evaluation met a formal symbol, which has no float value;
+    ``args[0]`` is the symbol."""
 
 
 class UnknownSymbol(ValueError):
@@ -31,35 +32,21 @@ class UnknownSymbol(ValueError):
 
 @dataclass(frozen=True)
 class IrrationalBasis:
-    """Ordered formal symbols, declared Q-linearly independent with 1.
-
-    ``float_hints`` optionally maps labels to real values; it is used only
-    by the numeric evaluation path and never by exact arithmetic.
-    """
+    """Ordered formal symbols, declared Q-linearly independent with 1.  A
+    symbol has no float value: exact arithmetic never needs one."""
 
     labels: tuple[str, ...]
-    float_hints: dict[str, float] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate basis labels: {self.labels!r}")
 
-    def check(self, x: "RotationNumber") -> None:
-        """Raise UnknownSymbol if x references a label outside this basis."""
-        self.check_labels(label for label, _ in x.coeffs)
-
     def check_labels(self, labels: Iterable[str]) -> None:
         """Raise UnknownSymbol at the first of ``labels`` outside this basis."""
         for label in labels:
             if label not in self.labels:
                 raise UnknownSymbol(f"symbol {label!r} not in basis {self.labels!r}")
-
-    def hint(self, label: str) -> float:
-        try:
-            return self.float_hints[label]
-        except KeyError:
-            raise MissingHint(label) from None
 
 
 def _canonical_coeffs(coeffs) -> tuple[tuple[str, Fraction], ...]:
@@ -190,14 +177,12 @@ class RotationNumber:
 
     # -- numeric path ----------------------------------------------------
 
-    def evaluate(self, basis: IrrationalBasis | None = None) -> complex:
-        """e^(2*pi*i*x) as a double-precision complex number."""
-        total = float(self.rat)
-        for label, c in self.coeffs:
-            if basis is None:
-                raise MissingHint(label)
-            total += float(c) * basis.hint(label)
-        return cmath.exp(2j * cmath.pi * total)
+    def evaluate(self) -> complex:
+        """e^(2*pi*i*x) as a double-precision complex number, for an x without
+        symbols; the first symbol raises MissingHint."""
+        if self.coeffs:
+            raise MissingHint(self.coeffs[0][0])
+        return cmath.exp(2j * cmath.pi * float(self.rat))
 
     # -- serialization ---------------------------------------------------
 

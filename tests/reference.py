@@ -38,7 +38,10 @@
 - The free-product word arithmetic that calls the factor groups per
   letter: ``multiply_ref``, ``factor_images_ref``, ``reduce_pair`` with
   ``tau_ref``, ``beta_ref`` and ``vector_ref`` (no memo, no shortcut),
-  and the unmemoized ``prefix_telescope_ref`` of ``decompose``.
+  and the unmemoized ``prefix_telescope_ref`` of ``decompose``;
+  ``check_word``, which passes a word only when it is reduced.
+- ``is_similar``: the similarity of two finite multipliers under a given
+  beta, pair by pair on RotationNumbers.
 """
 
 from __future__ import annotations
@@ -46,13 +49,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from twistk.freeprod import FPWord, FreeProduct, FreeProductMultiplier, expand_syllable, rewrite_to_X
 from twistk.groups import ConjugacyClass, FiniteGroup
-from twistk.multipliers import Exponents, FiniteMultiplier, exact_dtype
+from twistk.multipliers import DomainMismatch, Exponents, FiniteMultiplier, exact_dtype
 from twistk.products import ProductMultiplier
 from twistk.regularity import ClassInconsistency, regular_elements
 from twistk.intlinalg import rational_rank
@@ -325,7 +328,7 @@ class ThetaRef:
         for (i, j), v in entries.items():
             if not 0 <= i < j < n:
                 raise ValueError(f"entry index ({i},{j}) out of range for rank {n}")
-            basis.check(v)
+            basis.check_labels(label for label, _ in v.coeffs)
             if not v.is_integral():
                 self.entries[(i, j)] = v
 
@@ -335,7 +338,6 @@ class ThetaRef:
             "n": self.n,
             "theta": {f"{i + 1},{j + 1}": v.to_json() for (i, j), v in sorted(self.entries.items())},
             "basis": list(self.basis.labels),
-            "hints": dict(self.basis.float_hints),
         }
 
     def qtheta_dimension(self) -> int:
@@ -361,7 +363,7 @@ class MuRef:
             raise ValueError(f"unknown mu keys: {sorted(unknown)}")
         self.mu = {key: mu.get(key, ZERO) for key in _MU_KEYS}
         for v in self.mu.values():
-            basis.check(v)
+            basis.check_labels(label for label, _ in v.coeffs)
 
     def param(self, i: int, j: int) -> RotationNumber:
         return self.mu[(2, 2)] - self.mu[(1, 3)] if (i, j) == (3, 1) else self.mu[(i, j)]
@@ -374,7 +376,6 @@ class MuRef:
             "type": "g3",
             "mu": {f"{i}{j}": self.mu[(i, j)].to_json() for (i, j) in _MU_KEYS},
             "basis": list(self.basis.labels),
-            "hints": dict(self.basis.float_hints),
         }
 
 
@@ -386,11 +387,9 @@ def decode_params_ref(data: dict) -> ThetaRef | MuRef:
         for key, value in data["theta"].items():
             i, j = map(int, key.split(","))
             entries[(i - 1, j - 1)] = RotationNumber.from_json(value)
-        basis = IrrationalBasis(tuple(data.get("basis", [])), {k: float(v) for k, v in data.get("hints", {}).items()})
-        return ThetaRef(data["n"], entries, basis)
+        return ThetaRef(data["n"], entries, IrrationalBasis(tuple(data.get("basis", []))))
     mu = {(int(key[0]), int(key[1])): RotationNumber.from_json(value) for key, value in data["mu"].items()}
-    basis = IrrationalBasis(tuple(data.get("basis", [])), {k: float(v) for k, v in data.get("hints", {}).items()})
-    return MuRef(mu, basis)
+    return MuRef(mu, IrrationalBasis(tuple(data.get("basis", []))))
 
 
 def two_of_three_loop(sigma: ProductMultiplier, a: int) -> tuple[bool, bool]:
@@ -617,3 +616,30 @@ def prefix_telescope_ref(vector, zero: list[int], x: FPWord) -> list[int]:
         total = [t + v for t, v in zip(total, vector(prefix, (letter,)))]
         prefix += (letter,)
     return total
+
+
+def check_word(fp: FreeProduct, word: FPWord) -> FPWord:
+    """``word`` when it is reduced: alternating factors, each letter an
+    element of its factor other than the identity; else ValueError."""
+    prev = 0
+    for factor, elem in word:
+        g = fp.factor(factor)
+        if factor == prev:
+            raise ValueError(f"word {word} is not alternating")
+        if elem == g.identity or not 0 <= elem < g.order:
+            raise ValueError(f"bad letter ({factor},{elem})")
+        prev = factor
+    return tuple(word)
+
+
+def is_similar(sigma: FiniteMultiplier, tau: FiniteMultiplier, beta: Callable[[int], RotationNumber]) -> bool:
+    """tau(a, b) = beta(a) + beta(b) - beta(ab) + sigma(a, b) on every pair of
+    the group that both multipliers share."""
+    g = sigma.group
+    if not np.array_equal(g.array, tau.group.array):
+        raise DomainMismatch("similarity requires a common group")
+    return all(
+        tau.value(a, b) == beta(a) + beta(b) - beta(g.mul(a, b)) + sigma.value(a, b)
+        for a in g.elements()
+        for b in g.elements()
+    )

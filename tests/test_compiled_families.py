@@ -35,7 +35,6 @@ from twistk.lattices import (
     LatticeMultiplier,
     MuMatrix,
     Theta,
-    commutator_phase,
     condition_k_lattice,
     g3_central_phase,
     g3_condition_k,
@@ -54,15 +53,6 @@ def _torus_value_ref(theta, a, b):
     total = ZERO
     for (i, j), t in theta_entries(theta).items():
         k = a[i] * b[j]
-        if k:
-            total = total + t.scale(k)
-    return total
-
-
-def _commutator_phase_ref(theta, a, b):
-    total = ZERO
-    for (i, j), t in theta_entries(theta).items():
-        k = a[i] * b[j] - b[i] * a[j]
         if k:
             total = total + t.scale(k)
     return total
@@ -241,7 +231,6 @@ def test_torus_values_match_reference():
         n = theta.n
         for a, b in zip(_vectors(n, rng, 4, 30), _vectors(n, rng, 4, 30)):
             assert torus_value(theta, a, b) == _torus_value_ref(theta, a, b)
-            assert commutator_phase(theta, a, b) == _commutator_phase_ref(theta, a, b)
         big = tuple(rng.randint(-10**12, 10**12) for _ in range(n))
         assert torus_value(theta, big, big[::-1]) == _torus_value_ref(theta, big, big[::-1])
 

@@ -1,7 +1,8 @@
 """Torus and g3 parameters decoded straight to compiled rows, against the
 ``RotationNumber.from_json`` decode in ``reference.py``; decoding and a
 whole ``decompose`` job without a RotationNumber; canonical parameter
-keys and finite hints at the input boundary; ``one_frame``; and
+keys and finite hints in an object at the input boundary, hints that
+change no report and no encoding; ``one_frame``; and
 ``decompose`` in the frame of the multiplier it is given.
 """
 
@@ -259,9 +260,33 @@ def test_bad_hint_refused(kind, value, capsys):
 def test_finite_hint_accepted(kind, value, capsys):
     assert main(["condition-k", "--inline", _hinted(kind, value)]) == 0
     capsys.readouterr()
-    sigma = decode_multiplier(json.loads(_hinted(kind, value)))
-    basis = sigma.theta.basis if kind == "torus" else sigma.mu.basis
-    assert basis.float_hints == {"t": float(json.loads(value))}
+
+
+@pytest.mark.parametrize("kind", ["torus", "g3"])
+@pytest.mark.parametrize("hints", [[1], [], "t", "", 1, 0.5, None], ids=repr)
+def test_hints_not_an_object_refused(kind, hints, capsys):
+    text = json.dumps({**json.loads(_hinted(kind, "0")), "hints": hints})
+    for command in ("validate", "condition-k"):
+        assert main([command, "--inline", text, "--fuzz", "20"]) == 2
+        assert capsys.readouterr().err == "bad job: hints must be an object\n"
+
+
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_hints_change_no_answer(index, capsys):
+    """A spec without hints, with none and with some gives the same report
+    bytes and the same encoding, which carries no hints."""
+    bare = {key: value for key, value in SPECS[index].items() if key != "hints"}
+    spec = encode_multiplier(decode_multiplier(bare))
+    assert "hints" not in spec and encode_multiplier(decode_multiplier(spec)) == spec
+    hinted = {label: 0.5 + i for i, label in enumerate(bare["basis"])}
+    variants = [bare, {**bare, "hints": {}}, {**bare, "hints": hinted}, {**spec, "hints": hinted}]
+    assert all(encode_multiplier(decode_multiplier(data)) == spec for data in variants)
+    for options in (["condition-k"], ["validate", "--fuzz", "60", "--box", "3", "--seed", "4"]):
+        reports = []
+        for data in variants:
+            assert main([options[0], "--inline", json.dumps(data), *options[1:]]) == 0
+            reports.append(capsys.readouterr().out)
+        assert len(set(reports)) == 1, options
 
 
 def _exponents(rng: random.Random, dtype) -> Exponents:

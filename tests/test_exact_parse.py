@@ -171,7 +171,7 @@ def _decision(fn, sigma):
         report = fn(sigma)
     except ClassInconsistency as exc:
         return "inconsistent", str(exc)
-    return (report.classes, report.witness, report.regular_element_count), report.to_json(), report.regular_classes()
+    return (report.classes, report.witness, report.regular_element_count), report.to_json(), [c for c, f in report.classes if f]
 
 
 def _moved(sigma, a, b, c, d):

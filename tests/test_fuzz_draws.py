@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from catalog import random_coboundary  # noqa: E402
 from reference import (  # noqa: E402
     beta_ref,
+    check_word,
     factor_images_ref,
     multiply_ref,
     prefix_telescope_ref,
@@ -90,9 +91,9 @@ def test_random_words_are_reduced(orders):
     rng = random.Random(sum(orders))
     for _ in range(500):
         w = fp.random_word(rng, 7)
-        assert fp.check_word(w) == w
+        assert check_word(fp, w) == w
         k = fp.random_kernel_word(rng, 8)
-        assert fp.check_word(k) == k and fp.in_kernel(k)
+        assert check_word(fp, k) == k and fp.in_kernel(k)
     if 1 not in orders:
         return
     # one letter at most: every word of a single factor reduces to one letter
@@ -222,7 +223,7 @@ def test_decompose_witness_matches_reference(pair, monkeypatch):
     sigma = _product(pair)
     fp = sigma.fp
     result = decompose(sigma, fp.g1, fp.g2, max_len=5, pairs=200, rng=random.Random(1))
-    assert not _memo(result.witness._fn)  # the witness does not share the check's memo
+    assert not _memo(result.witness)  # the witness does not share the check's memo
     ex = sigma.exponents()
     zero = [0] * (1 + len(ex.labels))
     vector = partial(vector_ref, sigma)
@@ -235,7 +236,7 @@ def test_decompose_witness_matches_reference(pair, monkeypatch):
     monkeypatch.setattr(freeprod, "BETA_MEMO", 8)
     small = decompose(sigma, fp.g1, fp.g2, max_len=5, pairs=200, rng=random.Random(1))
     assert small.pairs_checked == result.pairs_checked == 200
-    memo = _memo(small.witness._fn)
+    memo = _memo(small.witness)
     for w in words:
         assert small.witness(w) == result.witness(w)
         assert len(memo) <= 8

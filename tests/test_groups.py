@@ -142,8 +142,7 @@ def test_known_class_counts():
 
 def test_names_and_json():
     g = dihedral(3)
-    assert g.name(g.identity) == "r0"
-    assert g.index_of("sr1") == g.names.index("sr1")
+    assert g.names[g.identity] == "r0"
     data = g.to_json()
     g2 = decode_group(data)
     assert g2.table == g.table and g2.names == g.names

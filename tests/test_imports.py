@@ -87,12 +87,9 @@ TEST_ONLY = frozenset({
     "algebra.py: involution",
     "freeprod.py: free_product_multiplier",
     "freeprod.py: xword_to_word",
-    "io.py: decode_word",
     "io.py: encode_multiplier",
-    "lattices.py: commutator_phase",
     "lattices.py: g3_central_phase",
     "lattices.py: qtheta_dimension",
-    "multipliers.py: is_similar",
     "multipliers.py: normalize",
     "products.py: two_of_three",
 })
@@ -108,11 +105,7 @@ def test_public_definitions_used_outside_tests():
 # Public methods and properties of package classes that only the tests
 # read, as "module.py: Class.name".  Like TEST_ONLY, the set may only shrink.
 TEST_ONLY_METHODS = frozenset({
-    "algebra.py: PhaseSum.one",
     "algebra.py: AlgebraElement.delta",
-    "algebra.py: AlgebraElement.support",
-    "algebra.py: AlgebraElement.to_vector",
-    "products.py: TwoOfThreeReport.truth_vector",
 })
 
 

@@ -17,7 +17,6 @@ from twistk.groups import cyclic, symmetric
 from twistk.io import (
     SchemaError,
     decode_multiplier,
-    decode_word,
     encode_multiplier,
     encode_word,
     parse_fraction,
@@ -91,11 +90,6 @@ def test_word_serialization():
     word = ((1, 2), (2, 1), (1, 1))
     data = encode_word(fp, word)
     assert data == [["1", "2"], ["2", "1"], ["1", "1"]]
-    assert decode_word(fp, data) == word
-    with pytest.raises(SchemaError):
-        decode_word(fp, [["3", "1"]])
-    with pytest.raises(SchemaError):
-        decode_word(fp, [["1", "zz"]])
 
 
 def _run(capsys, args):
@@ -232,8 +226,9 @@ def test_cli_malformed_input_exits_2(capsys):
 
 
 def test_cli_center_symbolic_table_refuses(capsys):
-    # a coboundary with a symbolic exponent: valid, but a table carries no
-    # float hints, so the numeric center oracle cannot evaluate it
+    # a coboundary with a symbolic exponent: valid, but a symbol has no
+    # float value, so the numeric center oracle cannot evaluate it, with
+    # hints or without, alone or as a factor of a product
     data = {
         "type": "table",
         "group": cyclic(2).to_json(),
@@ -242,11 +237,48 @@ def test_cli_center_symbolic_table_refuses(capsys):
             [{"rat": "0", "irr": {}}, {"rat": "0", "irr": {"t": "2"}}],
         ],
     }
-    code, out, err = _run(capsys, ["center", "--inline", json.dumps(data)])
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "hint" in err
-    code, _, _ = _run(capsys, ["validate", "--inline", json.dumps(data)])
-    assert code == 0
+    product = {
+        "type": "direct_product",
+        "sigma1": {"type": "trivial", "group": cyclic(3).to_json()},
+        "sigma2": data,
+        "f": {"table": [[{"rat": "0"}] * 2] * 3},
+    }
+    for spec in (data, {**data, "hints": {"t": 0.3}}, product):
+        code, out, err = _run(capsys, ["center", "--inline", json.dumps(spec)])
+        assert code == 2 and out == ""
+        assert err == "bad job: the numeric center needs a table without symbols, and this table has symbol 't'\n"
+        code, _, _ = _run(capsys, ["validate", "--inline", json.dumps(spec)])
+        assert code == 0
+
+
+def _named(*names):
+    return {"table": [[(a + b) % len(names) for b in range(len(names))] for a in range(len(names))], "names": list(names)}
+
+
+# each spec, and the name that repeats in it
+DUPLICATE_NAMES = {
+    "table": ({"type": "table", "group": _named("a", "a"), "values": [[{"rat": "0"}] * 2] * 2}, "a"),
+    "trivial": ({"type": "trivial", "group": _named("e", "x", "x")}, "x"),
+    "free_product factor": (
+        {
+            "type": "free_product",
+            "sigma1": {"type": "trivial", "group": cyclic(3).to_json()},
+            "sigma2": {"type": "trivial", "group": _named("e", "a", "b", "a")},
+        },
+        "a",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DUPLICATE_NAMES)
+def test_cli_duplicate_names_refused(kind, capsys, monkeypatch):
+    # a witness word names its letters, so two elements may not share a name
+    spec, repeated = DUPLICATE_NAMES[kind]
+    monkeypatch.setattr(twistk.cli, "run", lambda args, sigma: pytest.fail("a decision ran"))
+    for command in twistk.cli.COMMANDS:
+        code, out, err = _run(capsys, [command, "--inline", json.dumps(spec)])
+        assert code == 2 and out == ""
+        assert err == f"bad job: names must be distinct; {repeated!r} repeats\n"
 
 
 def test_cli_unsupported_combination_exits_2(capsys):

@@ -11,7 +11,6 @@ from twistk.lattices import (
     MuMatrix,
     RankMismatch,
     Theta,
-    commutator_phase,
     condition_k_lattice,
     g3_central_phase,
     g3_condition_k,
@@ -72,19 +71,6 @@ def test_rank_mismatch():
         Theta(2, {(0, 1): rot(0, {"zz": 1})}, T)
 
 
-def test_commutator_phase():
-    th = Theta(2, {(0, 1): rot(0, {"t": 1})}, T)
-    assert commutator_phase(th, (1, 0), (0, 1)) == rot(0, {"t": 1})
-    rng = random.Random(0)
-    for _ in range(80):
-        theta = random_theta(rng.randrange(1, 5), rng)
-        a = tuple(rng.randint(-4, 4) for _ in range(theta.n))
-        b = tuple(rng.randint(-4, 4) for _ in range(theta.n))
-        assert commutator_phase(theta, a, a) == ZERO
-        assert commutator_phase(theta, a, b) == -commutator_phase(theta, b, a)
-        assert commutator_phase(theta, a, b) == torus_value(theta, a, b) - torus_value(theta, b, a)
-
-
 def test_paper_z4_vector_is_regular():
     th = Theta(
         4,
@@ -100,7 +86,7 @@ def test_paper_z4_vector_is_regular():
     rng = random.Random(1)
     for _ in range(100):
         b = tuple(rng.randint(-5, 5) for _ in range(4))
-        assert commutator_phase(th, (1, 1, 1, 1), b).is_integral()
+        assert torus_value(th, (1, 1, 1, 1), b) == torus_value(th, b, (1, 1, 1, 1))
     decision = condition_k_lattice(th)
     assert not decision.condition_k
     assert is_regular_lattice(th, decision.witness)
@@ -117,10 +103,8 @@ def test_regularity_matches_standard_basis_phases():
     for _ in range(60):
         theta = random_theta(rng.randrange(1, 5), rng)
         a = tuple(rng.randint(-3, 3) for _ in range(theta.n))
-        basis_check = all(
-            commutator_phase(theta, a, tuple(int(i == j) for i in range(theta.n))).is_integral()
-            for j in range(theta.n)
-        )
+        units = [tuple(int(i == j) for i in range(theta.n)) for j in range(theta.n)]
+        basis_check = all(torus_value(theta, a, e) == torus_value(theta, e, a) for e in units)
         assert is_regular_lattice(theta, a) == basis_check
 
 

@@ -83,7 +83,7 @@ def test_center_basis_trivial_abelian():
     s = trivial_multiplier(cyclic(5))
     basis = center_basis(s)
     assert len(basis) == 5
-    assert all(list(b.support()) == [a] for a, b in zip(range(5), basis))
+    assert all(list(b.coeffs) == [a] for a, b in zip(range(5), basis))
 
 
 def test_center_basis_klein_4_2_commutes_exactly():
