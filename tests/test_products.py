@@ -155,10 +155,10 @@ def _f_degeneracy_reference(sigma1, sigma2, f):
             a1, a2 = sigma.split(a)
             for b in g.elements():
                 b1, b2 = sigma.split(b)
-                if g1.commuting()[a1, b1] and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1):
+                if g1.mul(a1, b1) == g1.mul(b1, a1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1):
                     found = True
                     break
-                if g2.commuting()[a2, b2] and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2):
+                if g2.mul(a2, b2) == g2.mul(b2, a2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2):
                     found = True
                     break
             if found:
@@ -186,10 +186,10 @@ def _f_degeneracy_loop(sigma1, sigma2, f):
 
     def admits_b(a1: int, a2: int) -> bool:
         return any(
-            g1.commuting()[a1, b1] and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1)
+            g1.mul(a1, b1) == g1.mul(b1, a1) and f.value(b1, a2) != sigma1.value(b1, a1) - sigma1.value(a1, b1)
             for b1 in g1.elements()
         ) or any(
-            g2.commuting()[a2, b2] and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2)
+            g2.mul(a2, b2) == g2.mul(b2, a2) and f.value(a1, b2) != sigma2.value(a2, b2) - sigma2.value(b2, a2)
             for b2 in g2.elements()
         )
 
