@@ -18,10 +18,10 @@ different factors, beta on a word of at most 4 letters (``_beta``),
 and memoized per word above that; ``vector`` is tau when all three betas
 are that zero.  ``decompose`` checks a multiplier on G1 * G2 through its
 ``vector``, in that multiplier's own frame, with the prefix telescope
-memoized per word within one check, and gives its witness beta as a plain
-function of the word.  No word is read from input: the fuzz loops draw
-reduced words (``random_word``), and a report names the letters of a
-witness word (``io.encode_word``).
+memoized per word, and gives its witness beta as a plain function of the
+word that reads the same memo.  No word is read from input: the fuzz
+loops draw reduced words (``random_word``), and a report names the
+letters of a witness word (``io.encode_word``).
 """
 
 from __future__ import annotations
@@ -184,10 +184,8 @@ def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
     [c1, c2] [c1 g, c2]^-1 (factors with a trivial component dropped) and
     a G2-letter emits nothing; the emitted stream is freely reduced into
     syllables.  Multiplying the syllables back must reproduce x exactly.
+    The scan ends at the factor images of x: NotInKernel unless both are e.
     """
-    p1, p2 = fp.factor_images(x)
-    if p1 != fp.g1.identity or p2 != fp.g2.identity:
-        raise NotInKernel(f"factor images ({p1}, {p2}) != identity")
     _, t1, t2 = fp._mul
     _, e1, e2 = fp._identity
     c1, c2 = e1, e2
@@ -212,7 +210,7 @@ def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
         else:
             c2 = t2[c2][elem]
     if (c1, c2) != (e1, e2):
-        raise NotInKernel("scan did not return to the identity coset")
+        raise NotInKernel(f"factor images ({c1}, {c2}) != identity")
     return tuple((gen, power) for gen, power in syllables)
 
 
@@ -257,7 +255,8 @@ class FreeProductMultiplier(Multiplier):
 
     def _tau(self, x: FPWord, y: FPWord) -> Sequence[int]:
         """The factor value where x and y meet once the run of inverse boundary
-        letters cancels; zero across factors or if a side runs out."""
+        letters cancels (reduced words alternate, so those letters share a
+        factor); zero across factors or if a side runs out."""
         if not x or not y or x[-1][0] != y[0][0]:
             return self._zero
         inverse = self.fp._inverse
@@ -266,10 +265,8 @@ class FreeProductMultiplier(Multiplier):
             i, j = i - 1, j + 1
             if i < 0 or j == len(y):
                 return self._zero
-        (rf, relem), (sf, selem) = x[i], y[j]
-        if rf != sf:
-            return self._zero
-        return self._tables[rf][relem][selem]
+        (factor, relem), selem = x[i], y[j][1]
+        return self._tables[factor][relem][selem]
 
     def _beta(self, x: FPWord) -> Sequence[int]:
         """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when
@@ -318,9 +315,6 @@ class FreeProductMultiplier(Multiplier):
 
     def multiply(self, x: FPWord, y: FPWord) -> FPWord:
         return self.fp.multiply(x, y)
-
-    def inverse(self, x: FPWord) -> FPWord:
-        return self.fp.inverse(x)
 
     def identity_element(self) -> FPWord:
         return ()
@@ -388,8 +382,8 @@ def decompose(
     """Recover (sigma1, sigma2, beta) from a normalized multiplier on G1 * G2.
 
     sigma1 and sigma2 are the restrictions to the factors.  The prefix
-    telescope b0(x) = sigma(x1,x2) + sigma(x1 x2, x3) + ... (``_telescope``;
-    the check and the witness memoize it apart) twists sigma exactly onto
+    telescope b0(x) = sigma(x1,x2) + sigma(x1 x2, x3) + ... (``_telescope``,
+    one memo for the check and the witness) twists sigma exactly onto
     the boundary cocycle tau of the restrictions (products of letter
     operators form a tau-projective family once sigma is normalized), so
     the full witness to the reconstructed free product composes it with
@@ -413,13 +407,11 @@ def decompose(
     candidate = FreeProductMultiplier(sigma1, sigma2)
     fp = candidate.fp
     vector = sigma.vector
-    zero = [0] * (1 + len(ex.labels))
-    witness_b0 = _telescope(vector, zero)
+    b0 = _telescope(vector, [0] * (1 + len(ex.labels)))
 
     def beta_fn(x: FPWord) -> RotationNumber:
-        return ex.rotation([p + q for p, q in zip(witness_b0(x), candidate._beta(x))])
+        return ex.rotation([p + q for p, q in zip(b0(x), candidate._beta(x))])
 
-    b0 = _telescope(vector, zero)
     checked = 0
     for _ in range(pairs):
         x = fp.random_word(rng, max_len)

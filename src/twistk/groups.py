@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -183,9 +183,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def __len__(self) -> int:
-        return self.order
-
     def commuting(self) -> np.ndarray:
         """The mask ``array == array.T``: [a, b] is True when ab = ba, kept once
         built; all True, with no table read, on a group known abelian."""
@@ -291,14 +288,12 @@ def build(table: Sequence[Sequence[int]], names: Sequence[str] | None = None) ->
     return group
 
 
-def _from_function(elements: Sequence, op: Callable, names: Iterable[str] | None = None) -> FiniteGroup:
+def _from_function(elements: Sequence, op: Callable, names: list[str]) -> FiniteGroup:
     """Build a table group from abstract elements and a binary operation."""
     elems = list(elements)
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[op(a, b)] for b in elems] for a in elems]
-    if names is None:
-        names = [str(e) for e in elems]
-    return FiniteGroup(table, list(names))
+    return FiniteGroup(table, names)
 
 
 def trivial() -> FiniteGroup:
@@ -319,11 +314,17 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
     The packing is fixed so cocycle tables built on the factors line up
     with tables built on the product, abelian exactly when both factors are.
+    Names "(a1,a2)" that collide raise GroupTableError when first read.
     """
     n1, n2 = g1.order, g2.order
     array = lambda: (g1.array[:, None, :, None] * n2 + g2.array[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     inverses = (g1.inverses[:, None] * n2 + g2.inverses).ravel()
-    names = lambda: tuple(f"({a1},{a2})" for a1 in g1.names for a2 in g2.names)
+    def names() -> tuple[str, ...]:
+        made = tuple(f"({a1},{a2})" for a1 in g1.names for a2 in g2.names)
+        if len(set(made)) != len(made):
+            repeated = next(name for i, name in enumerate(made) if name in made[:i])
+            raise GroupTableError(f"product element names must be distinct; {repeated!r} repeats")
+        return made
     abelian = g1.is_abelian() and g2.is_abelian()
     return FiniteGroup._known(n1 * n2, array, g1.identity * n2 + g2.identity, inverses, names, abelian)
 

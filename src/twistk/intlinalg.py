@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and Z, with one elimination routine: the
 Hermite form.
 
-The Hermite normal form uses minimal-absolute-value pivoting to keep
-entry growth in check; integer kernels and ranks over Q are read off it
-(a rational matrix first has its denominators cleared, which changes
-neither its kernel nor its rank).  Everything runs on Python big
-integers and Fraction, so results are exact.
+The Hermite normal form row-reduces [A | I], so each row operation makes
+the form and its transform at once, and uses minimal-absolute-value
+pivoting to keep entry growth in check; integer kernels and ranks over Q
+are read off it (a rational matrix first has its denominators cleared,
+which changes neither its kernel nor its rank).  Everything runs on
+Python big integers and Fraction, so results are exact.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ def _copy_int_matrix(rows) -> Matrix:
     return out
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def hermite_normal_form(rows) -> tuple[Matrix, Matrix]:
     """Row-style Hermite normal form.
 
@@ -41,10 +38,8 @@ def hermite_normal_form(rows) -> tuple[Matrix, Matrix]:
     """
     a = _copy_int_matrix(rows)
     m = len(a)
-    u = _identity(m)
-    if m == 0:
-        return a, u
-    n = len(a[0])
+    n = len(a[0]) if a else 0
+    a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     r = 0
     for col in range(n):
         while True:
@@ -53,17 +48,14 @@ def hermite_normal_form(rows) -> tuple[Matrix, Matrix]:
                 break
             best = min(nz, key=lambda i: abs(a[i][col]))
             a[r], a[best] = a[best], a[r]
-            u[r], u[best] = u[best], u[r]
             if a[r][col] < 0:
                 a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
             p = a[r][col]
             done = True
             for i in range(r + 1, m):
                 if a[i][col]:
                     q = a[i][col] // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if a[i][col]:
                         done = False
             if done:
@@ -74,11 +66,10 @@ def hermite_normal_form(rows) -> tuple[Matrix, Matrix]:
                 q = a[i][col] // p
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
             if r == m:
                 break
-    return a, u
+    return [row[:n] for row in a], [row[n:] for row in a]
 
 
 def integer_kernel(rows, ncols: int | None = None) -> list[list[int]]:
@@ -86,17 +77,14 @@ def integer_kernel(rows, ncols: int | None = None) -> list[list[int]]:
 
     Row-reduce A^T unimodularly; the transform rows matching zero rows of
     the Hermite form are a basis (primitive, since the kernel lattice of
-    an integer matrix is saturated and the transform is unimodular).
+    an integer matrix is saturated and the transform is unimodular).  The
+    form checks the entries.
     """
-    a = _copy_int_matrix(rows)
     if ncols is None:
-        if not a:
+        if not rows:
             raise ValueError("ncols required for an empty matrix")
-        ncols = len(a[0])
-    if not a:
-        return _identity(ncols)
-    at = [[a[i][j] for i in range(len(a))] for j in range(ncols)]
-    h, u = hermite_normal_form(at)
+        ncols = len(rows[0])
+    h, u = hermite_normal_form([[row[j] for row in rows] for j in range(ncols)])
     return [u[i] for i in range(ncols) if not any(h[i])]
 
 

@@ -223,7 +223,10 @@ def _decode(data, depth: int = 0, proven: FiniteGroup | None = None) -> Multipli
         keys, compiled = _parameters(data, "mu", "([0-9])([0-9])", "ij")
         return G3Multiplier(MuMatrix.from_compiled(keys, compiled, _decode_basis(data)))
     if kind == "free_product":
-        return FreeProductMultiplier(*_finite_factors(data, kind, depth))
+        factors = _finite_factors(data, kind, depth)
+        for sigma in factors:
+            sigma.group.names  # a witness word names its letters: a product's names must not collide
+        return FreeProductMultiplier(*factors)
     raise SchemaError(f"unknown multiplier type {kind!r}")
 
 

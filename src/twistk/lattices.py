@@ -149,17 +149,16 @@ def _kernel_witness(ex: Exponents, matrix: SlotMatrix, labels: Sequence[str]) ->
     R = R0 + sum_k R_k t_k is given per slot over ex.D (``matrix[0]`` is
     R0 times D, ``matrix[i]`` is R_k times D for the i-th compiled label).
     c must lie in the kernel of every R_k, which the Hermite form gives
-    over Z (the R_k times D stacked in the order of the basis ``labels``,
-    a label no entry uses giving zero rows).  Scaling the first kernel
-    vector by the lcm of the denominators of R0 c lands every component
-    in Z while the symbol parts stay zero.
+    over Z (the R_k times D of the labels with a slot, in the order of the
+    basis ``labels``: another label's zero rows would change no row
+    operation of the form).  Scaling the first kernel vector by the lcm of
+    the denominators of R0 c lands every component in Z while the symbol
+    parts stay zero.
     """
     rat = matrix[0]
-    n = len(rat[0])
     symbols = dict(zip(ex.labels, matrix[1:]))
-    zero = [[0] * n] * len(rat)
-    stacked = [row for label in labels for row in symbols.get(label, zero)]
-    kernel = integer_kernel(clear_denominators(stacked), ncols=n)
+    stacked = [row for label in labels if label in symbols for row in symbols[label]]
+    kernel = integer_kernel(clear_denominators(stacked), ncols=len(rat[0]))
     if not kernel:
         return None
     v = kernel[0]
@@ -212,9 +211,6 @@ class LatticeMultiplier(Multiplier):
 
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(_check_rank(self.theta, a), _check_rank(self.theta, b)))
-
-    def inverse(self, a):
-        return tuple(-x for x in _check_rank(self.theta, a))
 
     def identity_element(self):
         return (0,) * self.n

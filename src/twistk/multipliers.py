@@ -27,13 +27,13 @@ multiplier is bilinear, an all-zero table is the trivial multiplier, and
 a direct product is one when both of its factors are.  ``validate``
 scans only a multiplier that this does not prove.
 
-A finite family writes its closed form once, in ``_compile``; ``vector``
-and ``value`` read the compiled entry.  A table keeps nothing but this
-array: a grid of RotationNumbers is compiled when the table is made
-(``compile_grid``), a decoded one from the integers
-``torus.parse_exponent`` reads, and ``from_exponents`` takes an array
-as it is.  ``value`` is the one place a finite multiplier makes
-RotationNumbers: one per distinct compiled entry, when first asked for.
+A finite family writes its closed form once, in ``_compile``; ``value``
+reads the compiled entry.  A table keeps nothing but this array: a grid
+of RotationNumbers is compiled when the table is made (``compile_grid``),
+a decoded one from the integers ``torus.parse_exponent`` reads, and
+``from_exponents`` takes an array as it is.  ``value`` is the one place
+a finite multiplier makes RotationNumbers: one per distinct compiled
+entry, when first asked for.
 
 An infinite family (torus, g3, free product) takes integer combinations
 of finitely many parameters: ``exponents()`` holds the P parameters,
@@ -224,9 +224,6 @@ class Multiplier:
         """Group multiplication in the multiplier's domain."""
         raise NotImplementedError
 
-    def inverse(self, a):
-        raise NotImplementedError
-
     def identity_element(self):
         raise NotImplementedError
 
@@ -267,18 +264,6 @@ class FiniteMultiplier(Multiplier):
         if v is None:
             v = self._rotations[x] = self._exponents.rotation(x)
         return v
-
-    def vector(self, a: int, b: int) -> list[int]:
-        return self.exponents().array[a, b].tolist()
-
-    def multiply(self, a: int, b: int) -> int:
-        return self.group.mul(a, b)
-
-    def inverse(self, a: int) -> int:
-        return self.group.inv(a)
-
-    def identity_element(self) -> int:
-        return self.group.identity
 
     def to_table(self) -> "TableMultiplier":
         return TableMultiplier.from_exponents(self.group, self.exponents())

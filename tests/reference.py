@@ -42,6 +42,8 @@
   ``check_word``, which passes a word only when it is reduced.
 - ``is_similar``: the similarity of two finite multipliers under a given
   beta, pair by pair on RotationNumbers.
+- ``hermite_normal_form_ref``: the minimal-pivot Hermite form with the
+  transform U kept apart from A, each row operation made on both.
 """
 
 from __future__ import annotations
@@ -643,3 +645,47 @@ def is_similar(sigma: FiniteMultiplier, tau: FiniteMultiplier, beta: Callable[[i
         for a in g.elements()
         for b in g.elements()
     )
+
+
+def hermite_normal_form_ref(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """(H, U) with H = U A: minimal-|pivot| rows, positive pivots, entries
+    above a pivot reduced into [0, pivot), U updated beside A."""
+    a = [[int(x) for x in row] for row in rows]
+    m = len(a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    if m == 0:
+        return a, u
+    r = 0
+    for col in range(len(a[0])):
+        while True:
+            nz = [i for i in range(r, m) if a[i][col]]
+            if not nz:
+                break
+            best = min(nz, key=lambda i: abs(a[i][col]))
+            a[r], a[best] = a[best], a[r]
+            u[r], u[best] = u[best], u[r]
+            if a[r][col] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+            p = a[r][col]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][col]:
+                    q = a[i][col] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    if a[i][col]:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][col]:
+            p = a[r][col]
+            for i in range(r):
+                q = a[i][col] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            r += 1
+            if r == m:
+                break
+    return a, u

@@ -17,7 +17,7 @@ from reference import _rotations, classes_by_split, compile_values, regular_clas
 from twistk.cli import main
 from twistk.groups import cyclic, direct_product, symmetric
 from twistk.io import decode_multiplier, encode_multiplier
-from twistk.multipliers import TableMultiplier, klein
+from twistk.multipliers import TableMultiplier
 from twistk.products import ProductMultiplier
 from twistk.regularity import ClassInconsistency, regular_classes
 from twistk.torus import RotationNumber, _ratio, rot

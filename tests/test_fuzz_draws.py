@@ -223,7 +223,7 @@ def test_decompose_witness_matches_reference(pair, monkeypatch):
     sigma = _product(pair)
     fp = sigma.fp
     result = decompose(sigma, fp.g1, fp.g2, max_len=5, pairs=200, rng=random.Random(1))
-    assert not _memo(result.witness)  # the witness does not share the check's memo
+    assert _memo(result.witness)  # the witness reads the memo the check filled
     ex = sigma.exponents()
     zero = [0] * (1 + len(ex.labels))
     vector = partial(vector_ref, sigma)

@@ -5,6 +5,8 @@ from math import gcd
 
 import sympy
 
+from reference import hermite_normal_form_ref
+
 from twistk.intlinalg import clear_denominators, hermite_normal_form, integer_kernel, rational_rank
 
 
@@ -44,6 +46,19 @@ def test_hnf_properties_random():
         assert abs(_det(u)) == 1
         assert sympy.Matrix(u) * sympy.Matrix(a) == sympy.Matrix(h)
         assert _is_row_hnf(h)
+
+
+def test_hnf_matches_reference():
+    # the [A | I] form against the reference that keeps U beside A, on
+    # empty, zero-column, tall, wide and large-entry matrices
+    rng = random.Random(26)
+    shapes = [(0, 0), (3, 0), (1, 1), (32, 64), (64, 32)] + [(rng.randrange(1, 9), rng.randrange(1, 13)) for _ in range(400)]
+    for m, n in shapes:
+        a = _random_matrix(rng, m, n, bound=rng.choice((1, 6, 10**6)))
+        for j in rng.sample(range(n), n // 3):
+            for row in a:
+                row[j] = 0
+        assert hermite_normal_form(a) == hermite_normal_form_ref(a), a
 
 
 def test_integer_kernel_random():

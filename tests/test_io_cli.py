@@ -281,6 +281,41 @@ def test_cli_duplicate_names_refused(kind, capsys, monkeypatch):
         assert err == f"bad job: names must be distinct; {repeated!r} repeats\n"
 
 
+def _product_spec(sigma1, sigma2, orders):
+    return {"type": "direct_product", "sigma1": sigma1, "sigma2": sigma2, "f": {"table": [[{"rat": "0"}] * orders[1]] * orders[0]}}
+
+
+# distinct factor names whose product names "(x,z)", "(x,y,z)", "(x,y,z)", "(x,y,y,z)" collide
+COLLIDING = _product_spec({"type": "trivial", "group": _named("x", "x,y")}, {"type": "trivial", "group": _named("z", "y,z")}, (2, 2))
+Z2 = {"type": "trivial", "group": _named("a", "b")}
+PRODUCT_NAME_COLLISIONS = {
+    "first factor": {"type": "free_product", "sigma1": COLLIDING, "sigma2": Z2},
+    "second factor": {"type": "free_product", "sigma1": Z2, "sigma2": COLLIDING},
+    "nested": {"type": "free_product", "sigma1": _product_spec(Z2, COLLIDING, (2, 4)), "sigma2": Z2},
+}
+
+
+@pytest.mark.parametrize("kind", PRODUCT_NAME_COLLISIONS)
+def test_cli_product_name_collision_refused(kind, capsys, monkeypatch):
+    # a free product reads its factors' names at decode, so a product's names
+    # that collide are refused before any decision runs
+    spec = PRODUCT_NAME_COLLISIONS[kind]
+    monkeypatch.setattr(twistk.cli, "run", lambda args, sigma: pytest.fail("a decision ran"))
+    for command in twistk.cli.COMMANDS:
+        code, out, err = _run(capsys, [command, "--fuzz", "50", "--box", "4", "--inline", json.dumps(spec)])
+        assert code == 2 and out == ""
+        assert err == "bad job: bad multiplier spec: GroupTableError: product element names must be distinct; '(x,y,z)' repeats\n"
+
+
+def test_product_names_kept(capsys):
+    # names that do not collide read "(a1,a2)" as before, nested too; a
+    # direct product outside a free product never reads its names and is decided
+    sigma = decode_multiplier({**PRODUCT_NAME_COLLISIONS["nested"], "sigma1": _product_spec(Z2, _product_spec(Z2, Z2, (2, 2)), (2, 4))})
+    assert sigma.fp.g1.names == tuple(f"({p},({q},{r}))" for p in "ab" for q in "ab" for r in "ab")
+    code, _, _ = _run(capsys, ["condition-k", "--inline", json.dumps(COLLIDING)])
+    assert code == 0
+
+
 def test_cli_unsupported_combination_exits_2(capsys):
     data = {
         "type": "free_product",

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from twistk.cli import main
 from twistk.lattices import (
     G3_IDENTITY,
     G3Multiplier,
@@ -298,3 +300,39 @@ def test_g3_condition_k_true_matches_box_scan():
                 not g3_central_phase(mu, tuple(int(j == i) for j in range(3)) + (0, 0, 0), c).is_integral()
                 for i in range(3)
             )
+
+
+def _random_spec(kind: str, rng: random.Random) -> dict:
+    """A torus or g3 spec over some of the symbols s, t, u, some of whose
+    coefficients are 0, so that a declared symbol may get no slot."""
+    labels = rng.sample(["s", "t", "u"], rng.randrange(4))
+
+    def entry():
+        irr = {label: str(rng.randrange(-2, 3)) for label in labels if rng.random() < 0.6}
+        return {"rat": f"{rng.randrange(-5, 6)}/{rng.randrange(1, 7)}", "irr": irr}
+
+    if kind == "torus":
+        n = rng.randrange(1, 7)
+        theta = {f"{i + 1},{j + 1}": entry() for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
+        return {"type": "torus", "n": n, "theta": theta, "basis": labels}
+    keys = ("11", "12", "13", "21", "22", "23", "32", "33")
+    return {"type": "g3", "mu": {key: entry() for key in keys if rng.random() < 0.6}, "basis": labels}
+
+
+def test_unused_label_changes_no_report(capsys):
+    # a basis label that no entry uses gets no slot and stacks nothing into
+    # the Hermite form: the condition-k report bytes are the same wherever
+    # it is declared
+    rng = random.Random(26)
+    witnesses = 0
+    for kind in ("torus", "g3") * 80:
+        spec = _random_spec(kind, rng)
+        assert main(["condition-k", "--inline", json.dumps(spec)]) == 0, spec
+        report = capsys.readouterr().out
+        witnesses += json.loads(report)["witness"] is not None
+        basis = spec["basis"]
+        for at in {0, len(basis) // 2, len(basis)}:
+            wider = {**spec, "basis": basis[:at] + ["unused"] + basis[at:]}
+            assert main(["condition-k", "--inline", json.dumps(wider)]) == 0, wider
+            assert capsys.readouterr().out == report, wider
+    assert 40 < witnesses < 120  # both answers occur

@@ -1,16 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from catalog import bilinear_multiplier, random_coboundary
 from reference import is_similar
 
-import twistk as tk
-from twistk.groups import cyclic, direct_product, symmetric
+from twistk.groups import cyclic, symmetric
 from twistk.multipliers import (
     DomainMismatch,
-    KleinMultiplier,
     TableMultiplier,
     coboundary_twist,
     klein,
