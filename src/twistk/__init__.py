@@ -12,7 +12,6 @@ from .algebra import (
     center_dimension_numeric,
     convolve,
     identify_matrix_algebra,
-    involution,
     trace,
 )
 from .groups import FiniteGroup, build, cyclic, dihedral, direct_product, symmetric

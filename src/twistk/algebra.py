@@ -2,7 +2,7 @@
 
 Two evaluation paths coexist on purpose.  The exact path works with
 formal Q-linear combinations of unit phases (PhaseSum) so convolution,
-involution, trace and commutation identities hold with zero tolerance.
+trace and commutation identities hold with zero tolerance.
 Every exact result is collected by one routine, ``_summed``, from its
 (phase, magnitude) terms: ``convolve`` emits one term per pair of
 coefficient terms and collects each product coefficient once.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -44,10 +43,10 @@ class PhaseSum:
 
     Represents sum_i q_i * e^(2 pi i x_i) with rational q_i and exponents
     x_i (RotationNumber), built from (phase, magnitude) pairs by
-    ``_summed``.  Sums, products and conjugates stay in this ring;
-    equality is formal, which is sound (equal formal sums evaluate equal)
-    and complete for every identity this package asserts, since those
-    identities match term by term.
+    ``_summed``; ``convolve`` and ``trace`` make them.  Equality is formal,
+    which is sound (equal formal sums evaluate equal) and complete for
+    every identity this package asserts, since those identities match
+    term by term.
     """
 
     __slots__ = ("terms",)
@@ -63,38 +62,13 @@ class PhaseSum:
     def phase(x: RotationNumber, mag: Fraction | int = 1) -> "PhaseSum":
         return PhaseSum([(x, Fraction(mag))])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        return PhaseSum(chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self) -> "PhaseSum":
-        return PhaseSum((p, -m) for p, m in self.terms.items())
-
-    def __mul__(self, other) -> "PhaseSum":
-        if isinstance(other, PhaseSum):
-            return PhaseSum((p + q, m * n) for p, m in self.terms.items() for q, n in other.terms.items())
-        if isinstance(other, (int, Fraction)):
-            return PhaseSum((p, m * other) for p, m in self.terms.items())
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "PhaseSum":
-        return PhaseSum((-p, m) for p, m in self.terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseSum):
             return NotImplemented
         return self.terms == other.terms
-
-    def evaluate(self) -> complex:
-        """The complex value of a sum without symbols (``RotationNumber.evaluate``)."""
-        return sum((float(m) * p.evaluate() for p, m in self.terms.items()), 0j)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -145,16 +119,6 @@ def convolve(sigma: FiniteMultiplier, f: AlgebraElement, g: AlgebraElement) -> A
             x, pairs = sigma.value(b, d), terms.setdefault(grp.mul(b, d), [])
             pairs.extend((p + q + x, m * n) for p, m in fb.terms.items() for q, n in gd.terms.items())
     return AlgebraElement(grp, {a: PhaseSum(pairs) for a, pairs in terms.items()})
-
-
-def involution(sigma: FiniteMultiplier, f: AlgebraElement) -> AlgebraElement:
-    """f^*(a) = conj(sigma(a, a^-1)) conj(f(a^-1))."""
-    grp, out = sigma.group, {}
-    for b, fb in f.coeffs.items():
-        a = grp.inv(b)
-        x = sigma.value(a, b)
-        out[a] = PhaseSum((p - x, m) for p, m in fb.conjugate().terms.items())
-    return AlgebraElement(grp, out)
 
 
 def trace(f: AlgebraElement) -> PhaseSum:

@@ -12,16 +12,16 @@ correctness contract, exercised by the test suite on every path.
 
 Words are read straight off the factor tables (``FreeProduct``).  The
 multiplier's tau, beta and value are integer vector sums of factor table
-entries; ``tau``, ``beta`` and ``value`` return the RotationNumber of the
-vector.  tau is the shared zero at once when the boundary letters lie in
-different factors, beta on a word of at most 4 letters (``_beta``),
-and memoized per word above that; ``vector`` is tau when all three betas
-are that zero.  ``decompose`` checks a multiplier on G1 * G2 through its
-``vector``, in that multiplier's own frame, with the prefix telescope
-memoized per word, and gives its witness beta as a plain function of the
-word that reads the same memo.  No word is read from input: the fuzz
-loops draw reduced words (``random_word``), and a report names the
-letters of a witness word (``io.encode_word``).
+entries (``_tau``, ``_beta``, ``vector``); ``value`` returns the
+RotationNumber of the vector.  tau is the shared zero at once when the
+boundary letters lie in different factors, beta on a word of at most 4
+letters (``_beta``), and memoized per word above that; ``vector`` is tau
+when all three betas are that zero.  ``decompose`` checks a multiplier on
+G1 * G2 through its ``vector``, in that multiplier's own frame, with the
+prefix telescope memoized per word, and gives its witness beta as a
+plain function of the word that reads the same memo.  No word is read
+from input: the fuzz loops draw reduced words (``random_word``), and a
+report names the letters of a witness word (``io.encode_word``).
 """
 
 from __future__ import annotations
@@ -300,16 +300,6 @@ class FreeProductMultiplier(Multiplier):
         if bx is zero and by is zero and bxy is zero:
             return list(tau)
         return [p + q - r + s for p, q, r, s in zip(bx, by, bxy, tau)]
-
-    def tau(self, x: FPWord, y: FPWord) -> RotationNumber:
-        """sigma_i at the boundary letters of the reduced pair, 1 across
-        factors or against the identity."""
-        return self._exponents.rotation(self._tau(x, y))
-
-    def beta(self, x: FPWord) -> RotationNumber:
-        """1 off the commutator subgroup; on it, the product of tau over
-        consecutive syllable pairs of the reduced commutator word."""
-        return self._exponents.rotation(self._beta(x))
 
     # -- domain plumbing ---------------------------------------------------
 

@@ -5,9 +5,9 @@ so every downstream check (cocycle identities, regularity scans) can be
 exhaustive and exact.  A group is made from one ``intp`` array,
 ``array``, on which the scans run as numpy operations; constructing a
 group makes no Python object per table entry.  ``table`` holds the same
-products as tuples for single lookups (``mul``, ``conj`` and the free
-product's word rewriting read it in loops); it is built on its first use,
-as is the tuple of inverses behind ``inv``.
+products as tuples for single lookups (``mul`` and the free product's
+word rewriting read it in loops); it is built on its first use, as is
+the tuple of inverses behind ``inv``.
 
 A table from outside the program is proven once, by ``build``: shape,
 two-sided identity, two-sided inverses and associativity by Light's test
@@ -55,9 +55,6 @@ class ConjugacyClass:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 class FiniteGroup:
@@ -174,11 +171,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return (self._inverses or self._views()[1])[a]
-
-    def conj(self, a: int, c: int) -> int:
-        """a c a^-1."""
-        t = self._table or self._views()[0]
-        return t[t[a][c]][self._inverses[a]]
 
     def elements(self) -> range:
         return range(self.order)

@@ -3,10 +3,11 @@ Hermite form.
 
 The Hermite normal form row-reduces [A | I], so each row operation makes
 the form and its transform at once, and uses minimal-absolute-value
-pivoting to keep entry growth in check; integer kernels and ranks over Q
-are read off it (a rational matrix first has its denominators cleared,
-which changes neither its kernel nor its rank).  Everything runs on
-Python big integers and Fraction, so results are exact.
+pivoting to keep entry growth in check; integer kernels are read off it
+(a rational matrix first has its denominators cleared, which does not
+change its kernel), and a rank over Q is the column count less the
+kernel's.  Everything runs on Python big integers and Fraction, so
+results are exact.
 """
 
 from __future__ import annotations
@@ -94,9 +95,3 @@ def clear_denominators(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [[int(x * scale) for x in row] for row in rows]
 
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q: the number of nonzero rows of the Hermite form of the
-    denominator-cleared matrix."""
-    h, _ = hermite_normal_form(clear_denominators(rows))
-    return sum(1 for row in h if any(row))

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .intlinalg import clear_denominators, integer_kernel, rational_rank
+from .intlinalg import clear_denominators, integer_kernel
 from .multipliers import Exponents, Multiplier, compile_params, draw
 from .torus import IrrationalBasis, RotationNumber
 
@@ -143,8 +143,11 @@ def is_regular_lattice(theta: Theta, a: Sequence[int]) -> bool:
     return _integral(theta.exponents.D, theta.transpose, _check_rank(theta, a))
 
 
-def _kernel_witness(ex: Exponents, matrix: SlotMatrix, labels: Sequence[str]) -> Vector | None:
-    """A nonzero integer vector c with every component of R c integral, or None.
+def _decide(
+    ex: Exponents, matrix: SlotMatrix, labels: Sequence[str], regular: Callable[[Vector], bool]
+) -> LatticeDecision:
+    """Condition K from a nonzero integer vector c with every component of
+    R c integral: none gives condition K, else c is the witness.
 
     R = R0 + sum_k R_k t_k is given per slot over ex.D (``matrix[0]`` is
     R0 times D, ``matrix[i]`` is R_k times D for the i-th compiled label).
@@ -153,17 +156,21 @@ def _kernel_witness(ex: Exponents, matrix: SlotMatrix, labels: Sequence[str]) ->
     basis ``labels``: another label's zero rows would change no row
     operation of the form).  Scaling the first kernel vector by the lcm of
     the denominators of R0 c lands every component in Z while the symbol
-    parts stay zero.
+    parts stay zero.  The family's own test ``regular`` re-checks the
+    witness, and a failure raises instead of being patched over.
     """
     rat = matrix[0]
     symbols = dict(zip(ex.labels, matrix[1:]))
     stacked = [row for label in labels if label in symbols for row in symbols[label]]
     kernel = integer_kernel(clear_denominators(stacked), ncols=len(rat[0]))
     if not kernel:
-        return None
+        return LatticeDecision(True, None)
     v = kernel[0]
     scale = lcm(*(ex.D // gcd(sum(map(mul, row, v)), ex.D) for row in rat))
-    return tuple(scale * x for x in v)
+    witness = tuple(scale * x for x in v)
+    if not regular(witness):
+        raise RuntimeError(f"witness {witness} fails the regularity re-check; decision procedure bug")
+    return LatticeDecision(False, witness)
 
 
 def condition_k_lattice(theta: Theta) -> LatticeDecision:
@@ -174,23 +181,20 @@ def condition_k_lattice(theta: Theta) -> LatticeDecision:
     the Hermite form, and either report condition K (trivial kernel) or
     return a denominator-cleared witness vector, re-verified pointwise.
     """
-    witness = _kernel_witness(theta.exponents, theta.transpose, theta.basis.labels)
-    if witness is None:
-        return LatticeDecision(True, None)
-    if not is_regular_lattice(theta, witness):
-        raise RuntimeError(f"scaling lemma failed for witness {witness}; decision procedure bug")
-    return LatticeDecision(False, witness)
+    return _decide(theta.exponents, theta.transpose, theta.basis.labels, lambda v: is_regular_lattice(theta, v))
 
 
 def qtheta_dimension(theta: Theta) -> int:
     """Rank over Q of {1, t_12, t_13, t_23}: the compiled rows of the three
-    entries (zero where one is integral) and the row [D, 0, ...] for 1."""
+    entries (zero where one is integral) and the row [D, 0, ...] for 1, read
+    as the number of columns less the rank of their integer kernel."""
     if theta.n != 3:
         raise RankMismatch("Q_theta dimension is defined for rank 3")
     ex = theta.exponents
     zero = [0] * ex.array.shape[1]
     row = dict(zip(theta.pairs, ex.array.tolist()))
-    return rational_rank([[ex.D, *zero[1:]]] + [row.get(pair, zero) for pair in ((0, 1), (0, 2), (1, 2))])
+    rows = [[ex.D, *zero[1:]]] + [row.get(pair, zero) for pair in ((0, 1), (0, 2), (1, 2))]
+    return len(zero) - len(integer_kernel(rows))
 
 
 class LatticeMultiplier(Multiplier):
@@ -350,22 +354,17 @@ def g3_condition_k(mu: MuMatrix) -> LatticeDecision:
     Central regularity of c in Z^3 is equivalent to integrality of R c
     componentwise, where R is the mu row matrix with the derived third
     row.  The same kernel + Hermite + denominator-clearing procedure as
-    the torus case decides existence of a nonzero such c; any "false"
-    witness is re-verified against direct phase evaluations, and a
-    mismatch raises instead of being patched over.
+    the torus case decides existence of a nonzero such c; ``_decide``
+    re-checks a witness on all three rows of R and against direct phase
+    evaluations at ``_G3_PROBES``, and a mismatch raises.
     """
-    witness = _kernel_witness(mu.exponents, mu.rows, mu.basis.labels)
-    if witness is None:
-        return LatticeDecision(True, None)
-    for i in range(3):
-        if not _integral(mu.exponents.D, [slot[i : i + 1] for slot in mu.rows], witness):
-            raise RuntimeError(f"witness {witness} fails criterion row {i + 1}")
-    for probe in _G3_PROBES:
-        if not mu.exponents.vanishes(_g3_central_vector(mu, probe, witness)):
-            raise RuntimeError(
-                f"criterion/phase mismatch: witness {witness} not regular against {probe}"
-            )
-    return LatticeDecision(False, witness)
+
+    def regular(v: Vector) -> bool:
+        if not _integral(mu.exponents.D, mu.rows, v):
+            return False
+        return all(mu.exponents.vanishes(_g3_central_vector(mu, probe, v)) for probe in _G3_PROBES)
+
+    return _decide(mu.exponents, mu.rows, mu.basis.labels, regular)
 
 
 class G3Multiplier(Multiplier):

@@ -300,9 +300,6 @@ class TableMultiplier(FiniteMultiplier):
         """Every entry is 0: the trivial multiplier."""
         return not self._exponents.array.any()
 
-    def to_table(self) -> "TableMultiplier":
-        return self
-
 
 class KleinMultiplier(FiniteMultiplier):
     """sigma_k on Z_n x Z_n: sigma_k((a1,a2),(b1,b2)) = e^(2 pi i (k/n) a2 b1).

@@ -116,9 +116,6 @@ class DegeneracyReport:
     nondegenerate: bool
     witness_class: tuple[int, ...] | None = None
 
-    def __bool__(self) -> bool:
-        return self.nondegenerate
-
     def to_json(self) -> dict:
         return {
             "f_degeneracy": self.nondegenerate,

@@ -10,7 +10,6 @@ in this package becomes exact rational arithmetic.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 import sys
@@ -152,12 +151,6 @@ class RotationNumber:
     def __neg__(self) -> "RotationNumber":
         return RotationNumber(-self.rat, tuple((l, -c) for l, c in self.coeffs))
 
-    def scale(self, k: int) -> "RotationNumber":
-        """Integer multiple k*x (the k-th power of the circle value)."""
-        if not isinstance(k, int):
-            raise TypeError(f"scale expects an integer, got {type(k).__name__}")
-        return RotationNumber(self.rat * k, tuple((l, c * k) for l, c in self.coeffs))
-
     def halve(self) -> "RotationNumber":
         """One square root: the representative in [0,1) divided by two.
 
@@ -174,15 +167,6 @@ class RotationNumber:
 
     def __bool__(self) -> bool:
         return not self.is_integral()
-
-    # -- numeric path ----------------------------------------------------
-
-    def evaluate(self) -> complex:
-        """e^(2*pi*i*x) as a double-precision complex number, for an x without
-        symbols; the first symbol raises MissingHint."""
-        if self.coeffs:
-            raise MissingHint(self.coeffs[0][0])
-        return cmath.exp(2j * cmath.pi * float(self.rat))
 
     # -- serialization ---------------------------------------------------
 

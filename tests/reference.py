@@ -1,5 +1,8 @@
 """Reference implementations for the differential tests.
 
+- ``scale`` and ``evaluate`` of a RotationNumber (the integer multiple
+  k x, and e^(2 pi i x) as a complex number), and ``conj`` in a finite
+  group (a c a^-1): arithmetic the package does not need.
 - The decode and compile path that the palette decode replaced:
   ``_rotations`` made one RotationNumber per distinct entry content and a
   |G| x |G| grid of references to them, and ``compile_values`` compiled
@@ -20,7 +23,8 @@
 - ``decode_params_ref``: the torus and g3 decode that read each parameter
   with ``RotationNumber.from_json`` and kept the RotationNumbers
   (``ThetaRef``, ``MuRef``), with their ``to_json``, ``qtheta_dimension``
-  and ``row_matrix``.
+  and ``row_matrix``; ``rank_ref``, the rank over Q by Gaussian
+  elimination on Fractions, which ``qtheta_dimension`` reads.
 - ``two_of_three_loop``: conditions (iii) and (iv) of ``two_of_three``
   as the loop over the centralizer that compared RotationNumbers.
 - ``check_sigma_tilde`` and ``regularity_identity_check``: the
@@ -32,9 +36,9 @@
   proof, computed triple by triple on RotationNumbers.
 - ``class_function_ref``: the class function of one regular class, by the
   per-conjugator RotationNumber loop that ``center_basis`` replaced.
-- ``convolve_ref`` and ``involution_ref``: the exact twisted convolution
-  and involution term by term, each product coefficient added into a
-  copy of the running sum, as coefficient terms (phase -> magnitude).
+- ``convolve_ref``: the exact twisted convolution term by term, each
+  product coefficient added into a copy of the running sum, as
+  coefficient terms (phase -> magnitude).
 - The free-product word arithmetic that calls the factor groups per
   letter: ``multiply_ref``, ``factor_images_ref``, ``reduce_pair`` with
   ``tau_ref``, ``beta_ref`` and ``vector_ref`` (no memo, no shortcut),
@@ -48,6 +52,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,10 +65,29 @@ from twistk.groups import ConjugacyClass, FiniteGroup
 from twistk.multipliers import DomainMismatch, Exponents, FiniteMultiplier, exact_dtype
 from twistk.products import ProductMultiplier
 from twistk.regularity import ClassInconsistency, regular_elements
-from twistk.intlinalg import rational_rank
-from twistk.torus import ZERO, IrrationalBasis, RotationNumber
+from twistk.torus import ZERO, IrrationalBasis, MissingHint, RotationNumber
 
 _NO_SYMBOLS: dict = {}
+
+
+def scale(x: RotationNumber, k: int) -> RotationNumber:
+    """Integer multiple k*x (the k-th power of the circle value)."""
+    if not isinstance(k, int):
+        raise TypeError(f"scale expects an integer, got {type(k).__name__}")
+    return RotationNumber(x.rat * k, tuple((l, c * k) for l, c in x.coeffs))
+
+
+def evaluate(x: RotationNumber) -> complex:
+    """e^(2*pi*i*x) as a double-precision complex number, for an x without
+    symbols; the first symbol raises MissingHint."""
+    if x.coeffs:
+        raise MissingHint(x.coeffs[0][0])
+    return cmath.exp(2j * cmath.pi * float(x.rat))
+
+
+def conj(g: FiniteGroup, a: int, c: int) -> int:
+    """a c a^-1."""
+    return g.mul(g.mul(a, c), g.inv(a))
 
 
 def _rotations(rows) -> list[list[RotationNumber]]:
@@ -153,7 +177,7 @@ class GenPermMatrix:
         n = len(self.cols)
         mat = np.zeros((n, n), dtype=complex)
         for b, (row, phase) in enumerate(self.cols):
-            mat[row, b] = phase.evaluate()
+            mat[row, b] = evaluate(phase)
         return mat
 
 
@@ -274,7 +298,7 @@ def check_sigma_tilde(sigma: FiniteMultiplier) -> tuple[int, int] | None:
     for a in g.elements():
         ainv = g.inv(a)
         for c in g.elements():
-            x = g.conj(a, c)
+            x = conj(g, a, c)
             if val(ainv, x) + val(a, c) != val(c, ainv) + val(x, a):
                 return (a, c)
     return None
@@ -349,7 +373,24 @@ class ThetaRef:
             v = self.entries.get(pair, ZERO)
             coeffs = dict(v.coeffs)
             vectors.append([v.rat] + [coeffs.get(label, Fraction(0)) for label in labels])
-        return rational_rank(vectors)
+        return rank_ref(vectors)
+
+
+def rank_ref(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q: Gaussian elimination on Fractions, one pivot per column
+    that has a nonzero entry below the rows already used."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 class MuRef:
@@ -467,7 +508,7 @@ def class_function_ref(sigma: FiniteMultiplier, cls: ConjugacyClass) -> dict[int
     base = min(cls.members)
     values: dict[int, RotationNumber] = {}
     for a in g.elements():
-        x = g.conj(a, base)
+        x = conj(g, a, base)
         v = sigma.value(a, base) - sigma.value(x, a)
         if x in values:
             if values[x] != v:
@@ -514,18 +555,6 @@ def convolve_ref(sigma: FiniteMultiplier, f, g) -> dict[int, dict[RotationNumber
             else:
                 acc.pop(a, None)
     return acc
-
-
-def involution_ref(sigma: FiniteMultiplier, f) -> dict[int, dict[RotationNumber, Fraction]]:
-    """The terms of each coefficient of f^*(a) = conj(sigma(a, a^-1))
-    conj(f(a^-1)): each phase negated, then rotated by -sigma(a, a^-1)."""
-    grp = sigma.group
-    acc = {}
-    for b, fb in f.coeffs.items():
-        a = grp.inv(b)
-        x = sigma.value(a, b)
-        acc[a] = {-p + -x: m for p, m in fb.terms.items()}
-    return {a: terms for a, terms in acc.items() if terms}
 
 
 def multiply_ref(fp: FreeProduct, x: FPWord, y: FPWord) -> FPWord:

@@ -26,7 +26,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import finite_catalog, product_triples, random_coboundary, small_groups
-from reference import _light_validate_ref, compile_values, lambda_exact
+from reference import _light_validate_ref, compile_values, conj, lambda_exact
 
 from twistk.algebra import _commutator_system, center_dimension_numeric
 from twistk.cli import main
@@ -86,7 +86,7 @@ def _conjugacy_classes_ref(g):
     for a in range(g.order):
         if seen[a]:
             continue
-        orbit = sorted({g.conj(c, a) for c in range(g.order)})
+        orbit = sorted({conj(g, c, a) for c in range(g.order)})
         for x in orbit:
             seen[x] = True
         classes.append((tuple(orbit), min(orbit)))

@@ -123,17 +123,27 @@ def test_reduce_pair_full_cancellation(z3z2):
         assert not xw or not yw
 
 
+def tau(sigma, x, y):
+    """The boundary cocycle tau of a free product multiplier at (x, y)."""
+    return sigma._exponents.rotation(sigma._tau(x, y))
+
+
+def beta(sigma, x):
+    """The coboundary beta of a free product multiplier at x."""
+    return sigma._exponents.rotation(sigma._beta(x))
+
+
 def test_tau_branches(kleinz3):
     sigma = kleinz3
     s1 = sigma.sigma1
-    assert sigma.tau((), ((2, 1),)) == ZERO
-    assert sigma.tau(((1, 1),), ()) == ZERO
+    assert tau(sigma, (), ((2, 1),)) == ZERO
+    assert tau(sigma, ((1, 1),), ()) == ZERO
     # boundary letters in different factors
-    assert sigma.tau(((1, 1),), ((2, 2),)) == ZERO
+    assert tau(sigma, ((1, 1),), ((2, 2),)) == ZERO
     # both boundary letters in factor 1: the factor cocycle value
     for a in range(1, 4):
         for b in range(1, 4):
-            assert sigma.tau(((1, a),), ((1, b),)) == s1.value(a, b)
+            assert tau(sigma, ((1, a),), ((1, b),)) == s1.value(a, b)
 
 
 def test_tau_requires_normalized():
@@ -179,14 +189,14 @@ def test_rewrite_round_trip(z3z2):
 def test_beta_branches(kleinz3):
     sigma = kleinz3
     fp = sigma.fp
-    assert sigma.beta(((1, 1),)) == ZERO  # not in the kernel
+    assert beta(sigma, ((1, 1),)) == ZERO  # not in the kernel
     w = commutator_word(fp, 1, 1)
-    assert sigma.beta(w) == ZERO  # single syllable
+    assert beta(sigma, w) == ZERO  # single syllable
     rng = random.Random(4)
     found_nonzero = False
     for _ in range(400):
         x = fp.random_kernel_word(rng, 8)
-        if bool(sigma.beta(x)):
+        if bool(beta(sigma, x)):
             found_nonzero = True
             break
     assert found_nonzero
@@ -241,8 +251,8 @@ def test_tau_is_itself_a_multiplier(kleinz3):
         x = fp.random_word(rng, 5)
         y = fp.random_word(rng, 5)
         z = fp.random_word(rng, 5)
-        lhs = sigma.tau(x, y) + sigma.tau(fp.multiply(x, y), z)
-        rhs = sigma.tau(x, fp.multiply(y, z)) + sigma.tau(y, z)
+        lhs = tau(sigma, x, y) + tau(sigma, fp.multiply(x, y), z)
+        rhs = tau(sigma, x, fp.multiply(y, z)) + tau(sigma, y, z)
         assert lhs == rhs
 
 
@@ -250,9 +260,9 @@ def test_module_level_helpers(kleinz3):
     # tau and beta depend only on the factor multipliers: a second
     # product built from the same factors gives the same values
     twin = FreeProductMultiplier(kleinz3.sigma1, kleinz3.sigma2)
-    assert twin.tau(((1, 1),), ((1, 1),)) == kleinz3.tau(((1, 1),), ((1, 1),)) == kleinz3.sigma1.value(1, 1)
+    assert tau(twin, ((1, 1),), ((1, 1),)) == tau(kleinz3, ((1, 1),), ((1, 1),)) == kleinz3.sigma1.value(1, 1)
     w = commutator_word(kleinz3.fp, 1, 1)
-    assert twin.beta(w) == kleinz3.beta(w) == ZERO
+    assert beta(twin, w) == beta(kleinz3, w) == ZERO
 
 
 class _TauOracle(Multiplier):
@@ -317,7 +327,7 @@ def _decompose_ref(sigma_fn, g1, g2, max_len=6, pairs=1000, rng=None):
         return total
 
     def beta_fn(x):
-        return prefix_telescope(x) + candidate.beta(x)
+        return prefix_telescope(x) + beta(candidate, x)
 
     checked = 0
     for _ in range(pairs):

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import abelian_group, product_triples, quaternion
-from reference import class_of
+from reference import class_of, conj
 
 from twistk.groups import (
     FiniteGroup,
@@ -92,7 +92,7 @@ def _brute_force_classes(table):
     g = FiniteGroup(table)
     classes = set()
     for a in range(n):
-        orbit = frozenset(g.conj(c, a) for c in range(n))
+        orbit = frozenset(conj(g, c, a) for c in range(n))
         classes.add(orbit)
     return sorted(sorted(c) for c in classes)
 

@@ -10,7 +10,8 @@ package, the tests, the demos or the benchmark; an import alone is not a
 use, since ``__init__`` imports every public name.  A public definition
 that only the tests use is listed in ``TEST_ONLY``, and a public method or
 property of a package class that only the tests read in
-``TEST_ONLY_METHODS``; both may only shrink.
+``TEST_ONLY_METHODS``, where only an attribute read (``x.name``) is a use
+of a method; both sets may only shrink.
 """
 
 import ast
@@ -58,11 +59,16 @@ def _uses(tree: ast.Module) -> set[str]:
     return out
 
 
-def _used_in(*folders: str) -> set[str]:
-    """The names and attributes read in every Python file under the folders."""
+def _trees(*folders: str) -> list[ast.Module]:
+    """The syntax tree of every Python file under the folders."""
     sources = [path for folder in folders for path in (ROOT / folder).rglob("*.py")]
     assert PACKAGE / "cli.py" in sources
-    return set().union(*(_uses(ast.parse(path.read_text())) for path in sources))
+    return [ast.parse(path.read_text()) for path in sources]
+
+
+def _used_in(*folders: str) -> set[str]:
+    """The names and attributes read in every Python file under the folders."""
+    return set().union(*(_uses(tree) for tree in _trees(*folders)))
 
 
 def _public_definitions() -> list[str]:
@@ -87,7 +93,6 @@ def test_no_unused_public_definitions():
 # that is deleted or moved, must leave it, and no name may join it.
 TEST_ONLY = frozenset({
     "algebra.py: convolve",
-    "algebra.py: involution",
     "freeprod.py: free_product_multiplier",
     "freeprod.py: xword_to_word",
     "io.py: encode_multiplier",
@@ -126,11 +131,14 @@ def _public_methods() -> list[str]:
 
 
 def test_public_methods_used_outside_tests():
-    """A method counts as used when its name is read as a name or an
-    attribute anywhere in the package, the demos or the benchmark.  The
-    check is by name alone, so a method that shares its name with another
-    (``inverse``, ``value``) counts as used wherever that name is read."""
-    used = _used_in("src", "demos", "bench")
+    """A method counts as used when its name is read as an attribute
+    (``x.name``) anywhere in the package, the demos or the benchmark; a
+    bare name of the same spelling (a local ``tau``, the benchmark's own
+    ``scale``) is not a use.  The check is by name alone, so a method that
+    shares its name with another (``inverse``, ``value``) counts as used
+    wherever that attribute is read."""
+    trees = _trees("src", "demos", "bench")
+    used = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     test_only = {name for name in _public_methods() if name.rsplit(".", 1)[1] not in used}
     assert sorted(test_only - TEST_ONLY_METHODS) == [], "only tests read these: move them to tests/ or use them"
     assert sorted(TEST_ONLY_METHODS - test_only) == [], "read outside the tests now, or gone: drop them"

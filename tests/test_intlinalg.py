@@ -5,9 +5,9 @@ from math import gcd
 
 import sympy
 
-from reference import hermite_normal_form_ref
+from reference import hermite_normal_form_ref, rank_ref
 
-from twistk.intlinalg import clear_denominators, hermite_normal_form, integer_kernel, rational_rank
+from twistk.intlinalg import clear_denominators, hermite_normal_form, integer_kernel
 
 
 def _random_matrix(rng, m, n, bound=6):
@@ -88,21 +88,29 @@ def test_integer_kernel_zero_and_empty():
     assert integer_kernel([[1, 0], [0, 1]]) == []
 
 
+def _rank(rows, ncols):
+    """Rank over Q as read by ``lattices.qtheta_dimension``: the number of
+    columns less the rank of the integer kernel."""
+    return ncols - len(integer_kernel(clear_denominators(rows), ncols=ncols))
+
+
 def test_rational_kernel_and_rank():
     rows = [[Fraction(1, 2), Fraction(1), Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3), Fraction(1)]]
-    assert rational_rank(rows) == 1
+    assert _rank(rows, 3) == rank_ref(rows) == 1
     basis = integer_kernel(clear_denominators(rows))
     assert len(basis) == 2
     for v in basis:
         assert all(sum(r[i] * v[i] for i in range(3)) == 0 for r in rows)
-    assert rational_rank([]) == 0
-    assert rational_rank([[Fraction(0), Fraction(0)]]) == 0
-    assert rational_rank([[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(-2, 7)]]) == 2
+    assert _rank([], 0) == rank_ref([]) == 0
+    assert _rank([[Fraction(0), Fraction(0)]], 2) == rank_ref([[Fraction(0), Fraction(0)]]) == 0
+    diagonal = [[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(-2, 7)]]
+    assert _rank(diagonal, 2) == rank_ref(diagonal) == 2
     rng = random.Random(6)
     for _ in range(40):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         q = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 6)) for _ in range(n)] for _ in range(m)]
-        assert rational_rank(q) == sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in q]).rank()
+        expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in q]).rank()
+        assert _rank(q, n) == rank_ref(q) == expected
 
 
 def test_clear_denominators_and_primitive():

@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from reference import scale
+
 from twistk.cli import main
 from twistk.lattices import (
     G3_IDENTITY,
@@ -252,7 +254,7 @@ def test_g3_central_phase_reproduces_criterion_rows():
         c = tuple(rng.randint(-4, 4) for _ in range(3))
         for i in range(3):
             probe = tuple(int(j == i) for j in range(3)) + (0, 0, 0)
-            expected = sum((rows[i][j].scale(c[j]) for j in range(3) if c[j]), ZERO)
+            expected = sum((scale(rows[i][j], c[j]) for j in range(3) if c[j]), ZERO)
             assert g3_central_phase(mu, probe, c) == expected
 
 
@@ -300,6 +302,22 @@ def test_g3_condition_k_true_matches_box_scan():
                 not g3_central_phase(mu, tuple(int(j == i) for j in range(3)) + (0, 0, 0), c).is_integral()
                 for i in range(3)
             )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "torus", "n": 2, "theta": {"1,2": {"irr": {"t": "1"}}}, "basis": ["t"]},
+        {"type": "g3", "mu": {"11": {"irr": {"t": "1"}}}, "basis": ["t"]},
+    ],
+    ids=["torus", "g3"],
+)
+def test_a_witness_that_fails_the_recheck_raises(spec, monkeypatch):
+    # e_1 lies outside the symbol kernel of both (M^T e_1 and R e_1 each
+    # have a component t), so a kernel that returns it must be refused
+    monkeypatch.setattr("twistk.lattices.integer_kernel", lambda rows, ncols: [[1] + [0] * (ncols - 1)])
+    with pytest.raises(RuntimeError, match="fails the regularity re-check"):
+        main(["condition-k", "--inline", json.dumps(spec)])
 
 
 def _random_spec(kind: str, rng: random.Random) -> dict:

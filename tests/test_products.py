@@ -196,8 +196,9 @@ def _f_degeneracy_loop(sigma1, sigma2, f):
     trivial = ((g1.identity,), (g2.identity,))
     for c1 in g1.conjugacy_classes():
         for c2 in g2.conjugacy_classes():
-            if (c1.members, c2.members) != trivial and not any(admits_b(a1, a2) for a1 in c1 for a2 in c2):
-                return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1 in c1 for a2 in c2))
+            members = [(a1, a2) for a1 in c1.members for a2 in c2.members]
+            if (c1.members, c2.members) != trivial and not any(admits_b(a1, a2) for a1, a2 in members):
+                return DegeneracyReport(False, tuple(a1 * g2.order + a2 for a1, a2 in members))
     return DegeneracyReport(True, None)
 
 
