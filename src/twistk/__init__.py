@@ -14,7 +14,7 @@ from .algebra import (
     identify_matrix_algebra,
     trace,
 )
-from .groups import FiniteGroup, build, cyclic, dihedral, direct_product, symmetric
+from .groups import FiniteGroup, build, cyclic, direct_product
 from .lattices import (
     G3Multiplier,
     LatticeMultiplier,

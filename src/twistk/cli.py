@@ -40,9 +40,10 @@ parser's recursion limit.  On a free_product, where
 decompose refuse a --box above io.MAX_ORDER before any word is drawn.
 
 The parser is built once, at import; its parsed arguments are the job.
-Reports are byte-identical for identical jobs: all randomness is
-seeded, keys are sorted, and exact numbers are strings.  A report
-holds no reference cycle, so ``json`` skips its cycle check.
+Every report, refusals included, holds the job's "command" and "seed",
+which ``run`` adds.  Reports are byte-identical for identical jobs: all
+randomness is seeded, keys are sorted, and exact numbers are strings.
+A report holds no reference cycle, so ``json`` skips its cycle check.
 
 ``main`` pauses Python's cyclic garbage collector while it reads and
 decodes the input (when it was on), and the JSON tree is dropped before
@@ -82,10 +83,6 @@ class JobError(ValueError):
     """Malformed job: wrong schema or unsupported command/input pairing."""
 
 
-def _report_base(args: argparse.Namespace) -> dict:
-    return {"command": args.command, "seed": args.seed}
-
-
 def _check_free_product(args: argparse.Namespace, sigma: FreeProductMultiplier) -> None:
     """Refuse a word length bound --box above MAX_ORDER, then prove both
     factor tables of a free product multiplier; a failure raises
@@ -105,43 +102,31 @@ def _run_validate(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         _check_free_product(args, sigma)
     rng = random.Random(args.seed)
     report = validate(sigma, rng=rng, triples=args.fuzz, box=args.box)
-    out = _report_base(args)
-    out.update(
-        {
-            "ok": report.ok,
-            "checked": report.checked,
-            "mode": report.mode,
-            "reason": report.reason,
-            "witness": [encode_witness_element(sigma, w) for w in report.witness if w is not None]
-            if report.witness
-            else None,
-        }
-    )
-    return (0 if report.ok else 1), out
+    return (0 if report.ok else 1), {
+        "ok": report.ok,
+        "checked": report.checked,
+        "mode": report.mode,
+        "reason": report.reason,
+        "witness": [encode_witness_element(sigma, w) for w in report.witness if w is not None]
+        if report.witness
+        else None,
+    }
 
 
 def _run_condition_k(args: argparse.Namespace, sigma) -> tuple[int, dict]:
-    out = _report_base(args)
     if isinstance(sigma, LatticeMultiplier):
-        decision = condition_k_lattice(sigma.theta)
-        out.update(decision.to_json())
-        return 0, out
+        return 0, condition_k_lattice(sigma.theta).to_json()
     if isinstance(sigma, G3Multiplier):
-        decision = g3_condition_k(sigma.mu)
-        out.update(decision.to_json())
-        return 0, out
+        return 0, g3_condition_k(sigma.mu).to_json()
     if isinstance(sigma, FiniteMultiplier):
         require_multiplier(sigma)
         witness = regular_classes(sigma).witness
-        out.update(
-            {
-                "condition_k": witness is None,
-                "witness_class": None
-                if witness is None
-                else {"rep": witness.representative, "members": list(witness.members)},
-            }
-        )
-        return 0, out
+        return 0, {
+            "condition_k": witness is None,
+            "witness_class": None
+            if witness is None
+            else {"rep": witness.representative, "members": list(witness.members)},
+        }
     raise JobError("condition-k is not defined for this input type")
 
 
@@ -152,22 +137,17 @@ def _run_center(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     report = regular_classes(sigma)
     combinatorial = int(report.flags.sum())
     numeric = center_dimension_numeric(sigma, tol=float(args.tol))
-    out = _report_base(args)
-    out.update({"combinatorial": combinatorial, "numeric": numeric})
+    fields = {"combinatorial": combinatorial, "numeric": numeric}
     if combinatorial != numeric:
-        out.update({"error": "center routes disagree", "matrix_algebra": None})
-        return 1, out
-    out["matrix_algebra"] = identify_matrix_algebra(sigma.group.order, combinatorial)
-    return 0, out
+        return 1, {**fields, "error": "center routes disagree", "matrix_algebra": None}
+    return 0, {**fields, "matrix_algebra": identify_matrix_algebra(sigma.group.order, combinatorial)}
 
 
 def _run_regular_classes(args: argparse.Namespace, sigma) -> tuple[int, dict]:
     if not isinstance(sigma, FiniteMultiplier):
         raise JobError("regular-classes requires a finite multiplier")
     require_multiplier(sigma)
-    out = _report_base(args)
-    out.update(regular_classes(sigma).to_json())
-    return 0, out
+    return 0, regular_classes(sigma).to_json()
 
 
 def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
@@ -175,13 +155,10 @@ def _run_f_degeneracy(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         raise JobError("f-degeneracy requires a direct_product input")
     require_multiplier(sigma)
     report = f_degeneracy(sigma.sigma1, sigma.sigma2, sigma.f)
-    out = _report_base(args)
-    out.update(report.to_json())
-    out["condition_k"] = regular_classes(sigma).condition_k
-    if out["condition_k"] != report.nondegenerate:
-        out["error"] = "f-degeneracy routes disagree"
-        return 1, out
-    return 0, out
+    fields = {**report.to_json(), "condition_k": regular_classes(sigma).condition_k}
+    if fields["condition_k"] != report.nondegenerate:
+        return 1, {**fields, "error": "f-degeneracy routes disagree"}
+    return 0, fields
 
 
 def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
@@ -189,7 +166,6 @@ def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         raise JobError("decompose requires a free_product input")
     _check_free_product(args, sigma)
     rng = random.Random(args.seed)
-    out = _report_base(args)
     try:
         result = decompose(
             sigma,
@@ -201,25 +177,19 @@ def _run_decompose(args: argparse.Namespace, sigma) -> tuple[int, dict]:
         )
     except SimilarityFailure as exc:
         x, y = exc.pair
-        out.update(
-            {
-                "similar": False,
-                "counterexample": [
-                    encode_witness_element(sigma, x),
-                    encode_witness_element(sigma, y),
-                ],
-            }
-        )
-        return 1, out
-    restrictions_match = _same_values(result.sigma1, sigma.sigma1) and _same_values(result.sigma2, sigma.sigma2)
-    out.update(
-        {
-            "similar": True,
-            "pairs_checked": result.pairs_checked,
-            "restrictions_match": restrictions_match,
+        return 1, {
+            "similar": False,
+            "counterexample": [
+                encode_witness_element(sigma, x),
+                encode_witness_element(sigma, y),
+            ],
         }
-    )
-    return 0, out
+    restrictions_match = _same_values(result.sigma1, sigma.sigma1) and _same_values(result.sigma2, sigma.sigma2)
+    return 0, {
+        "similar": True,
+        "pairs_checked": result.pairs_checked,
+        "restrictions_match": restrictions_match,
+    }
 
 
 def _same_values(s: FiniteMultiplier, t: FiniteMultiplier) -> bool:
@@ -240,22 +210,22 @@ _RUNNERS = {
 
 
 def run(args: argparse.Namespace, sigma) -> tuple[int, dict]:
-    """Execute one job on a decoded multiplier; returns (exit code, report dict)."""
+    """Execute one job on a decoded multiplier; returns (exit code, report
+    dict).  The report is the job's ``command`` and ``seed`` and the fields
+    of the refusal or of its runner, which reads the decisions it calls
+    from this module's globals, so a name swapped on the module runs."""
     try:
-        return _RUNNERS[args.command](args, sigma)
+        code, fields = _RUNNERS[args.command](args, sigma)
     except NotAMultiplier as exc:
-        out = _report_base(args)
-        out.update({"error": "not a multiplier", "reason": exc.reason, "witness": list(exc.witness)})
+        code, fields = 1, {"error": "not a multiplier", "reason": exc.reason, "witness": list(exc.witness)}
         if exc.factor is not None:
-            out["factor"] = exc.factor
-        return 1, out
+            fields["factor"] = exc.factor
     except (IllConditioned, ClassInconsistency) as exc:
         error = "ill-conditioned" if isinstance(exc, IllConditioned) else "not a multiplier"
-        out = _report_base(args)
-        out.update({"error": error, "detail": str(exc)})
-        return 1, out
+        code, fields = 1, {"error": error, "detail": str(exc)}
     except MissingHint as exc:
         raise JobError(f"the numeric center needs a table without symbols, and this table has symbol {exc.args[0]!r}") from None
+    return code, {"command": args.command, "seed": args.seed, **fields}
 
 
 def _build_parser() -> argparse.ArgumentParser:

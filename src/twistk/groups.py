@@ -11,23 +11,22 @@ the tuple of inverses behind ``inv``.
 
 A table from outside the program is proven once, by ``build``: shape,
 two-sided identity, two-sided inverses and associativity by Light's test
-on the generating set S of ``generators``, |S| |G|^2 comparisons.  The
-library constructors build groups by construction: ``FiniteGroup``
-finds the identity and inverses without testing associativity (the test
-suite proves the library's tables through ``build``), and ``cyclic`` and
-``direct_product`` search for nothing.  They know the identity (0, or
-(e1, e2)), the inverses (-a mod n, or (a1^-1, a2^-1)) and whether the
-group is abelian (always, or when both factors are), so ``is_abelian``,
-``commuting`` and ``class_layout`` read no table there, and they defer
-``array`` and ``names`` to their first read.  ``generators`` gives the
-set on which ``multipliers.validate`` proves a cocycle and
-``algebra.center_dimension_numeric`` builds its system.
+on the generating set S of ``generators``, |S| |G|^2 comparisons.
+``FiniteGroup`` alone finds the identity and inverses without testing
+associativity.  The two library constructors, ``cyclic`` and
+``direct_product``, build groups by construction and search for nothing.
+They know the identity (0, or (e1, e2)), the inverses (-a mod n, or
+(a1^-1, a2^-1)) and whether the group is abelian (always, or when both
+factors are), so ``is_abelian``, ``commuting`` and ``class_layout`` read
+no table there, and they defer ``array`` and ``names`` to their first
+read.  ``generators`` gives the set on which ``multipliers.validate``
+proves a cocycle and ``algebra.center_dimension_numeric`` builds its
+system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -280,18 +279,6 @@ def build(table: Sequence[Sequence[int]], names: Sequence[str] | None = None) ->
     return group
 
 
-def _from_function(elements: Sequence, op: Callable, names: list[str]) -> FiniteGroup:
-    """Build a table group from abstract elements and a binary operation."""
-    elems = list(elements)
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[op(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(table, names)
-
-
-def trivial() -> FiniteGroup:
-    return FiniteGroup([[0]], ["e"])
-
-
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with elements 0..n-1 under addition mod n."""
     if n < 1:
@@ -319,32 +306,3 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         return made
     abelian = g1.is_abelian() and g2.is_abelian()
     return FiniteGroup._known(n1 * n2, array, g1.identity * n2 + g2.identity, inverses, names, abelian)
-
-
-def dihedral(n: int) -> FiniteGroup:
-    """D_n of order 2n: elements (i, s) with s in {0,1}, (i,s)(j,t) = (i + (-1)^s j, s+t)."""
-    if n < 1:
-        raise ValueError("dihedral parameter must be >= 1")
-    elems = [(i, s) for s in (0, 1) for i in range(n)]
-
-    def op(a, b):
-        i, s = a
-        j, t = b
-        return ((i + (j if s == 0 else -j)) % n, (s + t) % 2)
-
-    names = [f"r{i}" if s == 0 else f"sr{i}" for i, s in elems]
-    return _from_function(elems, op, names)
-
-
-def symmetric(n: int) -> FiniteGroup:
-    """S_n as composition of permutation tuples (small n only)."""
-    if n < 1:
-        raise ValueError("symmetric parameter must be >= 1")
-    elems = sorted(permutations(range(n)))
-
-    def op(p, q):
-        # (p . q)(x) = p(q(x))
-        return tuple(p[q[x]] for x in range(n))
-
-    return _from_function(elems, op, ["".join(map(str, p)) for p in elems])
-

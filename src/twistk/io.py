@@ -256,8 +256,6 @@ def encode_multiplier(sigma: Multiplier) -> dict:
             "sigma1": encode_multiplier(sigma.sigma1),
             "sigma2": encode_multiplier(sigma.sigma2),
         }
-    if isinstance(sigma, FiniteMultiplier):
-        return encode_multiplier(sigma.to_table())
     raise SchemaError(f"cannot encode {type(sigma).__name__}")
 
 

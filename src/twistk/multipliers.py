@@ -58,7 +58,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, cyclic, direct_product
-from .torus import ZERO, RotationNumber
+from .torus import RotationNumber
 
 # 8-byte words per temporary of the blockwise cocycle scans (1 MiB of int64).
 BLOCK = 1 << 17
@@ -486,23 +486,17 @@ def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, tuple[RotationN
     """A similar multiplier with sigma'(a, a^-1) = 1 for every a, and the
     beta of the coboundary that takes sigma to it (``coboundary_twist``).
 
-    beta is chosen pairwise: on each pair {a, a^-1} with a != a^-1 one
-    representative gets beta = 1 and the other beta = conj(sigma(r, r^-1));
-    an involution a = a^-1 gets beta(a) = conj(halve(sigma(a, a))), using
-    the square root with representative in [0, 1).  Since any multiplier
-    has sigma(a, a^-1) = sigma(a^-1, a), this normalizes both orders.
+    beta is read off the compiled array E over the denominator 2D, where
+    halving an exponent is doubling D: of each pair {r, r^-1}, r < r^-1,
+    r^-1 gets -2 E[r, r^-1] = conj(sigma(r, r^-1)) and r gets 0; an
+    involution a gets -E[a, a], the conjugate of half of sigma(a, a)'s
+    exponent in [0, 1); e gets 0.  Since any multiplier has
+    sigma(a, a^-1) = sigma(a^-1, a), this normalizes both orders.
     """
-    g = sigma.group
-    beta: list[RotationNumber | None] = [None] * g.order
-    for a in g.elements():
-        if beta[a] is not None:
-            continue
-        ainv = g.inv(a)
-        if a == ainv:
-            beta[a] = -sigma.value(a, a).halve()
-        else:
-            beta[a] = ZERO
-            beta[ainv] = -sigma.value(a, ainv)
-    beta[g.identity] = ZERO
-    normalized = coboundary_twist(sigma, beta)  # type: ignore[arg-type]
-    return normalized, tuple(beta)
+    g, ex = sigma.group, sigma.exponents()
+    a, inv = np.arange(g.order), g.inverses
+    beta = -ex.array[inv, a]  # -E[a^-1, a]: -E[a, a] on an involution
+    beta[inv < a] *= 2
+    beta[(inv > a) | (a == g.identity)] = 0
+    betas = tuple(map(Exponents(2 * ex.D, ex.labels, beta).rotation, beta.tolist()))
+    return coboundary_twist(sigma, betas), betas

@@ -151,14 +151,6 @@ class RotationNumber:
     def __neg__(self) -> "RotationNumber":
         return RotationNumber(-self.rat, tuple((l, -c) for l, c in self.coeffs))
 
-    def halve(self) -> "RotationNumber":
-        """One square root: the representative in [0,1) divided by two.
-
-        The other square root differs by 1/2; callers that need a specific
-        branch (the normalization construction) rely on exactly this choice.
-        """
-        return RotationNumber(self.rat / 2, tuple((l, c / 2) for l, c in self.coeffs))
-
     # -- predicates ------------------------------------------------------
 
     def is_integral(self) -> bool:
@@ -188,7 +180,6 @@ class RotationNumber:
 
 
 ZERO = RotationNumber()
-HALF = RotationNumber(Fraction(1, 2))
 
 
 def rot(rat: RationalLike = 0, irr: Mapping[str, RationalLike] | None = None) -> RotationNumber:

@@ -1,4 +1,6 @@
-"""Shared finite catalogs for the test suites.
+"""Shared finite catalogs for the test suites, and the groups they are
+built on that the package has no constructor for: the trivial group,
+D_n, S_n (``_from_function``) and Q8.
 
 Everything is deterministic: generators take explicit seeds, so the same
 catalog is rebuilt identically in every run.
@@ -9,13 +11,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 import twistk as tk
-from twistk.groups import FiniteGroup, cyclic, dihedral, direct_product, symmetric
+from twistk.groups import FiniteGroup, cyclic, direct_product
 from twistk.multipliers import (
     Exponents,
     FiniteMultiplier,
@@ -26,6 +29,49 @@ from twistk.multipliers import (
 )
 from twistk.products import Bihomomorphism, ProductMultiplier
 from twistk.torus import ZERO, RotationNumber
+
+
+# -- test groups by their elements and operation ------------------------------
+
+
+def _from_function(elements: Sequence, op: Callable, names: list[str]) -> FiniteGroup:
+    """Build a table group from abstract elements and a binary operation."""
+    elems = list(elements)
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[op(a, b)] for b in elems] for a in elems]
+    return FiniteGroup(table, names)
+
+
+def trivial() -> FiniteGroup:
+    return FiniteGroup([[0]], ["e"])
+
+
+def dihedral(n: int) -> FiniteGroup:
+    """D_n of order 2n: elements (i, s) with s in {0,1}, (i,s)(j,t) = (i + (-1)^s j, s+t)."""
+    if n < 1:
+        raise ValueError("dihedral parameter must be >= 1")
+    elems = [(i, s) for s in (0, 1) for i in range(n)]
+
+    def op(a, b):
+        i, s = a
+        j, t = b
+        return ((i + (j if s == 0 else -j)) % n, (s + t) % 2)
+
+    names = [f"r{i}" if s == 0 else f"sr{i}" for i, s in elems]
+    return _from_function(elems, op, names)
+
+
+def symmetric(n: int) -> FiniteGroup:
+    """S_n as composition of permutation tuples (small n only)."""
+    if n < 1:
+        raise ValueError("symmetric parameter must be >= 1")
+    elems = sorted(permutations(range(n)))
+
+    def op(p, q):
+        # (p . q)(x) = p(q(x))
+        return tuple(p[q[x]] for x in range(n))
+
+    return _from_function(elems, op, ["".join(map(str, p)) for p in elems])
 
 
 # -- builders of test multipliers -------------------------------------------

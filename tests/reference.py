@@ -1,8 +1,11 @@
 """Reference implementations for the differential tests.
 
-- ``scale`` and ``evaluate`` of a RotationNumber (the integer multiple
-  k x, and e^(2 pi i x) as a complex number), and ``conj`` in a finite
-  group (a c a^-1): arithmetic the package does not need.
+- ``scale``, ``halve`` and ``evaluate`` of a RotationNumber (the integer
+  multiple k x, one square root, and e^(2 pi i x) as a complex number),
+  and ``conj`` in a finite group (a c a^-1): arithmetic the package does
+  not need.
+- ``normalize_ref``: the normalizing coboundary chosen element by element
+  on RotationNumbers, with ``halve`` for the involutions.
 - The decode and compile path that the palette decode replaced:
   ``_rotations`` made one RotationNumber per distinct entry content and a
   |G| x |G| grid of references to them, and ``compile_values`` compiled
@@ -62,7 +65,14 @@ import numpy as np
 
 from twistk.freeprod import FPWord, FreeProduct, FreeProductMultiplier, expand_syllable, rewrite_to_X
 from twistk.groups import ConjugacyClass, FiniteGroup
-from twistk.multipliers import DomainMismatch, Exponents, FiniteMultiplier, exact_dtype
+from twistk.multipliers import (
+    DomainMismatch,
+    Exponents,
+    FiniteMultiplier,
+    TableMultiplier,
+    coboundary_twist,
+    exact_dtype,
+)
 from twistk.products import ProductMultiplier
 from twistk.regularity import ClassInconsistency, regular_elements
 from twistk.torus import ZERO, IrrationalBasis, MissingHint, RotationNumber
@@ -75,6 +85,34 @@ def scale(x: RotationNumber, k: int) -> RotationNumber:
     if not isinstance(k, int):
         raise TypeError(f"scale expects an integer, got {type(k).__name__}")
     return RotationNumber(x.rat * k, tuple((l, c * k) for l, c in x.coeffs))
+
+
+def halve(x: RotationNumber) -> RotationNumber:
+    """One square root: the representative in [0,1) divided by two.
+
+    The other square root differs by 1/2; ``normalize`` relies on exactly
+    this choice for the involutions.
+    """
+    return RotationNumber(x.rat / 2, tuple((l, c / 2) for l, c in x.coeffs))
+
+
+def normalize_ref(sigma: FiniteMultiplier) -> tuple[TableMultiplier, tuple[RotationNumber, ...]]:
+    """``normalize`` as the loop over the elements: of each pair {a, a^-1},
+    a < a^-1, a gets beta = 1 and a^-1 gets conj(sigma(a, a^-1)); an
+    involution a gets conj(halve(sigma(a, a))), and e gets 1."""
+    g = sigma.group
+    beta: list[RotationNumber | None] = [None] * g.order
+    for a in g.elements():
+        if beta[a] is not None:
+            continue
+        ainv = g.inv(a)
+        if a == ainv:
+            beta[a] = -halve(sigma.value(a, a))
+        else:
+            beta[a] = ZERO
+            beta[ainv] = -sigma.value(a, ainv)
+    beta[g.identity] = ZERO
+    return coboundary_twist(sigma, beta), tuple(beta)
 
 
 def evaluate(x: RotationNumber) -> complex:

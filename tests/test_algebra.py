@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, klein_catalog
+from catalog import finite_catalog, klein_catalog, symmetric
 from reference import GenPermMatrix, lambda_exact, rho_bar_exact
 
 from twistk.algebra import (
@@ -20,7 +20,7 @@ from twistk.algebra import (
     identify_matrix_algebra,
     trace,
 )
-from twistk.groups import cyclic, symmetric
+from twistk.groups import cyclic
 from twistk.multipliers import klein, trivial_multiplier
 from twistk.torus import ZERO, rot
 
@@ -192,6 +192,14 @@ def test_center_dimension_ill_conditioned():
     with pytest.raises(IllConditioned):
         center_dimension_numeric(s, tol=genuine * 6)
     assert center_dimension_numeric(s, tol=genuine * 0.5) == 1
+
+
+def test_center_dimension_refuses_a_spectrum_with_no_zero(monkeypatch):
+    # lambda(e) is central, so some singular value of a true system is 0;
+    # a spectrum with none below tol is refused, not counted as 0
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.full(min(a.shape), 1.0))
+    with pytest.raises(IllConditioned, match="no singular value below tol"):
+        center_dimension_numeric(klein(3, 1))
 
 
 def test_identify_matrix_algebra():

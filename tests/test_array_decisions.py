@@ -26,7 +26,17 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import abelian_group, cyclic_bihom, finite_catalog, product_triples, random_coboundary, small_groups
+from catalog import (
+    abelian_group,
+    cyclic_bihom,
+    dihedral,
+    finite_catalog,
+    product_triples,
+    random_coboundary,
+    small_groups,
+    symmetric,
+    trivial,
+)
 from reference import (
     class_layout_ref,
     class_of,
@@ -36,7 +46,7 @@ from reference import (
 )
 
 from twistk.freeprod import FreeProductMultiplier, _restriction_table
-from twistk.groups import FiniteGroup, build, cyclic, dihedral, direct_product, symmetric, trivial
+from twistk.groups import FiniteGroup, build, cyclic, direct_product
 from twistk.io import decode_multiplier, encode_multiplier
 from twistk.multipliers import (
     Exponents,

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, product_triples, random_coboundary, small_groups
+from catalog import dihedral, finite_catalog, product_triples, random_coboundary, small_groups, symmetric
 from reference import _light_validate_ref, compile_values, conj, lambda_exact
 
 from twistk.algebra import _commutator_system, center_dimension_numeric
@@ -36,9 +36,7 @@ from twistk.groups import (
     NotAssociative,
     build,
     cyclic,
-    dihedral,
     direct_product,
-    symmetric,
 )
 from twistk.io import encode_multiplier
 from twistk.multipliers import (

@@ -18,17 +18,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 from catalog import (
     _s3_sign_values,
     bihom_from_characters,
+    dihedral,
     product_triples,
     random_coboundary,
     random_normalized_tables,
     small_groups,
+    symmetric,
     trivial_bihom,
 )
 from reference import _light_validate_ref
 
 import twistk.multipliers as multipliers
 from twistk.cli import main
-from twistk.groups import cyclic, dihedral, symmetric
+from twistk.groups import cyclic
 from twistk.io import decode_multiplier
 from twistk.multipliers import (
     FiniteMultiplier,

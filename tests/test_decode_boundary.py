@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import twistk.cli
 from twistk.cli import COMMANDS, main
 from twistk.groups import cyclic, direct_product
 from twistk.io import MAX_ORDER
@@ -230,6 +231,19 @@ def test_every_outside_table_is_proven(capsys):
         for command in COMMANDS:
             argv = [command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"]
             _exits_2_naming(argv, capsys, "NotAssociative")
+
+
+@pytest.mark.parametrize("slot", ["sigma1", "sigma2"])
+@pytest.mark.parametrize("family", ["torus", "g3"])
+@pytest.mark.parametrize("kind", ["direct_product", "free_product"])
+def test_infinite_product_factor_refused(kind, family, slot, capsys, monkeypatch):
+    # both products are built on two finite factor tables
+    monkeypatch.setattr(twistk.cli, "run", lambda args, sigma: pytest.fail("a decision ran"))
+    data = dict(SPECS[kind], **{slot: SPECS[family]})
+    for command in COMMANDS:
+        code = main([command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"bad job: {kind} factors must be finite multipliers\n"), command
 
 
 # unchecked, these answer "yes" without evidence (--fuzz 0), refuse as

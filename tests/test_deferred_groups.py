@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, product_triples
+from catalog import dihedral, finite_catalog, product_triples, symmetric
 
 from twistk.cli import main
-from twistk.groups import FiniteGroup, cyclic, dihedral, direct_product, symmetric
+from twistk.groups import FiniteGroup, cyclic, direct_product
 from twistk.io import SchemaError, decode_multiplier, encode_multiplier
 from twistk.multipliers import klein, trivial_multiplier
 

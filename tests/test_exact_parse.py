@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import cyclic_bihom, finite_catalog, random_normalized_tables, small_groups
+from catalog import cyclic_bihom, finite_catalog, random_normalized_tables, small_groups, symmetric
 from reference import _rotations, classes_by_split, compile_values, regular_classes_loop
 
 from twistk.cli import main
-from twistk.groups import cyclic, direct_product, symmetric
+from twistk.groups import cyclic, direct_product
 from twistk.io import decode_multiplier, encode_multiplier
 from twistk.multipliers import TableMultiplier
 from twistk.products import ProductMultiplier

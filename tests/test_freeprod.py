@@ -23,7 +23,7 @@ from twistk.freeprod import (
     rewrite_to_X,
     xword_to_word,
 )
-from twistk.groups import cyclic, symmetric
+from twistk.groups import cyclic
 from twistk.io import encode_multiplier
 from twistk.multipliers import (
     Exponents,
@@ -40,7 +40,7 @@ from twistk.multipliers import (
 from twistk.torus import ZERO, rot
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import random_normalized_tables  # noqa: E402
+from catalog import random_normalized_tables, symmetric  # noqa: E402
 from reference import check_word, reduce_pair  # noqa: E402
 
 

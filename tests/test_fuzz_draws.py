@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import random_coboundary  # noqa: E402
+from catalog import random_coboundary, symmetric, trivial  # noqa: E402
 from reference import (  # noqa: E402
     beta_ref,
     check_word,
@@ -40,7 +40,7 @@ from reference import (  # noqa: E402
 from twistk import freeprod
 from twistk.cli import main
 from twistk.freeprod import FreeProduct, FreeProductMultiplier, commutator_word, decompose
-from twistk.groups import cyclic, symmetric, trivial
+from twistk.groups import cyclic
 from twistk.io import decode_multiplier, encode_multiplier
 from twistk.multipliers import Multiplier, coboundary_twist, draw, klein, normalize, trivial_multiplier
 from twistk.torus import ZERO, rot

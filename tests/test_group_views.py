@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, product_triples, quaternion, small_groups
+from catalog import dihedral, finite_catalog, product_triples, quaternion, small_groups, symmetric
 from reference import generators_ref
 
 from twistk import cli
-from twistk.groups import FiniteGroup, GroupTableError, NoIdentity, cyclic, dihedral, direct_product, symmetric
+from twistk.groups import FiniteGroup, GroupTableError, NoIdentity, cyclic, direct_product
 from twistk.io import decode_group, decode_multiplier, encode_multiplier
 from twistk.multipliers import klein
 from twistk.products import ProductMultiplier

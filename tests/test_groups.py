@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import abelian_group, product_triples, quaternion
+from catalog import abelian_group, dihedral, product_triples, quaternion, symmetric, trivial
 from reference import class_of, conj
 
 from twistk.groups import (
@@ -16,10 +16,7 @@ from twistk.groups import (
     NotAssociative,
     build,
     cyclic,
-    dihedral,
     direct_product,
-    symmetric,
-    trivial,
 )
 from twistk.io import decode_group
 from twistk.multipliers import klein

@@ -4,14 +4,15 @@ used somewhere.
 
 No linter ships with the project, so this reads each module's syntax tree
 with the standard library.  ``__init__`` re-exports its imports and is
-skipped; ``from __future__`` imports are directives, not names.  A use is
-a name or an attribute read outside the definition itself, in the
-package, the tests, the demos or the benchmark; an import alone is not a
-use, since ``__init__`` imports every public name.  A public definition
-that only the tests use is listed in ``TEST_ONLY``, and a public method or
-property of a package class that only the tests read in
-``TEST_ONLY_METHODS``, where only an attribute read (``x.name``) is a use
-of a method; both sets may only shrink.
+skipped; ``from __future__`` imports are directives, not names.  A
+definition is used where it is imported by name (outside ``__init__``,
+which imports every public name), read as an attribute (``x.name``), or
+named in its own module outside the definition itself, in the package,
+the tests, the demos or the benchmark; a bare name elsewhere is another
+file's own name.  A public definition that only the tests use is listed
+in ``TEST_ONLY``, and a public method or property of a package class that
+only the tests read in ``TEST_ONLY_METHODS``, where only an attribute read
+is a use of a method; both sets may only shrink.
 """
 
 import ast
@@ -59,16 +60,33 @@ def _uses(tree: ast.Module) -> set[str]:
     return out
 
 
-def _trees(*folders: str) -> list[ast.Module]:
-    """The syntax tree of every Python file under the folders."""
+def _sources(*folders: str) -> list[Path]:
+    """Every Python file under the folders."""
     sources = [path for folder in folders for path in (ROOT / folder).rglob("*.py")]
     assert PACKAGE / "cli.py" in sources
-    return [ast.parse(path.read_text()) for path in sources]
+    return sources
 
 
-def _used_in(*folders: str) -> set[str]:
-    """The names and attributes read in every Python file under the folders."""
-    return set().union(*(_uses(tree) for tree in _trees(*folders)))
+def _trees(*folders: str) -> list[ast.Module]:
+    """The syntax tree of every Python file under the folders."""
+    return [ast.parse(path.read_text()) for path in _sources(*folders)]
+
+
+def _used_definitions(*folders: str) -> set[str]:
+    """The package definitions, as "module.py: name", that the files under
+    the folders use: imported by name outside ``__init__``, read as an
+    attribute, or named in their own module outside their definition."""
+    elsewhere, used = set(), set()
+    for path in _sources(*folders):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                elsewhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                elsewhere |= {alias.name for alias in node.names}
+        if path.parent == PACKAGE:
+            used |= {f"{path.name}: {name}" for name in _uses(tree)}
+    return used | {name for name in _public_definitions() if name.split(": ")[1] in elsewhere}
 
 
 def _public_definitions() -> list[str]:
@@ -84,8 +102,8 @@ def _public_definitions() -> list[str]:
 
 
 def test_no_unused_public_definitions():
-    used = _used_in("src", "tests", "demos", "bench")
-    assert [name for name in _public_definitions() if name.split(": ")[1] not in used] == []
+    used = _used_definitions("src", "tests", "demos", "bench")
+    assert [name for name in _public_definitions() if name not in used] == []
 
 
 # Public definitions that only the tests use.  The set may only shrink: a
@@ -104,8 +122,8 @@ TEST_ONLY = frozenset({
 
 
 def test_public_definitions_used_outside_tests():
-    used = _used_in("src", "demos", "bench")
-    test_only = {name for name in _public_definitions() if name.split(": ")[1] not in used}
+    used = _used_definitions("src", "demos", "bench")
+    test_only = {name for name in _public_definitions() if name not in used}
     assert sorted(test_only - TEST_ONLY) == [], "only tests use these: move them to tests/ or use them"
     assert sorted(TEST_ONLY - test_only) == [], "used outside the tests now, or gone: drop them from TEST_ONLY"
 

@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+from catalog import symmetric
+
 import twistk as tk
 import twistk.cli
 import twistk.regularity
 from twistk.cli import main
 from twistk.freeprod import FreeProduct, FreeProductMultiplier
-from twistk.groups import cyclic, symmetric
+from twistk.groups import cyclic
 from twistk.io import (
     SchemaError,
     decode_multiplier,
@@ -187,6 +190,15 @@ def test_cli_center_computes_each_dimension_once(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["center", "--inline", json.dumps({"type": "klein", "n": 3, "k": 1})])
     assert code == 0 and json.loads(out)["matrix_algebra"] == 3
     assert calls == {"regular_classes": 1, "svd": 1}
+
+
+def test_cli_center_ill_conditioned_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.full(min(a.shape), 1.0))
+    code, out, err = _run(capsys, ["center", "--seed", "5", "--inline", json.dumps({"type": "klein", "n": 3, "k": 1})])
+    assert code == 1 and len(err.splitlines()) == 1
+    report = json.loads(out)
+    assert report == {"command": "center", "seed": 5, "error": "ill-conditioned", "detail": report["detail"]}
+    assert "no singular value below tol" in report["detail"]
 
 
 def test_cli_group_of_order_one(capsys):

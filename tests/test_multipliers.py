@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from catalog import bilinear_multiplier, random_coboundary
-from reference import is_similar
+from catalog import bilinear_multiplier, dihedral, finite_catalog, random_coboundary, symmetric
+from reference import halve, is_similar, normalize_ref
 
-from twistk.groups import cyclic, symmetric
+from twistk.groups import cyclic
 from twistk.multipliers import (
     DomainMismatch,
     TableMultiplier,
@@ -127,8 +128,40 @@ def test_normalize_z2_halving_example():
     s = TableMultiplier(g, [[ZERO, ZERO], [ZERO, rot("1/2")]])
     assert validate(s).ok
     normalized, witness = normalize(s)
-    assert witness[1] == -rot("1/2").halve() == rot("3/4")
+    assert witness[1] == -halve(rot("1/2")) == rot("3/4")
     assert normalized.value(1, 1).is_integral()
+
+
+def _normalize_cases():
+    """Every finite_catalog() entry; coboundary twists with two symbols, on
+    groups with involutions and with pairs {a, a^-1}; and twists over a
+    prime D at the int64 edge of ``exact_dtype`` and one past it."""
+    rng = random.Random(28)
+    cases = [sigma for _, sigma in finite_catalog()]
+    for base in (trivial_multiplier(symmetric(3)), trivial_multiplier(dihedral(4)), klein(3, 1), klein(4, 1)):
+        symbols = [{"t": rng.randint(-3, 3), "u": Fraction(rng.randint(-4, 4), 5)} for _ in range(base.group.order - 1)]
+        beta = [ZERO] + [rot(Fraction(rng.randrange(12), 12), irr) for irr in symbols]
+        cases.append(coboundary_twist(base, beta))
+    for p in (2**61 - 1, 2**64 + 13):
+        beta = [ZERO] + [rot(Fraction(rng.randrange(p), p)) for _ in range(7)]
+        cases.append(coboundary_twist(trivial_multiplier(dihedral(4)), beta))
+    return cases
+
+
+def test_normalize_matches_the_element_loop():
+    cases = _normalize_cases()
+    frames = [sigma.exponents() for sigma in cases]
+    assert any(ex.labels for ex in frames)
+    assert any(ex.array.dtype == np.int64 and 4 * ex.D > 2**62 for ex in frames)
+    assert any(ex.array.dtype == object and 4 * ex.D > 2**63 for ex in frames)
+    for sigma in cases:
+        table, beta = normalize(sigma)
+        ref_table, ref_beta = normalize_ref(sigma)
+        assert beta == ref_beta
+        got, want = table.exponents(), ref_table.exponents()
+        assert (got.D, got.labels, got.array.dtype) == (want.D, want.labels, want.array.dtype)
+        assert np.array_equal(got.array, want.array)
+        assert table.is_normalized()
 
 
 def test_similarity_preserves_regularity():

@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, random_coboundary, random_normalized_tables, small_groups, trivial_bihom
+from catalog import finite_catalog, random_coboundary, random_normalized_tables, small_groups, symmetric, trivial_bihom
 from reference import _rotations, compile_values
 
 import twistk.cli
 import twistk.io
 from twistk.cli import _same_values, main
 from twistk.freeprod import free_product_multiplier
-from twistk.groups import FiniteGroup, GroupTableError, cyclic, direct_product, symmetric
+from twistk.groups import FiniteGroup, GroupTableError, cyclic, direct_product
 from twistk.io import SchemaError, decode_multiplier, encode_multiplier
 from twistk.multipliers import (
     KleinMultiplier,

@@ -12,15 +12,17 @@ from catalog import (
     assemble,
     bihom_from_characters,
     cyclic_bihom,
+    dihedral,
     product_triples,
     random_coboundary,
     restriction,
+    symmetric,
     trivial_bihom,
 )
 from reference import regularity_identity_check, two_of_three_loop
 
 import twistk as tk
-from twistk.groups import cyclic, dihedral, direct_product, symmetric
+from twistk.groups import cyclic, direct_product
 from twistk.multipliers import TableMultiplier, coboundary_twist, trivial_multiplier, validate
 from twistk.products import (
     Bihomomorphism,

@@ -4,11 +4,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from catalog import symmetric
 from reference import check_sigma_tilde
 
 import twistk as tk
 from twistk.algebra import AlgebraElement, convolve
-from twistk.groups import cyclic, symmetric
+from twistk.groups import cyclic
 from twistk.multipliers import TableMultiplier, klein, trivial_multiplier
 from twistk.regularity import (
     ClassInconsistency,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from catalog import finite_catalog, product_triples
+from catalog import finite_catalog, product_triples, symmetric
 from reference import class_function_ref
 
 import twistk.cli
@@ -24,7 +24,7 @@ import twistk.regularity
 from twistk.algebra import PhaseSum
 from twistk.cli import main
 from twistk.freeprod import _restriction_table, free_product_multiplier
-from twistk.groups import FiniteGroup, cyclic, symmetric
+from twistk.groups import FiniteGroup, cyclic
 from twistk.io import decode_multiplier, encode_multiplier
 from twistk.multipliers import Exponents, FiniteMultiplier, TableMultiplier, klein, normalize, trivial_multiplier
 from twistk.products import Bihomomorphism, DegeneracyReport, ProductMultiplier, f_degeneracy
