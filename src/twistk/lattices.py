@@ -11,15 +11,28 @@ The parameters (the theta entries; the eight mu, in the order
 ``g3_value`` uses them) are held only compiled, as ``Exponents``, and
 ``vector`` dots the integer coefficients (a_i b_j, or the eight g3
 exponents) with the parameter rows; ``to_json`` and ``row_matrix`` alone
-turn a row back into a RotationNumber.  M^T and the g3 rows are kept per
-slot over D (slot 0 rational, slot i the i-th compiled label): the
-regularity test and the witness re-checks are integer sums on them, and
-the Hermite form gets the symbol slots as they are, times D
-(``clear_denominators`` finds nothing to clear there and stays the named
-step that ``bench/spans.py`` times).  With its minimal-|pivot| choice the
-form makes the same row operations on any positive multiple of its input
-((c a) // (c p) = a // p), so the kernel basis, and with it the witness,
-is the one the rational matrix gives.
+turn a row back into a RotationNumber.
+
+Each family states its formula once, for one pair and for m pairs as
+coordinate columns alike: ``_torus_vector`` gathers the products a_i b_j
+of the P entries and multiplies them into the compiled rows, and
+``g3_multiply`` and ``_g3_vector`` are integer arithmetic on ints or
+columns.  ``validate`` draws a chunk of triples through
+``random_element``, in the loop's order on the ``rng.randint`` stream,
+checks it in one ``vector`` call on about BLOCK words, and on a failure
+rewinds the stream and draws again up to the failing triple.  The
+columns are int64 where every coordinate and sum stays below 2^63
+(``column_dtype``: a coefficient is at most 2 box^2 on the torus and
+28 box^3 on g3), and exact Python ints otherwise.
+
+M^T and the g3 rows are kept per slot over D (slot 0 rational, slot i
+the i-th compiled label): the regularity test and the witness re-checks
+are integer sums on them, and the Hermite form gets the symbol slots as
+they are, times D (``clear_denominators`` finds nothing to clear there
+and stays the named step that ``bench/spans.py`` times).  With its
+minimal-|pivot| choice the form makes the same row operations on any
+positive multiple of its input ((c a) // (c p) = a // p), so the kernel
+basis, and with it the witness, is the one the rational matrix gives.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .intlinalg import clear_denominators, integer_kernel
-from .multipliers import Exponents, Multiplier, compile_params, draw
+from .multipliers import BLOCK, Exponents, Multiplier, compile_params, draw
 from .torus import IrrationalBasis, RotationNumber
 
 Vector = tuple[int, ...]
@@ -89,6 +102,11 @@ class Theta:
         self.exponents = Exponents(compiled.D, compiled.labels, compiled.array[kept])
 
     @cached_property
+    def _index(self) -> np.ndarray:
+        """The (i, j) of the kept entries as a (2, P) index array."""
+        return np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+
+    @cached_property
     def transpose(self) -> SlotMatrix:
         """M^T per slot, for the antisymmetric M with M_ij = t_ij (i < j)."""
         mt = [[[0] * self.n for _ in range(self.n)] for _ in range(self.exponents.array.shape[1])]
@@ -114,13 +132,27 @@ def _check_rank(theta: Theta, vec: Sequence[int]) -> Vector:
     return v
 
 
-def _torus_vector(theta: Theta, a: Vector, b: Vector) -> list[int]:
-    return theta.exponents.combine([a[i] * b[j] for i, j in theta.pairs])
+def _torus_vector(theta: Theta, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{i<j} a_i b_j t_ij per slot, (1+k,) or (1+k, m), for coordinate
+    arrays a and b of shape (n,) or (n, m) in a dtype that holds every sum:
+    the products a_i b_j of the P kept entries times the compiled rows,
+    BLOCK // m entries at a time."""
+    i, j = theta._index
+    rows = theta.exponents.array
+    step = max(1, BLOCK * len(a) // a.size)
+    total = 0
+    for p in range(0, max(len(i), 1), step):
+        k = a[i[p : p + step]]
+        k *= b[j[p : p + step]]
+        total = total + rows[p : p + step].T @ k
+    return total
 
 
 def torus_value(theta: Theta, a: Sequence[int], b: Sequence[int]) -> RotationNumber:
     """Exponent sum_{i<j} a_i t_ij b_j."""
-    return theta.exponents.rotation(_torus_vector(theta, _check_rank(theta, a), _check_rank(theta, b)))
+    a, b = _check_rank(theta, a), _check_rank(theta, b)
+    dtype = theta.exponents.combination_dtype(max(map(abs, a + b), default=0) ** 2)
+    return theta.exponents.rotation(_torus_vector(theta, np.array(a, dtype=dtype), np.array(b, dtype=dtype)).tolist())
 
 
 def _integral(D: int, matrix: SlotMatrix, v: Sequence[int]) -> bool:
@@ -210,11 +242,19 @@ class LatticeMultiplier(Multiplier):
     def exponents(self) -> Exponents:
         return self.theta.exponents
 
-    def vector(self, a, b) -> list[int]:
+    def vector(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _torus_vector(self.theta, a, b)
 
     def multiply(self, a, b):
+        """a + b, of two elements or of two (n, m) coordinate arrays."""
+        if isinstance(a, np.ndarray):
+            return a + b
         return tuple(x + y for x, y in zip(_check_rank(self.theta, a), _check_rank(self.theta, b)))
+
+    def column_dtype(self, box: int):
+        """Each coefficient a_i b_j of ``validate`` has a drawn factor (at most
+        box) and one drawn or of a product (2 box): at most 2 box^2."""
+        return self.theta.exponents.combination_dtype(2 * box * box)
 
     def identity_element(self):
         return (0,) * self.n
@@ -387,6 +427,12 @@ class G3Multiplier(Multiplier):
 
     def identity_element(self):
         return G3_IDENTITY
+
+    def column_dtype(self, box: int):
+        """With r = box, a coordinate of a product is at most p = 2r (first
+        three) or q = r^2 + 2r (last three), so each coefficient of
+        ``_g3_vector`` and its partial terms are at most 2pq + 2p^3 <= 28r^3."""
+        return self.mu.exponents.combination_dtype(28 * box**3)
 
     def random_element(self, rng: random.Random, box: int):
         return tuple([draw(rng, -box, box) for _ in range(6)])

@@ -40,8 +40,15 @@ of finitely many parameters: ``exponents()`` holds the P parameters,
 compiled once (``compile_entries``) to a (P, 1+k) array over a common D,
 and ``vector(a, b)`` is the exponent of sigma(a, b) times D, as 1+k
 Python ints (``Exponents.combine`` of the parameter rows).  ``validate``
-fuzzes these families on random triples from a bounded box with integer
-vector sums, exact at any box; a ``RotationNumber`` is built
+fuzzes these families on random triples from a bounded box, drawn by
+``random_element`` in the loop's order on the stream of ``rng.randint``.
+Free-product words are checked one triple at a time; the lattice
+families (torus, g3), whose ``multiply`` and ``vector`` also take
+coordinate columns, a chunk of about BLOCK words at a time, in one
+``vector`` call on int64 columns where ``column_dtype`` bounds every sum
+below 2^63 and on exact Python ints past that.  A failing chunk rewinds
+the generator and draws again up to the failing triple, so the report
+and the state of ``rng`` are the loop's.  A ``RotationNumber`` is built
 (``Exponents.rotation``) only where a value leaves the engine.
 """
 
@@ -60,7 +67,8 @@ import numpy as np
 from .groups import FiniteGroup, cyclic, direct_product
 from .torus import RotationNumber
 
-# 8-byte words per temporary of the blockwise cocycle scans (1 MiB of int64).
+# 8-byte words per temporary of the blockwise cocycle scans and of a fuzz
+# chunk (1 MiB of int64).
 BLOCK = 1 << 17
 
 
@@ -116,9 +124,13 @@ class Exponents:
         same = x == y
         return same[..., 0] if same.shape[-1] == 1 else same.all(axis=-1)
 
-    def vanishes(self, x: Sequence[int]) -> bool:
-        """Whether one vector of Python ints is 0 mod 1 (``is_zero`` of one exponent)."""
-        return x[0] % self.D == 0 and not any(x[1:])
+    def vanishes(self, x: Sequence) -> bool | np.ndarray:
+        """Whether one exponent, its slots Python ints, is 0 mod 1 (``is_zero``
+        of one exponent); for slots that are columns, which of them are."""
+        vanish = x[0] % self.D == 0
+        for slot in x[1:]:
+            vanish = vanish & (slot == 0)
+        return vanish
 
     def rotation(self, x: Sequence[int]) -> RotationNumber:
         """The exponent x / D of one vector as a RotationNumber."""
@@ -129,10 +141,23 @@ class Exponents:
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.array.T.tolist()))
 
-    def combine(self, coefficients: Sequence[int]) -> list[int]:
+    def combine(self, coefficients: Sequence) -> list[int] | np.ndarray:
         """sum_p coefficients[p] * array[p] for a (P, 1+k) parameter array:
-        the vector of that integer combination of the parameters."""
+        the vector of that integer combination of the parameters, as Python
+        ints; for P columns of m coefficients, the (1+k, m) array of them."""
+        if isinstance(coefficients[0], np.ndarray):
+            return self.array.T @ np.array(coefficients)
         return [sum(map(mul, coefficients, column)) for column in self._columns]
+
+    def combination_dtype(self, coefficient: int):
+        """The dtype (``exact_dtype``) that holds coefficients of magnitude at
+        most ``coefficient`` and sums of four of their ``combine``s, whose
+        slots are at most coefficient * P * max |entry|."""
+        return exact_dtype(max(self.D, coefficient * self._weight))
+
+    @cached_property
+    def _weight(self) -> int:
+        return max(1, len(self.array) * int(abs(self.array).max(initial=0)))
 
 def common_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...]]:
     """The lcm of the parts' denominators and the sorted union of their labels."""
@@ -142,14 +167,18 @@ def common_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...]]:
 def one_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...], tuple[np.ndarray, ...]]:
     """The common D and labels of the parts (``common_frame``) and their
     arrays recast to them: every slot times D / part.D, a symbol slot moved
-    to its label's, in a dtype that holds a sum of one entry of each."""
+    to its label's, in a dtype that holds a sum of one entry of each.  A
+    part in that frame already is its own array, so no caller writes to
+    what it gets."""
     D, labels = common_frame(parts)
     bound = sum(int(abs(p.array).max(initial=0)) * (D // p.D) for p in parts)
     dtype = exact_dtype(max(D, bound))
-    arrays = tuple(np.zeros(p.array.shape[:-1] + (1 + len(labels),), dtype=dtype) for p in parts)
-    for p, out in zip(parts, arrays):
-        out[..., [0] + [1 + labels.index(label) for label in p.labels]] = p.array.astype(dtype) * (D // p.D)
-    return D, labels, arrays
+    arrays = [p.array for p in parts]
+    for i, p in enumerate(parts):
+        if (p.D, p.labels, p.array.dtype) != (D, labels, dtype):
+            arrays[i] = np.zeros(p.array.shape[:-1] + (1 + len(labels),), dtype=dtype)
+            arrays[i][..., [0] + [1 + labels.index(label) for label in p.labels]] = p.array.astype(dtype) * (D // p.D)
+    return D, labels, tuple(arrays)
 
 
 def exact_dtype(bound: int):
@@ -217,12 +246,19 @@ class Multiplier:
         raise NotImplementedError
 
     def vector(self, a, b) -> list[int]:
-        """The exponent of sigma(a, b) times exponents().D, as Python ints."""
+        """The exponent of sigma(a, b) times exponents().D, as Python ints (for
+        m elements as coordinate columns, a (1+k, m) array: ``column_dtype``)."""
         raise NotImplementedError
 
     def multiply(self, a, b):
         """Group multiplication in the multiplier's domain."""
         raise NotImplementedError
+
+    def column_dtype(self, box: int):
+        """A dtype that holds every coordinate and exponent sum of ``validate``
+        on triples drawn with ``box``, for the coordinate columns of a
+        chunk; None (the default) for a family fuzzed one triple at a time."""
+        return None
 
     def identity_element(self):
         raise NotImplementedError
@@ -385,8 +421,16 @@ def validate(
 
     Infinite families are fuzzed on `triples` random triples with
     coordinates in [-box, box] (words of at most `box` letters on a free
-    product), drawn through ``draw`` on the stream of ``rng.randint``.
-    A violation is reported with its witness triple, not raised.
+    product), drawn through ``random_element`` (``draw``) on the stream of
+    ``rng.randint``, a, b, c of each triple in turn.  A free product is
+    checked one triple at a time, a family with a ``column_dtype`` (torus,
+    g3) a chunk of about BLOCK words at a time (``_fuzz_chunks``), on int64
+    where ``column_dtype`` proves every sum below 2^63 and on exact Python
+    ints otherwise.  A violation is reported with its witness triple, not
+    raised: the first failing triple (the identity row or column before
+    the cocycle identity) and ``checked``, the triples before it.  A
+    failing chunk rewinds ``rng`` and draws again up to that triple, so
+    ``rng`` is left where the loop over single triples leaves it.
     """
     if isinstance(sigma, FiniteMultiplier):
         g = sigma.group
@@ -405,6 +449,9 @@ def validate(
 
     rng = rng or random.Random(0)
     e = sigma.identity_element()
+    dtype = sigma.column_dtype(box)
+    if dtype is not None:
+        return _fuzz_chunks(sigma, rng, triples, box, dtype)
     vanishes = sigma.exponents().vanishes
     vector = sigma.vector
     for checked in range(triples):
@@ -418,6 +465,39 @@ def validate(
         defect = [p + q - r - s for p, q, r, s in zip(vector(a, b), vector(ab, c), vector(a, bc), vector(b, c))]
         if not vanishes(defect):
             return ValidationReport(False, checked, "fuzz", (a, b, c), "cocycle identity")
+    return ValidationReport(True, triples, "fuzz")
+
+
+def _fuzz_chunks(sigma: Multiplier, rng: random.Random, triples: int, box: int, dtype) -> ValidationReport:
+    """The fuzz of ``validate``, m triples at a time: their coordinates as
+    (n, m) columns, the six pairs a.e, e.a, a.b, ab.c, a.bc, b.c of each
+    side by side in one ``vector`` call.  A triple holds about 32 (n + 1 + k)
+    words (elements, pairs, exponents, temporaries; an exact int counts as
+    8), and m is as many triples as fit in BLOCK words, at least 1."""
+    e = sigma.identity_element()
+    ex = sigma.exponents()
+    words = 32 * (len(e) + ex.array.shape[1]) * (1 if dtype == np.int64 else 8)
+    step = max(1, BLOCK // words)
+    for start in range(0, triples, step):
+        m = min(step, triples - start)
+        state = rng.getstate()
+        drawn = [sigma.random_element(rng, box) for _ in range(3 * m)]
+        a, b, c = np.array(drawn, dtype=dtype).reshape(m, 3, len(e)).transpose(1, 2, 0)
+        ident = np.tile(np.array(e, dtype=dtype)[:, None], m)
+        ab, bc = sigma.multiply(a, b), sigma.multiply(b, c)
+        left, right = np.concatenate((a, ident, a, ab, a, b), axis=1), np.concatenate((ident, a, b, c, bc, c), axis=1)
+        ae, ea, x_ab, x_ab_c, x_a_bc, x_bc = np.split(np.asarray(sigma.vector(left, right)), 6, axis=1)
+        unit_fails = ~(ex.vanishes(ae) & ex.vanishes(ea))
+        fails = unit_fails | ~ex.vanishes(x_ab + x_ab_c - x_a_bc - x_bc)
+        if fails.any():
+            t = int(fails.argmax())
+            rng.setstate(state)  # leave rng where the loop over single triples would
+            for _ in range(3 * (t + 1)):
+                sigma.random_element(rng, box)
+            a, b, c = drawn[3 * t : 3 * t + 3]
+            if unit_fails[t]:
+                return ValidationReport(False, start + t, "fuzz", (a, e, None), "identity row/column")
+            return ValidationReport(False, start + t, "fuzz", (a, b, c), "cocycle identity")
     return ValidationReport(True, triples, "fuzz")
 
 

@@ -9,15 +9,25 @@ basis, a declared label that no entry uses, an empty theta), on random
 mu and on free products of ``tests/catalog.py`` tables.  Broken
 subclasses make the fuzz loop fail, and a structural test pins that the
 loops do no RotationNumber arithmetic.
+
+``validate`` checks the torus and g3 a chunk of triples at a time; the
+reference loop checks one.  ``_same_fuzz`` compares the two (reports and
+generator state) at ranks up to 24, on both sides of the int64 / exact
+int switch, with chunks of 1 and of a few triples, and with the first
+failure inside a chunk; a dense rank-512 torus bounds the chunk's traced
+memory.
 """
 
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -25,6 +35,8 @@ from catalog import random_normalized_tables
 from reference import mu_params, reduce_pair, scale, theta_entries
 
 import twistk.cli
+import twistk.lattices
+import twistk.multipliers
 from twistk.cli import main
 from twistk.freeprod import FreeProductMultiplier, expand_syllable, rewrite_to_X
 from twistk.groups import cyclic
@@ -42,7 +54,7 @@ from twistk.lattices import (
     is_regular_lattice,
     torus_value,
 )
-from twistk.multipliers import coboundary_twist, klein, normalize, trivial_multiplier, validate
+from twistk.multipliers import BLOCK, Exponents, coboundary_twist, klein, normalize, trivial_multiplier, validate
 from twistk.torus import ZERO, IrrationalBasis, RotationNumber, rot
 
 
@@ -315,6 +327,160 @@ def test_fuzz_validation_matches_reference():
         assert _same_fuzz(sigma, lambda x, y: _free_product_value_ref(sigma, x, y), i, 40, 5).ok
 
 
+def test_chunked_fuzz_matches_reference_up_to_rank_24():
+    rng = random.Random(73)
+    tori = [t for t in _thetas() if 8 < t.n <= 16] + [_theta(24, rng, UT, density=0.3), _theta(24, rng, UTW, labels=("t",), density=0.2)]
+    assert max(t.n for t in tori) == 24
+    for i, theta in enumerate(tori):
+        sigma = LatticeMultiplier(theta)
+        assert _same_fuzz(sigma, lambda a, b: _torus_value_ref(theta, a, b), i, 25, 3).ok
+
+
+def _largest_int64_box(sigma):
+    """The largest box whose fuzz columns are int64."""
+    low, high = 1, 2**40
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if sigma.column_dtype(mid) == np.int64 else (low, mid)
+    return low
+
+
+def test_chunked_fuzz_matches_reference_on_both_sides_of_int64():
+    """Exact Python ints where a coordinate or an exponent sum of the box
+    could reach 2^63 (torus box 2^31, g3 box 2^20), int64 below; and both
+    sides of the edge, where the largest int64 box draws its largest sums."""
+    for i, theta in enumerate(t for t in _thetas() if 2 <= t.n <= 5):
+        sigma = LatticeMultiplier(theta)
+        assert sigma.column_dtype(3) == np.int64 and sigma.column_dtype(2**31) == object
+        edge = _largest_int64_box(sigma)
+        for box in (3, 2**31, edge, edge + 1):
+            assert _same_fuzz(sigma, lambda a, b: _torus_value_ref(theta, a, b), i, 20, box).ok
+    for i, mu in enumerate(_mus()[:8]):
+        sigma = G3Multiplier(mu)
+        assert sigma.column_dtype(4) == np.int64 and sigma.column_dtype(2**20) == object
+        edge = _largest_int64_box(sigma)
+        for box in (4, 2**20, edge, edge + 1):
+            assert _same_fuzz(sigma, lambda a, b: _g3_value_ref(mu, a, b), i, 20, box).ok
+
+
+def _counting(monkeypatch, cls):
+    """Record the shape of a of every ``vector`` call of a class: one call
+    per chunk of the fuzz, on (n, 6m) columns for a chunk of m triples."""
+    calls = []
+    vector = cls.vector
+
+    def counted(self, a, b):
+        calls.append(a.shape)
+        return vector(self, a, b)
+
+    monkeypatch.setattr(cls, "vector", counted)
+    return calls
+
+
+@pytest.mark.parametrize("block", [1, 3000, None])
+def test_chunks_of_any_size_match_reference(block, monkeypatch):
+    """61 triples in chunks of 1 (BLOCK = 1, which also gathers the torus
+    entries one at a time), of a few triples (61 is no multiple of them),
+    or in one chunk (the default BLOCK); one ``vector`` call per chunk."""
+    if block is not None:
+        monkeypatch.setattr(twistk.multipliers, "BLOCK", block)
+        monkeypatch.setattr(twistk.lattices, "BLOCK", block)
+    torus_calls = _counting(monkeypatch, LatticeMultiplier)
+    g3_calls = _counting(monkeypatch, G3Multiplier)
+    cases = [(LatticeMultiplier(t), partial(_torus_value_ref, t), torus_calls) for t in _thetas() if 3 <= t.n <= 6]
+    cases += [(G3Multiplier(mu), partial(_g3_value_ref, mu), g3_calls) for mu in _mus()[:6]]
+    for i, (sigma, value, calls) in enumerate(cases):
+        calls.clear()
+        assert _same_fuzz(sigma, value, i, 61, 3).ok
+        widths = [shape[1] // 6 for shape in calls]
+        assert sum(widths) == 61 and len(set(widths[:-1])) <= 1 and widths[-1] <= widths[0]
+        if block == 1:
+            assert widths == [1] * 61
+        elif block:
+            assert 1 < len(widths) < 61
+        else:
+            assert widths == [61]
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_column_vectors_match_reference(block, monkeypatch):
+    """``vector`` on (n, m) coordinate columns gives each pair's exponent,
+    also with the torus entries gathered one at a time (BLOCK = 1)."""
+    if block is not None:
+        monkeypatch.setattr(twistk.lattices, "BLOCK", block)
+    rng = random.Random(41)
+    cases = [(LatticeMultiplier(t), partial(_torus_value_ref, t)) for t in _thetas() if t.n <= 12]
+    cases += [(G3Multiplier(mu), partial(_g3_value_ref, mu)) for mu in _mus()[:8]]
+    for sigma, value in cases:
+        n = len(sigma.identity_element())
+        left, right = _vectors(n, rng, 5, 7), _vectors(n, rng, 5, 7)
+        columns = sigma.vector(np.array(left).T, np.array(right).T)
+        ex = sigma.exponents()
+        assert [ex.rotation(x) for x in np.asarray(columns).T.tolist()] == [value(a, b) for a, b in zip(left, right)]
+
+
+class _RarelyBrokenTorus(LatticeMultiplier):
+    """sigma(a, b) + 1/D where a_1 = b_1 = 3: the identity row and column
+    hold, and the cocycle identity fails on a few triples of box 3 only, so
+    the first failure can lie inside a chunk."""
+
+    def vector(self, a, b):
+        v = super().vector(a, b)
+        return [v[0] + ((a[0] == 3) & (b[0] == 3)), *v[1:]]
+
+
+@pytest.mark.parametrize("block", [None, 1, 1500])
+def test_failure_inside_a_chunk_rewinds_like_the_loop(block, monkeypatch):
+    """The report and the generator state equal the loop's when the first
+    failure lies inside one chunk (the default BLOCK), or inside a later
+    chunk of 1 or of a few triples."""
+    if block is not None:
+        monkeypatch.setattr(twistk.multipliers, "BLOCK", block)
+    theta = Theta(3, {(0, 1): rot("1/5", {"t": 1}), (1, 2): rot("2/3")}, IrrationalBasis(("t",)))
+    sigma = _RarelyBrokenTorus(theta)
+    D = theta.exponents.D
+    calls = _counting(monkeypatch, _RarelyBrokenTorus)
+
+    def value(a, b):
+        return _torus_value_ref(theta, a, b) + rot(Fraction(int(a[0] == 3 and b[0] == 3), D))
+
+    chunks, checked = [], []
+    for seed in range(10):
+        calls.clear()
+        report = _same_fuzz(sigma, value, seed, 300, 3)
+        assert not report.ok and report.reason == "cocycle identity"
+        chunks.append(len(calls))
+        checked.append(report.checked)
+    assert min(checked) < 3 < max(checked)
+    if block is None:
+        assert chunks == [1] * 10
+    else:
+        assert max(chunks) > 1 and (block != 1 or chunks == [c + 1 for c in checked])
+
+
+def test_dense_rank_512_fuzz_stays_within_blocks():
+    """validate on a dense rank-512 torus (130,816 entries, a symbol part on
+    most) traces a peak of at most 4 BLOCK words: the chunk, its six pairs
+    of columns and the gathers of ``_torus_vector``, BLOCK // 6m entries at
+    a time, with nothing of size |entries| x m."""
+    n = 512
+    i, j = np.triu_indices(n, 1)
+    gen = np.random.default_rng(n)
+    rows = np.stack([gen.integers(0, 7, i.size), gen.integers(-3, 4, i.size)], axis=1)
+    compiled = Exponents(7, ("t",), rows)
+    sigma = LatticeMultiplier(Theta.from_compiled(n, list(zip(i.tolist(), j.tolist())), compiled, IrrationalBasis(("t",))))
+    assert sigma.column_dtype(5) == np.int64
+    assert validate(sigma, random.Random(0), triples=1, box=5).ok  # builds the entries' index once
+    tracemalloc.start()
+    try:
+        report = validate(sigma, random.Random(1), triples=30, box=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 30
+    assert peak <= 4 * 8 * BLOCK, peak / (8 * BLOCK)
+
+
 # -- fuzz failures ----------------------------------------------------------------------
 
 
@@ -337,11 +503,12 @@ class _ShiftedFreeProduct(FreeProductMultiplier):
 
 
 class _NonUnitalTorus(LatticeMultiplier):
-    """sigma(a, e) = (a_1 + ... + a_n) / D: the identity row fails."""
+    """sigma(a, e) = (a_1 + ... + a_n) / D: the identity row fails.  a and b
+    are (n, m) coordinate arrays, so the test "b is e" is taken per column."""
 
     def vector(self, a, b):
         v = super().vector(a, b)
-        return [v[0] + (0 if any(b) else sum(a)), *v[1:]]
+        return [v[0] + np.where(np.any(b, axis=0), 0, np.sum(a, axis=0)), *v[1:]]
 
 
 def _broken():

@@ -1,15 +1,16 @@
 """Every name a module of the package or a test file imports is used in
-that file, and every public function and class the package defines is
-used somewhere.
+that file, and every public function, class and module constant (an
+upper-case name assigned at module level) the package defines is used
+somewhere.
 
 No linter ships with the project, so this reads each module's syntax tree
 with the standard library.  ``__init__`` re-exports its imports and is
 skipped; ``from __future__`` imports are directives, not names.  A
 definition is used where it is imported by name (outside ``__init__``,
 which imports every public name), read as an attribute (``x.name``), or
-named in its own module outside the definition itself, in the package,
-the tests, the demos or the benchmark; a bare name elsewhere is another
-file's own name.  A public definition that only the tests use is listed
+read in its own module outside the definition itself (an assignment is
+not a read), in the package, the tests, the demos or the benchmark; a bare
+name elsewhere is another file's own name.  A public definition that only the tests use is listed
 in ``TEST_ONLY``, and a public method or property of a package class that
 only the tests read in ``TEST_ONLY_METHODS``, where only an attribute read
 is a use of a method; both sets may only shrink.
@@ -48,11 +49,12 @@ def test_no_unused_imports():
 
 def _uses(tree: ast.Module) -> set[str]:
     """Names and attributes read in a module, outside the top-level
-    definition of the same name (recursion is not a use)."""
+    definition of the same name (recursion is not a use, and neither is
+    the assignment of a constant)."""
     out = set()
     for stmt in tree.body:
         nodes = list(ast.walk(stmt))
-        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        used = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             used.discard(stmt.name)
@@ -89,15 +91,27 @@ def _used_definitions(*folders: str) -> set[str]:
     return used | {name for name in _public_definitions() if name.split(": ")[1] in elsewhere}
 
 
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The name a top-level function or class defines, or the upper-case
+    names a module-level assignment binds (``BLOCK = ...``, ``X: T = ...``)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+
+
 def _public_definitions() -> list[str]:
-    """Every top-level public function and class, as "module.py: name"."""
+    """Every top-level public function, class and module constant, as
+    "module.py: name"."""
     defined = [
-        f"{path.name}: {stmt.name}"
+        f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for stmt in ast.parse(path.read_text()).body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        for name in _defined_names(stmt)
+        if not name.startswith("_")
     ]
     assert len(defined) > 50
+    assert sum(name.split(": ")[1].isupper() for name in defined) >= 8
     return defined
 
 

@@ -3,19 +3,32 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from catalog import bilinear_multiplier, dihedral, finite_catalog, random_coboundary, symmetric
+from catalog import (
+    assemble,
+    bilinear_multiplier,
+    dihedral,
+    finite_catalog,
+    product_triples,
+    random_coboundary,
+    symmetric,
+)
 from reference import halve, is_similar, normalize_ref
 
+from twistk.cli import _same_values
+from twistk.freeprod import FreeProductMultiplier
 from twistk.groups import cyclic
 from twistk.multipliers import (
     DomainMismatch,
+    Exponents,
     TableMultiplier,
     coboundary_twist,
     klein,
     normalize,
+    one_frame,
     trivial_multiplier,
     validate,
 )
+from twistk.products import f_degeneracy
 from twistk.regularity import is_regular_element
 from twistk.torus import ZERO, rot
 
@@ -191,3 +204,40 @@ def test_to_table_round_trip():
 def test_is_normalized_flags():
     assert not klein(2, 1).is_normalized()
     assert trivial_multiplier(cyclic(5)).is_normalized()
+
+
+def test_one_frame_hands_parts_in_the_frame_through_and_callers_copy():
+    """A part already in the common frame (its D, labels and dtype) comes
+    back as its own array, so no caller of ``one_frame`` may write to what
+    it receives: the product table, ``f_degeneracy``, ``coboundary_twist``,
+    ``cli._same_values`` and the free product leave every input array as
+    it was."""
+    rng = random.Random(29)
+    passed = 0
+    for _, s1, s2, f in product_triples():
+        parts = (s1.exponents(), s2.exponents(), f.exponents)
+        D, labels, arrays = one_frame(parts)
+        passed += sum(out is p.array for out, p in zip(arrays, parts))
+        for out, p in zip(arrays, parts):
+            assert (out is p.array) == (p.D == D and p.labels == labels and p.array.dtype == out.dtype)
+        before = [p.array.copy() for p in parts]
+        product = assemble(s1, s2, f)
+        table = product.exponents().array.copy()
+        f_degeneracy(s1, s2, f)
+        twisted = coboundary_twist(product, random_coboundary(product.group, rng))
+        twisted_table = twisted.exponents().array.copy()
+        assert _same_values(product, product) and _same_values(twisted, twisted)
+        _same_values(product, twisted)
+        for p, old in zip(parts, before):
+            assert p.array.dtype == old.dtype and np.array_equal(p.array, old)
+        assert np.array_equal(product.exponents().array, table)
+        assert np.array_equal(twisted.exponents().array, twisted_table)
+        normal = normalize(s1)[0]
+        normal_table = normal.exponents().array.copy()
+        FreeProductMultiplier(normal, normal)
+        assert np.array_equal(normal.exponents().array, normal_table)
+    assert passed > 20
+    # two int64 parts whose sum needs exact ints are recast, not handed through
+    half = Exponents(2**60 + 1, (), np.array([[[0], [2**60]], [[2**60], [0]]], dtype=np.int64))
+    D, labels, arrays = one_frame((half, half))
+    assert D == half.D and all(out.dtype == object and out is not half.array for out in arrays)
