@@ -141,7 +141,7 @@ def _torus_vector(theta: Theta, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = theta.exponents.array
     step = max(1, BLOCK * len(a) // a.size)
     total = 0
-    for p in range(0, max(len(i), 1), step):
+    for p in range(0, max(len(i), 1), step):  # one pass with no entries: a zero of the right shape
         k = a[i[p : p + step]]
         k *= b[j[p : p + step]]
         total = total + rows[p : p + step].T @ k

@@ -329,7 +329,8 @@ def test_fuzz_validation_matches_reference():
 
 def test_chunked_fuzz_matches_reference_up_to_rank_24():
     rng = random.Random(73)
-    tori = [t for t in _thetas() if 8 < t.n <= 16] + [_theta(24, rng, UT, density=0.3), _theta(24, rng, UTW, labels=("t",), density=0.2)]
+    tori = [t for t in _thetas() if 8 < t.n <= 16]
+    tori += [_theta(24, rng, UT, density=0.3), _theta(24, rng, UTW, labels=("t",), density=0.2)]
     assert max(t.n for t in tori) == 24
     for i, theta in enumerate(tori):
         sigma = LatticeMultiplier(theta)
@@ -468,7 +469,8 @@ def test_dense_rank_512_fuzz_stays_within_blocks():
     gen = np.random.default_rng(n)
     rows = np.stack([gen.integers(0, 7, i.size), gen.integers(-3, 4, i.size)], axis=1)
     compiled = Exponents(7, ("t",), rows)
-    sigma = LatticeMultiplier(Theta.from_compiled(n, list(zip(i.tolist(), j.tolist())), compiled, IrrationalBasis(("t",))))
+    theta = Theta.from_compiled(n, list(zip(i.tolist(), j.tolist())), compiled, IrrationalBasis(("t",)))
+    sigma = LatticeMultiplier(theta)
     assert sigma.column_dtype(5) == np.int64
     assert validate(sigma, random.Random(0), triples=1, box=5).ok  # builds the entries' index once
     tracemalloc.start()
