@@ -10,24 +10,25 @@ rewritten over that alphabet by a coset-tracking scan with transversal
 {g1 g2}, and the multiply-back oracle for the rewriting is a hard
 correctness contract, exercised by the test suite on every path.
 
-Words are read straight off the factor tables (``FreeProduct``).  The
-multiplier's tau, beta and value are integer vector sums of factor table
-entries (``_tau``, ``_beta``, ``vector``); ``value`` returns the
-RotationNumber of the vector.  tau is the shared zero at once when the
-boundary letters lie in different factors, beta on a word of at most 4
-letters (``_beta``), and memoized per word above that; ``vector`` is tau
-when all three betas are that zero.  ``decompose`` checks a multiplier on
-G1 * G2 through its ``vector``, in that multiplier's own frame, with the
-prefix telescope memoized per word, and gives its witness beta as a
-plain function of the word that reads the same memo.  No word is read
-from input: the fuzz loops draw reduced words (``random_word``), and a
-report names the letters of a witness word (``io.encode_word``).
+Words are read straight off the factor tables (``FreeProduct``), and
+``multiply`` alone reduces them.  The multiplier's tau, beta and value
+are integer vector sums of factor table entries; ``value`` returns the
+RotationNumber of the vector.  tau is read off the product xy
+(``_meet``), beta is the shared zero on a word of at most 4 letters
+(``_beta``) and memoized per word above that; ``vector`` is tau when all
+three betas are that zero.  ``decompose`` checks a multiplier on G1 * G2
+through its ``vector``, in that multiplier's own frame, with the prefix
+telescope memoized per word, and gives its witness beta as a plain
+function of the word that reads the same memo.  No word is read from
+input: the fuzz loops draw reduced words (``random_word``), and a report
+names the letters of a witness word (``io.encode_word``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,9 +71,9 @@ class FreeProduct:
     """Word arithmetic in G1 * G2 for two finite table groups, read off the
     factor tables ``_mul[i]`` (``g_i.table``), their identities, the dict
     ``_inverse`` of inverse letters and the letters ``_letters[i]`` of each
-    factor, in element order, that ``random_word`` draws from."""
-
-    identity: FPWord = ()
+    factor, in element order, that ``random_word`` draws from.  ``multiply``
+    is the one reduction rule: ``word`` folds it over single letters, and
+    ``FreeProductMultiplier._meet`` reads tau off its product."""
 
     def __init__(self, g1: FiniteGroup, g2: FiniteGroup):
         self.g1 = g1
@@ -86,19 +87,8 @@ class FreeProduct:
         return self.g1 if i == 1 else self.g2
 
     def word(self, letters: Sequence[Letter]) -> FPWord:
-        """Reduce an arbitrary letter sequence (merging and cancelling)."""
-        stack: list[Letter] = []
-        for factor, elem in letters:
-            e = self._identity[factor]
-            if elem == e:
-                continue
-            if stack and stack[-1][0] == factor:
-                merged = self._mul[factor][stack.pop()[1]][elem]
-                if merged != e:
-                    stack.append((factor, merged))
-            else:
-                stack.append((factor, elem))
-        return tuple(stack)
+        """Reduce an arbitrary letter sequence: the product of its letters."""
+        return reduce(self.multiply, [(letter,) for letter in letters if letter[1] != self._identity[letter[0]]], ())
 
     def inverse_letter(self, letter: Letter) -> Letter:
         factor, elem = letter
@@ -135,8 +125,7 @@ class FreeProduct:
         return p1, p2
 
     def in_kernel(self, x: FPWord) -> bool:
-        p1, p2 = self.factor_images(x)
-        return p1 == self.g1.identity and p2 == self.g2.identity
+        return self.factor_images(x) == (self.g1.identity, self.g2.identity)
 
     # -- random words ------------------------------------------------------
 
@@ -171,9 +160,8 @@ def commutator_word(fp: FreeProduct, a: int, b: int) -> FPWord:
 
 def expand_syllable(fp: FreeProduct, gen: Generator, power: int) -> FPWord:
     """The reduced word of [a, b]^power; concatenation is already reduced."""
-    a, b = gen
-    base = commutator_word(fp, a, b) if power > 0 else fp.inverse(commutator_word(fp, a, b))
-    return base * abs(power)
+    base = commutator_word(fp, *gen)
+    return (base if power > 0 else fp.inverse(base)) * abs(power)
 
 
 def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
@@ -253,20 +241,19 @@ class FreeProductMultiplier(Multiplier):
 
     # -- the pieces -------------------------------------------------------
 
+    def _meet(self, x: FPWord, y: FPWord) -> tuple[FPWord, Sequence[int]]:
+        """xy and tau(x, y).  ``multiply`` cancels c pairs of boundary letters,
+        then merges at most one, so d = |x| + |y| - |xy| is odd exactly when
+        x[-c-1] and y[c] merged (c = d // 2): tau is their factor value, else 0."""
+        xy = self.fp.multiply(x, y)
+        c, merged = divmod(len(x) + len(y) - len(xy), 2)
+        if not merged:
+            return xy, self._zero
+        (factor, r), s = x[-c - 1], y[c][1]
+        return xy, self._tables[factor][r][s]
+
     def _tau(self, x: FPWord, y: FPWord) -> Sequence[int]:
-        """The factor value where x and y meet once the run of inverse boundary
-        letters cancels (reduced words alternate, so those letters share a
-        factor); zero across factors or if a side runs out."""
-        if not x or not y or x[-1][0] != y[0][0]:
-            return self._zero
-        inverse = self.fp._inverse
-        i, j = len(x) - 1, 0
-        while x[i] == inverse[y[j]]:
-            i, j = i - 1, j + 1
-            if i < 0 or j == len(y):
-                return self._zero
-        (factor, relem), selem = x[i], y[j][1]
-        return self._tables[factor][relem][selem]
+        return self._meet(x, y)[1]
 
     def _beta(self, x: FPWord) -> Sequence[int]:
         """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when
@@ -295,8 +282,8 @@ class FreeProductMultiplier(Multiplier):
 
     def vector(self, x: FPWord, y: FPWord) -> list[int]:
         beta, zero = self._beta, self._zero
-        bx, by, bxy = beta(x), beta(y), beta(self.fp.multiply(x, y))
-        tau = self._tau(x, y)
+        xy, tau = self._meet(x, y)
+        bx, by, bxy = beta(x), beta(y), beta(xy)
         if bx is zero and by is zero and bxy is zero:
             return list(tau)
         return [p + q - r + s for p, q, r, s in zip(bx, by, bxy, tau)]
@@ -402,13 +389,11 @@ def decompose(
     def beta_fn(x: FPWord) -> RotationNumber:
         return ex.rotation([p + q for p, q in zip(b0(x), candidate._beta(x))])
 
-    checked = 0
     for _ in range(pairs):
         x = fp.random_word(rng, max_len)
         y = fp.random_word(rng, max_len)
-        xy = fp.multiply(x, y)
+        xy, tau = candidate._meet(x, y)
         twisted = [p + q - r + s for p, q, r, s in zip(b0(x), b0(y), b0(xy), vector(x, y))]
-        if not ex.vanishes([p - q for p, q in zip(twisted, candidate._tau(x, y))]):
+        if not ex.vanishes([p - q for p, q in zip(twisted, tau)]):
             raise SimilarityFailure((x, y))
-        checked += 1
-    return Decomposition(sigma1, sigma2, beta_fn, candidate, checked)
+    return Decomposition(sigma1, sigma2, beta_fn, candidate, pairs)

@@ -14,16 +14,10 @@ exponents) with the parameter rows; ``to_json`` and ``row_matrix`` alone
 turn a row back into a RotationNumber.
 
 Each family states its formula once, for one pair and for m pairs as
-coordinate columns alike: ``_torus_vector`` gathers the products a_i b_j
-of the P entries and multiplies them into the compiled rows, and
-``g3_multiply`` and ``_g3_vector`` are integer arithmetic on ints or
-columns.  ``validate`` draws a chunk of triples through
-``random_element``, in the loop's order on the ``rng.randint`` stream,
-checks it in one ``vector`` call on about BLOCK words, and on a failure
-rewinds the stream and draws again up to the failing triple.  The
-columns are int64 where every coordinate and sum stays below 2^63
-(``column_dtype``: a coefficient is at most 2 box^2 on the torus and
-28 box^3 on g3), and exact Python ints otherwise.
+coordinate columns alike, which is what the chunked fuzz of ``validate``
+calls: ``_torus_vector`` gathers the products a_i b_j of the P entries
+and multiplies them into the compiled rows, and ``g3_multiply`` and
+``_g3_vector`` are integer arithmetic on ints or columns.
 
 M^T and the g3 rows are kept per slot over D (slot 0 rational, slot i
 the i-th compiled label): the regularity test and the witness re-checks

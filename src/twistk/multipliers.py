@@ -40,15 +40,8 @@ of finitely many parameters: ``exponents()`` holds the P parameters,
 compiled once (``compile_entries``) to a (P, 1+k) array over a common D,
 and ``vector(a, b)`` is the exponent of sigma(a, b) times D, as 1+k
 Python ints (``Exponents.combine`` of the parameter rows).  ``validate``
-fuzzes these families on random triples from a bounded box, drawn by
-``random_element`` in the loop's order on the stream of ``rng.randint``.
-Free-product words are checked one triple at a time; the lattice
-families (torus, g3), whose ``multiply`` and ``vector`` also take
-coordinate columns, a chunk of about BLOCK words at a time, in one
-``vector`` call on int64 columns where ``column_dtype`` bounds every sum
-below 2^63 and on exact Python ints past that.  A failing chunk rewinds
-the generator and draws again up to the failing triple, so the report
-and the state of ``rng`` are the loop's.  A ``RotationNumber`` is built
+fuzzes these families on random triples; its docstring states how, one
+triple or one chunk of triples at a time.  A ``RotationNumber`` is built
 (``Exponents.rotation``) only where a value leaves the engine.
 """
 
@@ -422,15 +415,18 @@ def validate(
     Infinite families are fuzzed on `triples` random triples with
     coordinates in [-box, box] (words of at most `box` letters on a free
     product), drawn through ``random_element`` (``draw``) on the stream of
-    ``rng.randint``, a, b, c of each triple in turn.  A free product is
-    checked one triple at a time, a family with a ``column_dtype`` (torus,
-    g3) a chunk of about BLOCK words at a time (``_fuzz_chunks``), on int64
-    where ``column_dtype`` proves every sum below 2^63 and on exact Python
-    ints otherwise.  A violation is reported with its witness triple, not
-    raised: the first failing triple (the identity row or column before
-    the cocycle identity) and ``checked``, the triples before it.  A
-    failing chunk rewinds ``rng`` and draws again up to that triple, so
-    ``rng`` is left where the loop over single triples leaves it.
+    ``rng.randint``, a, b, c of each triple in turn.  A violation is
+    reported with its witness triple, not raised: the first failing triple
+    (the identity row or column before the cocycle identity) and
+    ``checked``, the triples before it.  A free product is checked one
+    triple at a time; a family with a ``column_dtype`` (torus, g3), whose
+    ``multiply`` and ``vector`` take coordinate columns, a chunk at a time
+    (``_fuzz_chunks``), the six pairs of each triple in one ``vector``
+    call on about BLOCK words: int64 columns where ``column_dtype`` bounds
+    every coordinate and sum below 2^63, exact Python ints otherwise.  A
+    failing chunk rewinds ``rng`` and draws again up to its first failing
+    triple, so the report and the state of ``rng`` are the loop's over
+    single triples.
     """
     if isinstance(sigma, FiniteMultiplier):
         g = sigma.group
@@ -469,11 +465,9 @@ def validate(
 
 
 def _fuzz_chunks(sigma: Multiplier, rng: random.Random, triples: int, box: int, dtype) -> ValidationReport:
-    """The fuzz of ``validate``, m triples at a time: their coordinates as
-    (n, m) columns, the six pairs a.e, e.a, a.b, ab.c, a.bc, b.c of each
-    side by side in one ``vector`` call.  A triple holds about 32 (n + 1 + k)
-    words (elements, pairs, exponents, temporaries; an exact int counts as
-    8), and m is as many triples as fit in BLOCK words, at least 1."""
+    """The chunked fuzz of ``validate``, m triples at a time.  A triple holds
+    about 32 (n + 1 + k) words (elements, pairs, exponents, temporaries; an
+    exact int counts as 8), and m is as many as fit in BLOCK, at least 1."""
     e = sigma.identity_element()
     ex = sigma.exponents()
     words = 32 * (len(e) + ex.array.shape[1]) * (1 if dtype == np.int64 else 8)

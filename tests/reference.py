@@ -47,6 +47,10 @@
   ``tau_ref``, ``beta_ref`` and ``vector_ref`` (no memo, no shortcut),
   and the unmemoized ``prefix_telescope_ref`` of ``decompose``;
   ``check_word``, which passes a word only when it is reduced.
+- The two reduction rules that ``FreeProduct.multiply`` replaced:
+  ``word_ref``, the stack that reduced a letter sequence, and
+  ``tau_scan_ref``, the scan of ``FreeProductMultiplier._tau`` over the
+  run of inverse boundary letters on the factor tables.
 - ``is_similar``: the similarity of two finite multipliers under a given
   beta, pair by pair on RotationNumbers.
 - ``hermite_normal_form_ref``: the minimal-pivot Hermite form with the
@@ -656,6 +660,38 @@ def tau_ref(sigma: FreeProductMultiplier, x: FPWord, y: FPWord) -> Sequence[int]
     if rf != sf:
         return zero
     return sigma._tables[rf][relem][selem]
+
+
+def word_ref(fp: FreeProduct, letters) -> FPWord:
+    """Reduce a letter sequence on a stack, merging and cancelling."""
+    stack: list = []
+    for factor, elem in letters:
+        e = fp._identity[factor]
+        if elem == e:
+            continue
+        if stack and stack[-1][0] == factor:
+            merged = fp._mul[factor][stack.pop()[1]][elem]
+            if merged != e:
+                stack.append((factor, merged))
+        else:
+            stack.append((factor, elem))
+    return tuple(stack)
+
+
+def tau_scan_ref(sigma: FreeProductMultiplier, x: FPWord, y: FPWord) -> Sequence[int]:
+    """The factor value where reduced x and y meet once the run of inverse
+    boundary letters cancels; ``sigma._zero`` across factors or if a side
+    runs out."""
+    if not x or not y or x[-1][0] != y[0][0]:
+        return sigma._zero
+    inverse = sigma.fp._inverse
+    i, j = len(x) - 1, 0
+    while x[i] == inverse[y[j]]:
+        i, j = i - 1, j + 1
+        if i < 0 or j == len(y):
+            return sigma._zero
+    (factor, relem), selem = x[i], y[j][1]
+    return sigma._tables[factor][relem][selem]
 
 
 def beta_ref(sigma: FreeProductMultiplier, x: FPWord) -> Sequence[int]:

@@ -16,8 +16,15 @@ generator state) at ranks up to 24, on both sides of the int64 / exact
 int switch, with chunks of 1 and of a few triples, and with the first
 failure inside a chunk; a dense rank-512 torus bounds the chunk's traced
 memory.
+
+``FreeProduct.word`` and ``FreeProductMultiplier._meet`` read off the one
+reduction rule of ``multiply``; the stack and the scan they replaced
+(``word_ref``, ``tau_scan_ref``) check them on every reduced word of at
+most 4 letters, also with a trivial factor, and the parity rule of
+``_meet`` is checked on random words of up to 12 letters.
 """
 
+import itertools
 import json
 import random
 import sys
@@ -32,7 +39,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import random_normalized_tables
-from reference import mu_params, reduce_pair, scale, theta_entries
+from reference import mu_params, reduce_pair, scale, tau_scan_ref, theta_entries, word_ref
 
 import twistk.cli
 import twistk.lattices
@@ -302,6 +309,76 @@ def test_free_product_values_match_reference():
         for x, y in zip(words, reversed(words)):
             assert sigma._exponents.rotation(sigma._tau(x, y)) == _tau_ref(sigma, x, y)
             assert sigma.value(x, y) == _free_product_value_ref(sigma, x, y)
+
+
+def _reduced_words(fp, max_len):
+    """Every reduced word of at most max_len letters."""
+    words = [()]
+    for n, first in itertools.product(range(1, max_len + 1), (1, 2)):
+        words += itertools.product(*(fp._letters[first if i % 2 == 0 else 3 - first] for i in range(n)))
+    return words
+
+
+def _with_trivial_factor():
+    # an order-1 factor: every reduced word is one letter of the other one
+    return [*_free_products(), FreeProductMultiplier(trivial_multiplier(cyclic(1)), normalize(klein(3, 1))[0])]
+
+
+def _partners(fp, x):
+    """Reduced words y that cancel k = 0..|x| boundary letters of x and then
+    run out, cancel once more or merge with x[-k-1], and a y in the other
+    factor at k = 0."""
+    inv = fp.inverse(x)
+    out = [inv[:k] + tail for k in range(len(x)) for tail in ((), (fp._letters[x[-k - 1][0]][0],))]
+    other = fp._letters[3 - x[-1][0]] if x else ()
+    return out + [inv] + [other[:1]]
+
+
+def test_word_folds_multiply_like_the_stack():
+    """``word`` on reduced words, identity letters, inverse runs and runs of
+    one factor's letters equals the stack it replaced."""
+    for sigma in _with_trivial_factor():
+        fp = sigma.fp
+        e = ((1, fp.g1.identity), (2, fp.g2.identity))
+        for x in _reduced_words(fp, 4):
+            inv = fp.inverse(x)
+            assert fp.word(x) == word_ref(fp, x) == x
+            assert fp.word(x + inv) == word_ref(fp, x + inv) == ()
+            for letters in (e + x + e[::-1], x[:1] + e + x[1:], x + inv[:2], x + x, x[:1] * 3 + inv, x + e + inv + x[:2]):
+                assert fp.word(letters) == word_ref(fp, letters), letters
+
+
+def test_meet_reads_tau_like_the_scan():
+    """``_tau`` (and with it ``_meet``) equals the scan it replaced on every
+    reduced x of at most 4 letters against partners that end the inverse
+    run at each depth, and on every pair of words of at most 2 letters: the
+    same object (the shared zero or a table entry), next to ``multiply``'s
+    product."""
+    for sigma in _with_trivial_factor():
+        fp = sigma.fp
+        short = _reduced_words(fp, 2)
+        pairs = [(x, y) for x in _reduced_words(fp, 4) for y in _partners(fp, x)]
+        for x, y in pairs + list(itertools.product(short, short)):
+            xy, tau = sigma._meet(x, y)
+            assert xy == fp.multiply(x, y) and tau is sigma._tau(x, y) is tau_scan_ref(sigma, x, y), (x, y)
+
+
+def test_meet_parity_rule():
+    """d = |x| + |y| - |xy| is odd exactly when the boundary letters left by
+    the run of inverse letters merged, and that run is d // 2 letters long."""
+    rng = random.Random(29)
+    merged_seen = 0
+    for sigma in _with_trivial_factor():
+        fp = sigma.fp
+        for _ in range(300):
+            x = fp.random_word(rng, 12)
+            y = fp.word(fp.inverse(x)[: rng.randint(0, len(x))] + fp.random_word(rng, 12))
+            xw, yw = reduce_pair(fp, x, y)
+            merged = bool(xw and yw and xw[-1][0] == yw[0][0])
+            d = len(x) + len(y) - len(fp.multiply(x, y))
+            assert (d % 2 == 1) == merged and d // 2 == len(x) - len(xw), (x, y)
+            merged_seen += merged
+    assert merged_seen > 300
 
 
 def _same_fuzz(sigma, value, seed, triples, box):

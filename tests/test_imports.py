@@ -13,7 +13,9 @@ not a read), in the package, the tests, the demos or the benchmark; a bare
 name elsewhere is another file's own name.  A public definition that only the tests use is listed
 in ``TEST_ONLY``, and a public method or property of a package class that
 only the tests read in ``TEST_ONLY_METHODS``, where only an attribute read
-is a use of a method; both sets may only shrink.
+is a use of a method; both sets may only shrink.  Every private top-level
+definition and private method of a package class is read in the package
+itself; a read in the tests does not count.
 """
 
 import ast
@@ -74,10 +76,12 @@ def _trees(*folders: str) -> list[ast.Module]:
     return [ast.parse(path.read_text()) for path in _sources(*folders)]
 
 
-def _used_definitions(*folders: str) -> set[str]:
+def _used_definitions(*folders: str, defined: list[str] | None = None) -> set[str]:
     """The package definitions, as "module.py: name", that the files under
     the folders use: imported by name outside ``__init__``, read as an
-    attribute, or named in their own module outside their definition."""
+    attribute, or named in their own module outside their definition.
+    Names outside their own module are looked up among ``defined`` (the
+    public definitions by default)."""
     elsewhere, used = set(), set()
     for path in _sources(*folders):
         tree = ast.parse(path.read_text())
@@ -88,7 +92,8 @@ def _used_definitions(*folders: str) -> set[str]:
                 elsewhere |= {alias.name for alias in node.names}
         if path.parent == PACKAGE:
             used |= {f"{path.name}: {name}" for name in _uses(tree)}
-    return used | {name for name in _public_definitions() if name.split(": ")[1] in elsewhere}
+    defined = _public_definitions() if defined is None else defined
+    return used | {name for name in defined if name.split(": ")[1] in elsewhere}
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:
@@ -174,3 +179,37 @@ def test_public_methods_used_outside_tests():
     test_only = {name for name in _public_methods() if name.rsplit(".", 1)[1] not in used}
     assert sorted(test_only - TEST_ONLY_METHODS) == [], "only tests read these: move them to tests/ or use them"
     assert sorted(TEST_ONLY_METHODS - test_only) == [], "read outside the tests now, or gone: drop them"
+
+
+def _private(name: str) -> bool:
+    """A name private to the package: a leading underscore, not a dunder."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions() -> tuple[list[str], list[str]]:
+    """Every private top-level function, class and module constant, as
+    "module.py: name", and every private method of a top-level class, as
+    "module.py: Class.name"."""
+    defined, methods = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            defined += [f"{path.name}: {name}" for name in _defined_names(stmt) if _private(name)]
+            if isinstance(stmt, ast.ClassDef):
+                body = [node.name for node in stmt.body if isinstance(node, ast.FunctionDef)]
+                methods += [f"{path.name}: {stmt.name}.{name}" for name in body if _private(name)]
+    assert len(defined) > 30 and len(methods) > 15
+    assert sum(name.split(": ")[1].isupper() for name in defined) >= 5
+    return defined, methods
+
+
+def test_private_definitions_read_in_the_package():
+    """A private top-level definition is used in the package as
+    ``_used_definitions`` counts a use, and a private method is read there
+    as an attribute.  The tests do not count: a helper that only a test
+    calls (a scan the package replaced, say) belongs in ``tests/``."""
+    defined, methods = _private_definitions()
+    used = _used_definitions("src", defined=defined)
+    read = {node.attr for tree in _trees("src") for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [name for name in defined if name not in used]
+    unread += [name for name in methods if name.rsplit(".", 1)[1] not in read]
+    assert unread == [], "nothing in the package reads these: delete them or move them to tests/"
