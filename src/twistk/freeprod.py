@@ -15,7 +15,8 @@ Words are read straight off the factor tables (``FreeProduct``), and
 are integer vector sums of factor table entries; ``value`` returns the
 RotationNumber of the vector.  tau is read off the product xy
 (``_meet``), beta is the shared zero on a word of at most 4 letters
-(``_beta``) and memoized per word above that; ``vector`` is tau when all
+(``_beta``) and memoized per word above that, where it sums tau at the
+seams of consecutive syllables (``_seam``); ``vector`` is tau when all
 three betas are that zero.  ``decompose`` checks a multiplier on G1 * G2
 through its ``vector``, in that multiplier's own frame, with the prefix
 telescope memoized per word, and gives its witness beta as a plain
@@ -272,13 +273,31 @@ class FreeProductMultiplier(Multiplier):
         return value
 
     def _beta_of(self, x: FPWord) -> Sequence[int]:
+        """The sum of tau over the seams of x's consecutive syllables
+        (``_seam``), the shared zero off the kernel or with one syllable."""
         if not self.fp.in_kernel(x):
             return self._zero
         xw = rewrite_to_X(self.fp, x)
         if len(xw) <= 1:
             return self._zero
-        words = [expand_syllable(self.fp, gen, power) for gen, power in xw]
-        return tuple(sum(slot) for slot in zip(*(self._tau(left, right) for left, right in zip(words, words[1:]))))
+        return tuple(map(sum, zip(*map(self._seam, xw, xw[1:]))))
+
+    def _seam(self, left: tuple[Generator, int], right: tuple[Generator, int]) -> Sequence[int]:
+        """tau([a, b]^p, [c, d]^q) of consecutive syllables, (a, b) != (c, d),
+        as tau of the two letters that merge.  [a, b]^p ends in b^-1 (p > 0)
+        or a^-1 (p < 0), [c, d]^q starts with c (q > 0) or d (q < 0): for p
+        and q of one sign these lie in different factors and tau is 0.
+        Else that pair merges unless it cancels (a normalized factor gives
+        that 0), and then the next pair, of the other factor, merges, since
+        (a, b) != (c, d)."""
+        ((a, b), p), ((c, d), q) = left, right
+        if (p > 0) == (q > 0):
+            return self._zero
+        if p > 0:
+            factor, r, s = (2, b, d) if b != d else (1, a, c)
+        else:
+            factor, r, s = (1, a, c) if a != c else (2, b, d)
+        return self._tau((self.fp._inverse[factor, r],), ((factor, s),))
 
     def vector(self, x: FPWord, y: FPWord) -> list[int]:
         beta, zero = self._beta, self._zero

@@ -159,13 +159,19 @@ def _palette(rows, shape: tuple[int, int]) -> Exponents:
     return Exponents(compiled.D, compiled.labels, compiled.array[index.reshape(shape)])
 
 
-def _parameters(data, field: str, key: str, spelling: str) -> tuple[list[tuple[int, int]], Exponents]:
+# the keys of a torus theta ("i,j") and of a g3 mu ("ij")
+_THETA_KEY = re.compile("([1-9][0-9]*),([1-9][0-9]*)")
+_MU_KEY = re.compile("([0-9])([0-9])")
+
+
+def _parameters(data, field: str, key: re.Pattern, spelling: str) -> tuple[list[tuple[int, int]], Exponents]:
     """The ``field`` object of a torus or g3 spec: each key, checked before
     its entry is parsed, as two indices, and the entries compiled.  A key
     must match ``key`` in full, so no two keys name one parameter."""
     keys, entries = [], []
+    fullmatch = key.fullmatch
     for name, value in _require(data, field).items():
-        match = re.fullmatch(key, name) if type(name) is str else None
+        match = fullmatch(name) if type(name) is str else None
         if match is None:
             raise SchemaError(f"bad {field} key {name!r}; expected {spelling!r}")
         keys.append((int(match[1]), int(match[2])))
@@ -216,11 +222,11 @@ def _decode(data, depth: int = 0, proven: FiniteGroup | None = None) -> Multipli
     if kind == "torus":
         n = _integer(_require(data, "n"), "n")
         _check_order(n, "torus rank n")
-        keys, compiled = _parameters(data, "theta", "([1-9][0-9]*),([1-9][0-9]*)", "i,j")
+        keys, compiled = _parameters(data, "theta", _THETA_KEY, "i,j")
         pairs = [(i - 1, j - 1) for i, j in keys]
         return LatticeMultiplier(Theta.from_compiled(n, pairs, compiled, _decode_basis(data)))
     if kind == "g3":
-        keys, compiled = _parameters(data, "mu", "([0-9])([0-9])", "ij")
+        keys, compiled = _parameters(data, "mu", _MU_KEY, "ij")
         return G3Multiplier(MuMatrix.from_compiled(keys, compiled, _decode_basis(data)))
     if kind == "free_product":
         factors = _finite_factors(data, kind, depth)

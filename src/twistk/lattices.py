@@ -17,7 +17,11 @@ Each family states its formula once, for one pair and for m pairs as
 coordinate columns alike, which is what the chunked fuzz of ``validate``
 calls: ``_torus_vector`` gathers the products a_i b_j of the P entries
 and multiplies them into the compiled rows, and ``g3_multiply`` and
-``_g3_vector`` are integer arithmetic on ints or columns.
+``_g3_vector`` are integer arithmetic on ints or columns.  Both draw
+their elements by one rule, ``random_elements``: m elements as an (m, n)
+array from one ``multipliers.draws`` call, the stream of m n calls of
+``rng.randint(-box, box)``; a chunk draws its 3m elements so, and
+``random_element`` is one row of it.
 
 M^T and the g3 rows are kept per slot over D (slot 0 rational, slot i
 the i-th compiled label): the regularity test and the witness re-checks
@@ -41,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .intlinalg import clear_denominators, integer_kernel
-from .multipliers import BLOCK, Exponents, Multiplier, compile_params, draw
+from .multipliers import BLOCK, Exponents, Multiplier, compile_params, draws
 from .torus import IrrationalBasis, RotationNumber
 
 Vector = tuple[int, ...]
@@ -70,7 +74,8 @@ class Theta:
     compiled: ``exponents`` has a row per entry that is not integral, and
     ``pairs`` its (i, j).  The constructor compiles RotationNumbers;
     ``from_compiled`` takes every entry's (i, j) and row, as ``io`` decodes
-    them.  Each entry is checked in order: index range, then symbols."""
+    them.  The index ranges and symbols are checked on whole columns, and
+    the first bad entry raises: its index range, then its symbols."""
 
     def __init__(self, n: int, entries: Mapping[Pair, RotationNumber], basis: IrrationalBasis | None = None):
         self._init(n, tuple(entries), compile_params(entries.values()), basis)
@@ -86,19 +91,19 @@ class Theta:
             raise ValueError("rank must be >= 1")
         self.n = n
         self.basis = basis if basis is not None else IrrationalBasis(())
-        rows = compiled.array.tolist()
-        for (i, j), row in zip(pairs, rows):
-            if not 0 <= i < j < n:
-                raise ValueError(f"entry index ({i},{j}) out of range for rank {n}")
-            self.basis.check_labels(label for label, c in zip(compiled.labels, row[1:]) if c)
-        kept = [p for p, row in enumerate(rows) if any(row)]
-        self.pairs = tuple(pairs[p] for p in kept)
+        index = np.array(pairs).reshape(-1, 2)  # object where an index passes int64
+        i, j = index.T
+        out = (i < 0) | (j <= i) | (j >= n)
+        bad = out | _unknown_symbols(compiled, self.basis)
+        if bad.any():
+            p = int(bad.argmax())
+            if out[p]:
+                raise ValueError(f"entry index ({pairs[p][0]},{pairs[p][1]}) out of range for rank {n}")
+            _check_row(compiled, self.basis, p)
+        kept = np.flatnonzero(compiled.array.any(axis=1))
+        self.pairs = tuple(pairs[p] for p in kept.tolist())
         self.exponents = Exponents(compiled.D, compiled.labels, compiled.array[kept])
-
-    @cached_property
-    def _index(self) -> np.ndarray:
-        """The (i, j) of the kept entries as a (2, P) index array."""
-        return np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T
+        self._index = index[kept].T.astype(np.intp)  # the (i, j) of the kept entries, (2, P)
 
     @cached_property
     def transpose(self) -> SlotMatrix:
@@ -117,6 +122,19 @@ class Theta:
             "theta": {f"{i + 1},{j + 1}": self.exponents.rotation(row).to_json() for (i, j), row in rows},
             "basis": list(self.basis.labels),
         }
+
+
+def _unknown_symbols(compiled: Exponents, basis: IrrationalBasis) -> np.ndarray:
+    """Which compiled rows give a coefficient to a label outside ``basis``."""
+    outside = [slot for slot, label in enumerate(compiled.labels, 1) if label not in basis.labels]
+    if not outside:
+        return np.zeros(len(compiled.array), dtype=bool)
+    return compiled.array[:, outside].any(axis=1)
+
+
+def _check_row(compiled: Exponents, basis: IrrationalBasis, p: int) -> None:
+    """``basis.check_labels`` on the labels row p gives a coefficient to."""
+    basis.check_labels(label for label, c in zip(compiled.labels, compiled.array[p, 1:].tolist()) if c)
 
 
 def _check_rank(theta: Theta, vec: Sequence[int]) -> Vector:
@@ -223,7 +241,21 @@ def qtheta_dimension(theta: Theta) -> int:
     return len(zero) - len(integer_kernel(rows))
 
 
-class LatticeMultiplier(Multiplier):
+class _Coordinates(Multiplier):
+    """A family on integer coordinates, the length of ``identity_element``:
+    ``random_elements`` is its one draw rule, and ``random_element`` one row."""
+
+    def random_elements(self, rng: random.Random, box: int, m: int) -> np.ndarray:
+        """m random elements as an (m, n) array, coordinates in [-box, box]
+        drawn by ``draws`` as m n calls of ``rng.randint(-box, box)``, row by row."""
+        n = len(self.identity_element())
+        return draws(rng, -box, box, m * n).reshape(m, n)
+
+    def random_element(self, rng: random.Random, box: int):
+        return tuple(self.random_elements(rng, box, 1)[0].tolist())
+
+
+class LatticeMultiplier(_Coordinates):
     """sigma_theta(a, b) = e^(2 pi i sum_{i<j} a_i t_ij b_j) on Z^n."""
 
     def __init__(self, theta: Theta):
@@ -252,9 +284,6 @@ class LatticeMultiplier(Multiplier):
 
     def identity_element(self):
         return (0,) * self.n
-
-    def random_element(self, rng: random.Random, box: int):
-        return tuple([draw(rng, -box, box) for _ in range(self.n)])
 
 
 # -- the rank-3 free nilpotent group of class 2 --------------------------------
@@ -308,9 +337,10 @@ class MuMatrix:
         unknown = set(keys) - set(_MU_KEYS)
         if unknown:
             raise ValueError(f"unknown mu keys: {sorted(unknown)}")
+        bad = np.flatnonzero(_unknown_symbols(compiled, self.basis))
+        if bad.size:  # the first of them in the order of _MU_KEYS
+            _check_row(compiled, self.basis, min(bad.tolist(), key=keys.__getitem__))
         given = dict(zip(keys, compiled.array.tolist()))
-        for key in sorted(given):  # the order of _MU_KEYS
-            self.basis.check_labels(label for label, c in zip(compiled.labels, given[key][1:]) if c)
         row = {key: given.get(key, [0] * compiled.array.shape[1]) for key in _G3_ORDER}
         array = np.array(list(row.values()), dtype=compiled.array.dtype)
         self.exponents = Exponents(compiled.D, compiled.labels, array)
@@ -401,7 +431,7 @@ def g3_condition_k(mu: MuMatrix) -> LatticeDecision:
     return _decide(mu.exponents, mu.rows, mu.basis.labels, regular)
 
 
-class G3Multiplier(Multiplier):
+class G3Multiplier(_Coordinates):
     """sigma_mu on the rank-3 free nilpotent group of class 2."""
 
     def __init__(self, mu: MuMatrix):
@@ -427,6 +457,3 @@ class G3Multiplier(Multiplier):
         three) or q = r^2 + 2r (last three), so each coefficient of
         ``_g3_vector`` and its partial terms are at most 2pq + 2p^3 <= 28r^3."""
         return self.mu.exponents.combination_dtype(28 * box**3)
-
-    def random_element(self, rng: random.Random, box: int):
-        return tuple([draw(rng, -box, box) for _ in range(6)])

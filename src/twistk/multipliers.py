@@ -250,7 +250,9 @@ class Multiplier:
     def column_dtype(self, box: int):
         """A dtype that holds every coordinate and exponent sum of ``validate``
         on triples drawn with ``box``, for the coordinate columns of a
-        chunk; None (the default) for a family fuzzed one triple at a time."""
+        chunk, which a family with one also draws in one call
+        (``random_elements``); None (the default) for a family fuzzed one
+        triple at a time."""
         return None
 
     def identity_element(self):
@@ -258,7 +260,7 @@ class Multiplier:
 
     def random_element(self, rng: random.Random, box: int):
         """A random domain element with coordinates in [-box, box] (infinite
-        families), each drawn by ``draw`` as ``rng.randint(-box, box)`` would."""
+        families), each drawn as ``rng.randint(-box, box)`` would."""
         raise NotImplementedError
 
 
@@ -387,6 +389,31 @@ def draw(rng: random.Random, low: int, high: int) -> int:
     return low + r
 
 
+def draws(rng: random.Random, low: int, high: int, count: int) -> np.ndarray:
+    """The ``count`` values of ``count`` calls of ``draw(rng, low, high)``, in
+    order, with ``rng`` left in the same state, as one int64 array (object
+    where [low, high] passes int64).  For k <= 32 bits, ``getrandbits(k)``
+    is one 32-bit output shifted right by 32 - k, and ``getrandbits(32 m)``
+    the next m outputs, output i at bit 32 i: each round draws one word per
+    value still missing and keeps those below the width, so no word is
+    drawn past the last value kept.  Wider ranges ``draw`` one at a time."""
+    width = high - low + 1
+    k = width.bit_length()
+    int64 = -(2**63) <= low and high < 2**63
+    if k > 32 or not int64:
+        return np.array([draw(rng, low, high) for _ in range(count)], dtype=np.int64 if int64 else object)
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        need = count - done
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4") >> (32 - k)
+        kept = words[words < width]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    out += low
+    return out
+
+
 def validate(
     sigma: Multiplier,
     rng: random.Random | None = None,
@@ -414,15 +441,16 @@ def validate(
 
     Infinite families are fuzzed on `triples` random triples with
     coordinates in [-box, box] (words of at most `box` letters on a free
-    product), drawn through ``random_element`` (``draw``) on the stream of
-    ``rng.randint``, a, b, c of each triple in turn.  A violation is
-    reported with its witness triple, not raised: the first failing triple
-    (the identity row or column before the cocycle identity) and
-    ``checked``, the triples before it.  A free product is checked one
-    triple at a time; a family with a ``column_dtype`` (torus, g3), whose
-    ``multiply`` and ``vector`` take coordinate columns, a chunk at a time
-    (``_fuzz_chunks``), the six pairs of each triple in one ``vector``
-    call on about BLOCK words: int64 columns where ``column_dtype`` bounds
+    product), drawn on the stream of ``rng.randint``, a, b, c of each
+    triple in turn.  A violation is reported with its witness triple, not
+    raised: the first failing triple (the identity row or column before
+    the cocycle identity) and ``checked``, the triples before it.  A free
+    product is drawn (``random_element``) and checked one triple at a
+    time; a family with a ``column_dtype`` (torus, g3), whose ``multiply``
+    and ``vector`` take coordinate columns, a chunk at a time
+    (``_fuzz_chunks``): the chunk's 3m elements in one ``random_elements``
+    call (``draws``), the six pairs of each triple in one ``vector`` call
+    on about BLOCK words, int64 columns where ``column_dtype`` bounds
     every coordinate and sum below 2^63, exact Python ints otherwise.  A
     failing chunk rewinds ``rng`` and draws again up to its first failing
     triple, so the report and the state of ``rng`` are the loop's over
@@ -467,7 +495,11 @@ def validate(
 def _fuzz_chunks(sigma: Multiplier, rng: random.Random, triples: int, box: int, dtype) -> ValidationReport:
     """The chunked fuzz of ``validate``, m triples at a time.  A triple holds
     about 32 (n + 1 + k) words (elements, pairs, exponents, temporaries; an
-    exact int counts as 8), and m is as many as fit in BLOCK, at least 1."""
+    exact int counts as 8), and m is as many as fit in BLOCK, at least 1.
+    A chunk's elements are one (3m, n) ``random_elements`` array, cast to
+    the column dtype; a failure at triple t rewinds ``rng`` to the chunk's
+    start and draws its first 3 (t + 1) elements again in one call, and
+    the witness is read back as tuples of Python ints."""
     e = sigma.identity_element()
     ex = sigma.exponents()
     words = 32 * (len(e) + ex.array.shape[1]) * (1 if dtype == np.int64 else 8)
@@ -475,8 +507,8 @@ def _fuzz_chunks(sigma: Multiplier, rng: random.Random, triples: int, box: int, 
     for start in range(0, triples, step):
         m = min(step, triples - start)
         state = rng.getstate()
-        drawn = [sigma.random_element(rng, box) for _ in range(3 * m)]
-        a, b, c = np.array(drawn, dtype=dtype).reshape(m, 3, len(e)).transpose(1, 2, 0)
+        drawn = sigma.random_elements(rng, box, 3 * m)
+        a, b, c = drawn.astype(dtype, copy=False).reshape(m, 3, len(e)).transpose(1, 2, 0)
         ident = np.tile(np.array(e, dtype=dtype)[:, None], m)
         ab, bc = sigma.multiply(a, b), sigma.multiply(b, c)
         left, right = np.concatenate((a, ident, a, ab, a, b), axis=1), np.concatenate((ident, a, b, c, bc, c), axis=1)
@@ -486,9 +518,8 @@ def _fuzz_chunks(sigma: Multiplier, rng: random.Random, triples: int, box: int, 
         if fails.any():
             t = int(fails.argmax())
             rng.setstate(state)  # leave rng where the loop over single triples would
-            for _ in range(3 * (t + 1)):
-                sigma.random_element(rng, box)
-            a, b, c = drawn[3 * t : 3 * t + 3]
+            sigma.random_elements(rng, box, 3 * (t + 1))
+            a, b, c = map(tuple, drawn[3 * t : 3 * t + 3].tolist())
             if unit_fails[t]:
                 return ValidationReport(False, start + t, "fuzz", (a, e, None), "identity row/column")
             return ValidationReport(False, start + t, "fuzz", (a, b, c), "cocycle identity")
@@ -546,7 +577,13 @@ def coboundary_twist(sigma: FiniteMultiplier, beta: Sequence[RotationNumber]) ->
         raise DomainMismatch("beta length != group order")
     if not (-beta[g.identity]).is_integral():
         raise ValueError("beta(e) must be 1")
-    D, labels, (b, e) = one_frame((compile_params(beta), sigma.exponents()))
+    return _twist(sigma, compile_params(beta))
+
+
+def _twist(sigma: FiniteMultiplier, beta: Exponents) -> TableMultiplier:
+    """The array body of ``coboundary_twist``: beta, checked, as a (|G|, 1+k) array."""
+    g = sigma.group
+    D, labels, (b, e) = one_frame((beta, sigma.exponents()))
     table = b[:, None] + b[None, :] - b[g.array] + e
     table[..., 0] %= D
     table = table.astype(exact_dtype(max(D, int(abs(table).max()))))
@@ -565,12 +602,31 @@ def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, tuple[RotationN
     r^-1 gets -2 E[r, r^-1] = conj(sigma(r, r^-1)) and r gets 0; an
     involution a gets -E[a, a], the conjugate of half of sigma(a, a)'s
     exponent in [0, 1); e gets 0.  Since any multiplier has
-    sigma(a, a^-1) = sigma(a^-1, a), this normalizes both orders.
+    sigma(a, a^-1) = sigma(a^-1, a), this normalizes both orders.  The
+    twist takes that array in lowest terms (``_lowest_terms``), the frame
+    ``coboundary_twist`` compiles the returned RotationNumbers to, which
+    are made only to be returned, one per distinct beta.
     """
     g, ex = sigma.group, sigma.exponents()
     a, inv = np.arange(g.order), g.inverses
     beta = -ex.array[inv, a]  # -E[a^-1, a]: -E[a, a] on an involution
     beta[inv < a] *= 2
     beta[(inv > a) | (a == g.identity)] = 0
-    betas = tuple(map(Exponents(2 * ex.D, ex.labels, beta).rotation, beta.tolist()))
-    return coboundary_twist(sigma, betas), betas
+    halves = Exponents(2 * ex.D, ex.labels, beta)
+    rows = list(map(tuple, beta.tolist()))
+    rotations = {x: halves.rotation(x) for x in set(rows)}  # one RotationNumber per distinct beta
+    betas = tuple(map(rotations.__getitem__, rows))
+    return _twist(sigma, _lowest_terms(halves)), betas
+
+
+def _lowest_terms(ex: Exponents) -> Exponents:
+    """A (P, 1+k) array as ``compile_entries`` compiles its exponents: over
+    the lcm of their denominators, D / g for g the gcd of D and every
+    entry, slot 0 reduced mod that, without the labels no entry uses."""
+    g = math.gcd(ex.D, *np.unique(ex.array).tolist())
+    D, array = ex.D // g, ex.array // g
+    array[:, 0] %= D
+    used = [0] + [slot for slot in range(1, array.shape[1]) if array[:, slot].any()]
+    array = array[:, used]
+    dtype = exact_dtype(max(D, int(abs(array).max(initial=0))))
+    return Exponents(D, tuple(ex.labels[slot - 1] for slot in used[1:]), array.astype(dtype))

@@ -189,6 +189,20 @@ def test_malformed_entry_after_an_equal_valid_one_refused(capsys):
         _exits_2_naming([command, "--inline", json.dumps(data), "--fuzz", "20", "--box", "2"], capsys, "bad multiplier spec")
 
 
+def test_first_bad_parameter_named(capsys):
+    # a torus refuses its first bad theta entry in input order (its index
+    # range before its symbols), a g3 its first bad mu in the order 11 .. 33
+    bad_symbol, bad_index = ("1,2", _rot("1/3", u="1")), ("2,5", _rot("1/4"))
+    cases = [
+        ({"type": "torus", "n": 3, "theta": dict([bad_symbol, bad_index]), "basis": ["t"]}, "symbol 'u'"),
+        ({"type": "torus", "n": 3, "theta": dict([bad_index, bad_symbol]), "basis": ["t"]}, "entry index (1,4)"),
+        ({"type": "torus", "n": 3, "theta": {"1,4": _rot(w="1")}, "basis": ["t"]}, "entry index (0,3)"),
+        ({"type": "g3", "mu": {"32": _rot(w="1"), "12": _rot(u="1"), "11": _rot(t="1")}, "basis": ["t"]}, "symbol 'u'"),
+    ]
+    for data, name in cases:
+        _exits_2_naming(["condition-k", "--inline", json.dumps(data)], capsys, name)
+
+
 @pytest.mark.parametrize("names", ["ab", {"a": 0, "b": 1}, ["a", 1], 5, None])
 def test_names_not_a_list_of_strings_refused(names, capsys):
     # a string or a dict would be iterated into names, 1 turned into "1"

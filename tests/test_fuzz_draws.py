@@ -1,9 +1,12 @@
 """The fuzz loops on the exact draw stream and the table-read word arithmetic.
 
 - ``multipliers.draw`` gives the values and the generator state of
-  ``rng.randint`` for every width it is asked for, and the torus and g3
-  ``random_element`` the tuples their ``randint`` comprehension drew.  An
-  interpreter whose ``randrange`` rule differs fails here, before any
+  ``rng.randint`` for every width it is asked for, and so does
+  ``multipliers.draws`` for any count of them, by single 32-bit words up
+  to a width of 2^32 - 1 and by ``draw`` above; the torus and g3
+  ``random_element`` give the tuples their ``randint`` comprehension drew,
+  and ``random_elements`` those tuples stacked.  An interpreter whose
+  ``randrange`` or ``getrandbits`` rule differs fails here, before any
   sampled triple changes.
 - ``FreeProduct.random_word`` is reduced also when a factor is trivial,
   and ``validate`` / ``decompose`` answer yes on such a product.
@@ -13,7 +16,13 @@
   the ``decompose`` witness equals the unmemoized telescope plus beta,
   also for a product twisted by a coboundary that is not 0 across factors.
 - With ``randint``, ``randrange`` and ``choice`` refusing, the CLI fuzz
-  commands still answer: no fuzz loop draws through them.
+  commands still answer: no fuzz loop draws through them; with
+  ``multipliers.draw`` and the lattice ``random_element`` refusing, torus
+  and g3 ``validate`` still answer: their chunks draw no coordinate and no
+  element one at a time.
+- ``_beta_of``, read at the seams of consecutive syllables, equals
+  ``beta_ref`` on uncached kernel words of up to 14 letters and on every
+  pair of commutator powers of a few small products.
 """
 
 import itertools
@@ -23,6 +32,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -37,12 +47,14 @@ from reference import (  # noqa: E402
     vector_ref,
 )
 
+import twistk.multipliers
 from twistk import freeprod
 from twistk.cli import main
-from twistk.freeprod import FreeProduct, FreeProductMultiplier, commutator_word, decompose
+from twistk.freeprod import FreeProduct, FreeProductMultiplier, commutator_word, decompose, rewrite_to_X, xword_to_word
 from twistk.groups import cyclic
 from twistk.io import decode_multiplier, encode_multiplier
-from twistk.multipliers import Multiplier, coboundary_twist, draw, klein, normalize, trivial_multiplier
+from twistk.lattices import G3Multiplier, LatticeMultiplier
+from twistk.multipliers import Multiplier, coboundary_twist, draw, draws, klein, normalize, trivial_multiplier
 from twistk.torus import ZERO, rot
 
 TORUS = {"type": "torus", "n": 5, "theta": {"1,2": {"rat": "1/3"}, "2,5": {"rat": "1/4", "irr": {"t": 1}}}, "basis": ["t"]}
@@ -62,6 +74,30 @@ def test_draw_matches_randint(low):
         assert rng.getstate() == ref.getstate(), width
 
 
+@pytest.mark.parametrize("low", [0, -3, 11])
+def test_draws_match_randint(low, monkeypatch):
+    """Values and generator state of a ``randint`` comprehension, for every
+    count; ``draw`` is called (once per value) only from a width of 2^32."""
+    calls = []
+
+    def counted(rng, low, high):
+        calls.append(high - low + 1)
+        return draw(rng, low, high)
+
+    monkeypatch.setattr(twistk.multipliers, "draw", counted)
+    widths = list(range(1, 66)) + [2**k + d for k in (15, 16, 31, 32, 33, 63) for d in (-1, 0, 1)]
+    for width in widths:
+        high = low + width - 1
+        for count in (0, 1, 7, 300):
+            calls.clear()
+            rng, ref = random.Random(width + count), random.Random(width + count)
+            got = draws(rng, low, high, count)
+            assert got.shape == (count,)
+            assert got.tolist() == [ref.randint(low, high) for _ in range(count)], (width, count)
+            assert rng.getstate() == ref.getstate(), (width, count)
+            assert calls == ([width] * count if width >= 2**32 else []), (width, count)
+
+
 def test_draw_matches_choice():
     for n in range(1, 18):
         seq = tuple(range(100, 100 + n))
@@ -79,6 +115,19 @@ def test_random_element_draws_unchanged(spec):
         got = [sigma.random_element(rng, box) for _ in range(50)]
         assert got == [tuple(ref.randint(-box, box) for _ in range(rank)) for _ in range(50)]
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("spec", [TORUS, G3, {**TORUS, "n": 8, "theta": {}}], ids=["torus5", "g3", "torus8"])
+def test_random_elements_stack_random_element(spec):
+    sigma = decode_multiplier(spec)
+    rank = len(sigma.identity_element())
+    for box in range(0, 9):
+        for m in (0, 1, 40):
+            rng, ref = random.Random(box + m), random.Random(box + m)
+            got = sigma.random_elements(rng, box, m)
+            assert got.shape == (m, rank) and got.dtype == np.int64
+            assert list(map(tuple, got.tolist())) == [sigma.random_element(ref, box) for _ in range(m)]
+            assert rng.getstate() == ref.getstate()
 
 
 # -- a trivial factor --------------------------------------------------------------
@@ -218,6 +267,30 @@ def test_short_words_have_zero_beta():
         assert not sigma._beta_memo  # no word of <= 4 letters was rewritten
 
 
+@pytest.mark.parametrize("pair", PAIRS, ids=["*".join(p) for p in PAIRS])
+def test_beta_matches_reference_on_long_kernel_words(pair):
+    """Uncached ``_beta_of`` against ``beta_ref``: on random kernel words of
+    up to 14 letters, and on every pair of commutator powers ([a, b]^p,
+    [c, d]^q), p, q in {-2, -1, 1, 2}, whose seams take each branch."""
+    sigma = _product(pair)
+    fp = sigma.fp
+    rng = random.Random(14 + PAIRS.index(pair))
+    words = [fp.random_kernel_word(rng, 14) for _ in range(600)]
+    assert 12 <= max(map(len, words)) <= 14 and any(len(rewrite_to_X(fp, w)) > 2 for w in words)
+    gens = [(a, b) for a in range(1, fp.g1.order) for b in range(1, fp.g2.order)]
+    powers = (-2, -1, 1, 2)
+    pairs = [((g, p), (h, q)) for g in gens for h in gens if g != h for p in powers for q in powers]
+    for xw in pairs:
+        words.append(xword_to_word(fp, xw))
+        assert rewrite_to_X(fp, words[-1]) == xw
+    nonzero = 0
+    for w in words:
+        got = sigma._beta_of(w)
+        assert tuple(got) == tuple(beta_ref(sigma, w)), w
+        nonzero += got != sigma._zero
+    assert not sigma._beta_memo and nonzero
+
+
 @pytest.mark.parametrize("pair", [("klein2", "S3"), ("Z4", "klein3"), ("klein2", "Z3")], ids=lambda p: "*".join(p))
 def test_decompose_witness_matches_reference(pair, monkeypatch):
     sigma = _product(pair)
@@ -317,3 +390,23 @@ def test_fuzz_loops_do_not_call_randint(capsys, monkeypatch):
     code = main(["decompose", "--inline", json.dumps(free), "--fuzz", "200"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["similar"] and report["pairs_checked"] == 200
+
+
+def test_lattice_chunks_do_not_draw_per_coordinate(capsys, monkeypatch):
+    """``multipliers.draw`` and ``random_element`` refusing: torus and g3
+    ``validate`` still answer, so no chunk falls back to one call per
+    coordinate or per element."""
+    torus8 = {**TORUS, "n": 8, "theta": {**TORUS["theta"], "3,8": {"rat": "2/7"}, "6,7": {"rat": 0, "irr": {"t": 3}}}}
+
+    def refuse(*args):
+        raise AssertionError("a lattice chunk drew one coordinate or element at a time")
+
+    monkeypatch.setattr(twistk.multipliers, "draw", refuse)
+    for family in (LatticeMultiplier, G3Multiplier):
+        monkeypatch.setattr(family, "random_element", refuse)
+    with pytest.raises(AssertionError):
+        draws(random.Random(0), 0, 2**32, 1)  # a width of 2^32 + 1 draws by draw
+    for spec in (torus8, G3):
+        code = main(["validate", "--inline", json.dumps(spec), "--fuzz", "500", "--box", "3"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["ok"] and report["checked"] == 500
