@@ -253,9 +253,6 @@ class FreeProductMultiplier(Multiplier):
         (factor, r), s = x[-c - 1], y[c][1]
         return xy, self._tables[factor][r][s]
 
-    def _tau(self, x: FPWord, y: FPWord) -> Sequence[int]:
-        return self._meet(x, y)[1]
-
     def _beta(self, x: FPWord) -> Sequence[int]:
         """``_beta_of`` through a memo of at most BETA_MEMO words, emptied when
         full; a word of at most 4 letters gets the shared zero.  With 1 to 3
@@ -283,13 +280,13 @@ class FreeProductMultiplier(Multiplier):
         return tuple(map(sum, zip(*map(self._seam, xw, xw[1:]))))
 
     def _seam(self, left: tuple[Generator, int], right: tuple[Generator, int]) -> Sequence[int]:
-        """tau([a, b]^p, [c, d]^q) of consecutive syllables, (a, b) != (c, d),
-        as tau of the two letters that merge.  [a, b]^p ends in b^-1 (p > 0)
-        or a^-1 (p < 0), [c, d]^q starts with c (q > 0) or d (q < 0): for p
-        and q of one sign these lie in different factors and tau is 0.
-        Else that pair merges unless it cancels (a normalized factor gives
-        that 0), and then the next pair, of the other factor, merges, since
-        (a, b) != (c, d)."""
+        """tau([a, b]^p, [c, d]^q) of consecutive syllables, (a, b) != (c, d).
+        [a, b]^p ends in b^-1 (p > 0) or a^-1 (p < 0), [c, d]^q starts with
+        c (q > 0) or d (q < 0): for p and q of one sign these lie in different
+        factors and tau is 0.  Else that pair r^-1, s meets; it cancels if
+        r = s, and then the next pair, of the other factor, meets with r != s,
+        since (a, b) != (c, d).  So r^-1 s is never e, and tau is the factor
+        entry at (r^-1, s), where ``_meet`` reads it."""
         ((a, b), p), ((c, d), q) = left, right
         if (p > 0) == (q > 0):
             return self._zero
@@ -297,7 +294,7 @@ class FreeProductMultiplier(Multiplier):
             factor, r, s = (2, b, d) if b != d else (1, a, c)
         else:
             factor, r, s = (1, a, c) if a != c else (2, b, d)
-        return self._tau((self.fp._inverse[factor, r],), ((factor, s),))
+        return self._tables[factor][self.fp._inverse[factor, r][1]][s]
 
     def vector(self, x: FPWord, y: FPWord) -> list[int]:
         beta, zero = self._beta, self._zero

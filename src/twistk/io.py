@@ -275,9 +275,7 @@ def encode_witness_element(sigma: Multiplier, element) -> object:
         return encode_word(sigma.fp, element)
     if isinstance(sigma, (LatticeMultiplier, G3Multiplier)):
         return list(element)
-    if isinstance(sigma, FiniteMultiplier):
-        return int(element)
-    return element
+    return int(element)
 
 
 def parse_fraction(text: str) -> Fraction:

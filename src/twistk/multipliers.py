@@ -230,22 +230,16 @@ class ValidationReport:
 
 
 class Multiplier:
-    """Base interface: an exact cocycle value for a pair of elements."""
+    """Base interface: an exact cocycle value for a pair of elements.
+
+    A family defines ``exponents``, ``vector`` (the exponent of sigma(a, b)
+    times exponents().D, as Python ints), ``multiply`` and
+    ``identity_element``.  ``validate`` draws an infinite family's triples
+    by ``random_element``, or where ``column_dtype`` gives a dtype, by
+    ``random_elements`` as coordinate columns."""
 
     def value(self, a, b) -> RotationNumber:
         return self.exponents().rotation(self.vector(a, b))
-
-    def exponents(self) -> Exponents:
-        raise NotImplementedError
-
-    def vector(self, a, b) -> list[int]:
-        """The exponent of sigma(a, b) times exponents().D, as Python ints (for
-        m elements as coordinate columns, a (1+k, m) array: ``column_dtype``)."""
-        raise NotImplementedError
-
-    def multiply(self, a, b):
-        """Group multiplication in the multiplier's domain."""
-        raise NotImplementedError
 
     def column_dtype(self, box: int):
         """A dtype that holds every coordinate and exponent sum of ``validate``
@@ -254,14 +248,6 @@ class Multiplier:
         (``random_elements``); None (the default) for a family fuzzed one
         triple at a time."""
         return None
-
-    def identity_element(self):
-        raise NotImplementedError
-
-    def random_element(self, rng: random.Random, box: int):
-        """A random domain element with coordinates in [-box, box] (infinite
-        families), each drawn as ``rng.randint(-box, box)`` would."""
-        raise NotImplementedError
 
 
 class FiniteMultiplier(Multiplier):
@@ -276,9 +262,6 @@ class FiniteMultiplier(Multiplier):
         if self._exponents is None:
             self._exponents = self._compile()
         return self._exponents
-
-    def _compile(self) -> Exponents:
-        raise NotImplementedError
 
     def proven_by_construction(self) -> bool:
         """Whether the way sigma was made proves it a multiplier, so that
@@ -380,8 +363,11 @@ def draw(rng: random.Random, low: int, high: int) -> int:
     """What ``rng.randint(low, high)`` draws, leaving ``rng`` in the same
     state, in one call instead of its three: like ``Random.randrange`` (and
     ``choice``, of width ``len(seq)``), k = width.bit_length() bits from
-    ``getrandbits``, drawn again while they reach the width."""
+    ``getrandbits``, drawn again while they reach the width; ValueError,
+    before any draw, on an empty range."""
     width = high - low + 1
+    if width < 1:
+        raise ValueError(f"empty range [{low}, {high}]")
     k = width.bit_length()
     r = rng.getrandbits(k)
     while r >= width:
@@ -396,11 +382,12 @@ def draws(rng: random.Random, low: int, high: int, count: int) -> np.ndarray:
     is one 32-bit output shifted right by 32 - k, and ``getrandbits(32 m)``
     the next m outputs, output i at bit 32 i: each round draws one word per
     value still missing and keeps those below the width, so no word is
-    drawn past the last value kept.  Wider ranges ``draw`` one at a time."""
+    drawn past the last value kept.  Wider ranges, and empty ones, ``draw``
+    one at a time."""
     width = high - low + 1
     k = width.bit_length()
     int64 = -(2**63) <= low and high < 2**63
-    if k > 32 or not int64:
+    if k > 32 or width < 1 or not int64:
         return np.array([draw(rng, low, high) for _ in range(count)], dtype=np.int64 if int64 else object)
     out = np.empty(count, dtype=np.int64)
     done = 0

@@ -202,6 +202,84 @@ def restriction(sigma: ProductMultiplier, factor: int) -> list[list[RotationNumb
     return [[sigma.value(a2, b2) for b2 in g.elements()] for a2 in g.elements()]
 
 
+def relabelled(sigma: FiniteMultiplier, rng: random.Random) -> TableMultiplier:
+    """sigma with the group's elements renamed a -> perm[a] by a random
+    permutation, so that the identity is seldom 0."""
+    g, ex = sigma.group, sigma.exponents()
+    perm = np.array(rng.sample(range(g.order), g.order), dtype=np.intp)
+    table, values = np.empty_like(g.array), np.empty_like(ex.array)
+    table[np.ix_(perm, perm)] = perm[g.array]
+    values[np.ix_(perm, perm)] = ex.array
+    return TableMultiplier.from_exponents(FiniteGroup(table), Exponents(ex.D, ex.labels, values))
+
+
+# -- normalized 2-cocycles mod p ------------------------------------------------
+
+
+def _echelon_mod_p(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced row echelon form of an integer matrix mod a prime p, and
+    its pivot columns."""
+    m = rows % p
+    pivots: list[int] = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
+            continue
+        m[[r, r + below[0]]] = m[[r + below[0], r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m[: len(pivots)], pivots
+
+
+def schur_classes_mod_p(group: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bases, as rows of |G|^2 values in Z_p (x stands for x/p at (a, b),
+    a |G| a + b), of the normalized 2-cocycles Z^2 with values in (1/p)Z,
+    of the coboundaries B^2 among them and of a complement of B^2 in Z^2,
+    whose rows represent H^2(G, Z_p).
+
+    Z^2 is the null space mod p of the cocycle equations
+    x(a,b) + x(ab,c) - x(a,bc) - x(b,c) on all triples with x(a,e) =
+    x(e,a) = 0; B^2 is spanned by the coboundaries of the indicators of
+    the elements other than e; the complement takes each null-space vector
+    (in the order of the free columns) that raises the rank of B^2 and the
+    vectors taken so far."""
+    n, t, e = group.order, group.array, group.identity
+    a, b, c = (x.ravel() for x in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
+    equations = np.zeros((n**3 + 2 * n, n * n), dtype=np.int64)
+    rows = np.arange(n**3)
+    for sign, (x, y) in ((1, (a, b)), (1, (t[a, b], c)), (-1, (a, t[b, c])), (-1, (b, c))):
+        np.add.at(equations, (rows, n * x + y), sign)
+    equations[n**3 + np.arange(n), n * np.arange(n) + e] = 1
+    equations[n**3 + n + np.arange(n), n * e + np.arange(n)] = 1
+    reduced, pivots = _echelon_mod_p(equations, p)
+    free = [col for col in range(n * n) if col not in pivots]
+    cocycles = np.zeros((len(free), n * n), dtype=np.int64)
+    for i, col in enumerate(free):
+        cocycles[i, col] = 1
+        cocycles[i, pivots] = -reduced[:, col] % p
+    indicator = np.eye(n, dtype=np.int64)[[g for g in range(n) if g != e]]
+    deltas = (indicator[:, :, None] + indicator[:, None, :] - indicator[:, t]).reshape(len(indicator), n * n) % p
+    coboundaries = _echelon_mod_p(deltas, p)[0]
+    complement: list[np.ndarray] = []
+    for z in cocycles:
+        rank = len(coboundaries) + len(complement)
+        if len(_echelon_mod_p(np.vstack([coboundaries, *complement, z]), p)[1]) > rank:
+            complement.append(z)
+    return cocycles, coboundaries, np.array(complement, dtype=np.int64).reshape(-1, n * n)
+
+
+def cocycle_mod_p(group: FiniteGroup, values: np.ndarray, p: int) -> TableMultiplier:
+    """The table multiplier x/p of |G|^2 values x in Z_p."""
+    n = group.order
+    return TableMultiplier.from_exponents(group, Exponents(p, (), (values % p).reshape(n, n, 1)))
+
+
 # -- catalogs ------------------------------------------------------------------
 
 

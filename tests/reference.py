@@ -49,8 +49,9 @@
   ``check_word``, which passes a word only when it is reduced.
 - The two reduction rules that ``FreeProduct.multiply`` replaced:
   ``word_ref``, the stack that reduced a letter sequence, and
-  ``tau_scan_ref``, the scan of ``FreeProductMultiplier._tau`` over the
-  run of inverse boundary letters on the factor tables.
+  ``tau_scan_ref``, the scan for tau over the run of inverse boundary
+  letters on the factor tables, which ``FreeProductMultiplier._meet``
+  replaced.
 - ``is_similar``: the similarity of two finite multipliers under a given
   beta, pair by pair on RotationNumbers.
 - ``hermite_normal_form_ref``: the minimal-pivot Hermite form with the

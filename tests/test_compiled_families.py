@@ -7,8 +7,9 @@ kernel witness of condition K.  Each test asserts equal values, reports
 and witnesses, on random parameters (theta up to rank 32, an unsorted
 basis, a declared label that no entry uses, an empty theta), on random
 mu and on free products of ``tests/catalog.py`` tables.  Broken
-subclasses make the fuzz loop fail, and a structural test pins that the
-loops do no RotationNumber arithmetic.
+subclasses make the fuzz loop fail (the identity row or the cocycle
+identity) and ``decompose`` report a counterexample, and a structural test
+pins that the loops do no RotationNumber arithmetic.
 
 ``validate`` checks the torus and g3 a chunk of triples at a time; the
 reference loop checks one.  ``_same_fuzz`` compares the two (reports and
@@ -39,7 +40,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from catalog import random_normalized_tables
-from reference import mu_params, reduce_pair, scale, tau_scan_ref, theta_entries, word_ref
+from reference import mu_params, prefix_telescope_ref, reduce_pair, scale, tau_ref, tau_scan_ref, theta_entries, word_ref
 
 import twistk.cli
 import twistk.lattices
@@ -307,7 +308,7 @@ def test_free_product_values_match_reference():
         for x in words:
             assert sigma._exponents.rotation(sigma._beta(x)) == _beta_ref(sigma, x)
         for x, y in zip(words, reversed(words)):
-            assert sigma._exponents.rotation(sigma._tau(x, y)) == _tau_ref(sigma, x, y)
+            assert sigma._exponents.rotation(sigma._meet(x, y)[1]) == _tau_ref(sigma, x, y)
             assert sigma.value(x, y) == _free_product_value_ref(sigma, x, y)
 
 
@@ -349,18 +350,17 @@ def test_word_folds_multiply_like_the_stack():
 
 
 def test_meet_reads_tau_like_the_scan():
-    """``_tau`` (and with it ``_meet``) equals the scan it replaced on every
-    reduced x of at most 4 letters against partners that end the inverse
-    run at each depth, and on every pair of words of at most 2 letters: the
-    same object (the shared zero or a table entry), next to ``multiply``'s
-    product."""
+    """``_meet``'s tau equals the scan it replaced on every reduced x of at
+    most 4 letters against partners that end the inverse run at each depth,
+    and on every pair of words of at most 2 letters: the same object (the
+    shared zero or a table entry), next to ``multiply``'s product."""
     for sigma in _with_trivial_factor():
         fp = sigma.fp
         short = _reduced_words(fp, 2)
         pairs = [(x, y) for x in _reduced_words(fp, 4) for y in _partners(fp, x)]
         for x, y in pairs + list(itertools.product(short, short)):
             xy, tau = sigma._meet(x, y)
-            assert xy == fp.multiply(x, y) and tau is sigma._tau(x, y) is tau_scan_ref(sigma, x, y), (x, y)
+            assert xy == fp.multiply(x, y) and tau is sigma._meet(x, y)[1] is tau_scan_ref(sigma, x, y), (x, y)
 
 
 def test_meet_parity_rule():
@@ -581,6 +581,14 @@ class _ShiftedFreeProduct(FreeProductMultiplier):
         return [v[0] + len(x) * len(y) ** 2, *v[1:]]
 
 
+class _NonUnitalFreeProduct(FreeProductMultiplier):
+    """sigma(x, ()) = |x| / D: the identity row fails, the column holds."""
+
+    def vector(self, x, y):
+        v = super().vector(x, y)
+        return [v[0] + (0 if y else len(x)), *v[1:]]
+
+
 class _NonUnitalTorus(LatticeMultiplier):
     """sigma(a, e) = (a_1 + ... + a_n) / D: the identity row fails.  a and b
     are (n, m) coordinate arrays, so the test "b is e" is taken per column."""
@@ -595,17 +603,19 @@ def _broken():
     g3 = _FlippedG3(mu)
     s1, s2 = normalize(klein(2, 1))[0], normalize(klein(3, 1))[0]
     fp = _ShiftedFreeProduct(s1, s2)
+    unit = _NonUnitalFreeProduct(s1, s2)
     D = fp.exponents().D
     theta = Theta(3, {(0, 1): rot("1/5", {"t": 1}), (1, 2): rot("2/3")}, IrrationalBasis(("t",)))
     torus = _NonUnitalTorus(theta)
     return {
         "g3": (g3, lambda a, b: _g3_value_ref(mu, a, b, sign=-1), "cocycle identity"),
         "free product": (fp, lambda x, y: _free_product_value_ref(fp, x, y) + rot(Fraction(len(x) * len(y) ** 2, D)), "cocycle identity"),
+        "free product unit": (unit, lambda x, y: _free_product_value_ref(unit, x, y) + rot(Fraction(0 if y else len(x), D)), "identity row/column"),
         "torus": (torus, lambda a, b: _torus_value_ref(theta, a, b) + rot(Fraction(0 if any(b) else sum(a), theta.exponents.D)), "identity row/column"),
     }
 
 
-@pytest.mark.parametrize("family", ["g3", "free product", "torus"])
+@pytest.mark.parametrize("family", ["g3", "free product", "free product unit", "torus"])
 def test_broken_family_fails_like_reference(family):
     sigma, value, reason = _broken()[family]
     for seed in range(6):
@@ -613,7 +623,7 @@ def test_broken_family_fails_like_reference(family):
         assert not report.ok and report.reason == reason
 
 
-@pytest.mark.parametrize("family", ["g3", "free product", "torus"])
+@pytest.mark.parametrize("family", ["g3", "free product", "free product unit", "torus"])
 def test_cli_reports_broken_family_witness(family, capsys, monkeypatch):
     sigma, value, reason = _broken()[family]
     ok, checked, witness, expected_reason = _validate_fuzz_ref(sigma, value, random.Random(4), 300, 3)
@@ -624,6 +634,40 @@ def test_cli_reports_broken_family_witness(family, capsys, monkeypatch):
     assert code == 1 and not report["ok"]
     assert (report["checked"], report["reason"]) == (checked, reason)
     assert report["witness"] == json.loads(json.dumps([encode_witness_element(sigma, w) for w in witness if w is not None]))
+
+
+class _LongPairFreeProduct(FreeProductMultiplier):
+    """sigma(x, y) + (|x| - 1)(|y| - 1) / D on nonempty words: unchanged on
+    one-letter pairs, so its restrictions are sigma1 and sigma2, normalized,
+    but not similar to their free product."""
+
+    def vector(self, x, y):
+        v = super().vector(x, y)
+        return [v[0] + (len(x) - 1) * (len(y) - 1) * bool(x and y), *v[1:]]
+
+
+def test_cli_reports_decompose_counterexample(capsys, monkeypatch):
+    """``decompose`` on a multiplier that is not similar to the free product
+    of its restrictions exits 1 with the first sampled pair (x, y), drawn
+    as ``decompose`` draws, where b0(x) + b0(y) - b0(xy) + sigma(x, y) !=
+    tau(x, y), computed with the unmemoized references."""
+    sigma = _LongPairFreeProduct(normalize(klein(2, 1))[0], normalize(klein(3, 1))[0])
+    fp, ex = sigma.fp, sigma.exponents()
+    zero = [0] * (1 + len(ex.labels))
+    b0 = partial(prefix_telescope_ref, sigma.vector, zero)
+    rng = random.Random(4)
+    for _ in range(200):
+        x, y = fp.random_word(rng, 3), fp.random_word(rng, 3)
+        twisted = [p + q - r + s for p, q, r, s in zip(b0(x), b0(y), b0(fp.multiply(x, y)), sigma.vector(x, y))]
+        if not ex.vanishes([p - q for p, q in zip(twisted, tau_ref(sigma, x, y))]):
+            break
+    else:
+        raise AssertionError("no failing pair in 200")
+    monkeypatch.setattr(twistk.cli, "decode_multiplier", lambda data: sigma)
+    code = main(["decompose", "--inline", "{}", "--fuzz", "200", "--box", "3", "--seed", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["similar"] is False
+    assert report["counterexample"] == [encode_witness_element(sigma, x), encode_witness_element(sigma, y)]
 
 
 # -- no exponent arithmetic in the loops --------------------------------------------------

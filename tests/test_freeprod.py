@@ -125,7 +125,7 @@ def test_reduce_pair_full_cancellation(z3z2):
 
 def tau(sigma, x, y):
     """The boundary cocycle tau of a free product multiplier at (x, y)."""
-    return sigma._exponents.rotation(sigma._tau(x, y))
+    return sigma._exponents.rotation(sigma._meet(x, y)[1])
 
 
 def beta(sigma, x):
@@ -275,7 +275,7 @@ class _TauOracle(Multiplier):
         return self.sigma.exponents()
 
     def vector(self, x, y):
-        return list(self.sigma._tau(x, y))
+        return list(self.sigma._meet(x, y)[1])
 
 
 class _Shifted(Multiplier):

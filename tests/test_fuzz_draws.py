@@ -8,9 +8,11 @@
   and ``random_elements`` those tuples stacked.  An interpreter whose
   ``randrange`` or ``getrandbits`` rule differs fails here, before any
   sampled triple changes.
+- An empty range raises ValueError before any draw, so ``validate`` with
+  a negative box refuses on every infinite family instead of looping.
 - ``FreeProduct.random_word`` is reduced also when a factor is trivial,
   and ``validate`` / ``decompose`` answer yes on such a product.
-- ``multiply``, ``factor_images``, ``inverse``, ``_tau`` and ``vector``
+- ``multiply``, ``factor_images``, ``inverse``, ``_meet`` and ``vector``
   equal the per-letter references of ``tests/reference.py`` on the factor
   pairs of the infinite-fuzz benchmark workload and on hand-made cases;
   the ``decompose`` witness equals the unmemoized telescope plus beta,
@@ -28,6 +30,7 @@
 import itertools
 import json
 import random
+import signal
 import sys
 from functools import partial
 from pathlib import Path
@@ -54,11 +57,12 @@ from twistk.freeprod import FreeProduct, FreeProductMultiplier, commutator_word,
 from twistk.groups import cyclic
 from twistk.io import decode_multiplier, encode_multiplier
 from twistk.lattices import G3Multiplier, LatticeMultiplier
-from twistk.multipliers import Multiplier, coboundary_twist, draw, draws, klein, normalize, trivial_multiplier
+from twistk.multipliers import Multiplier, coboundary_twist, draw, draws, klein, normalize, trivial_multiplier, validate
 from twistk.torus import ZERO, rot
 
 TORUS = {"type": "torus", "n": 5, "theta": {"1,2": {"rat": "1/3"}, "2,5": {"rat": "1/4", "irr": {"t": 1}}}, "basis": ["t"]}
 G3 = {"type": "g3", "mu": {"11": {"rat": "1/3"}, "32": {"rat": "1/5", "irr": {"t": -2}}}, "basis": ["t"]}
+FREE = {"type": "free_product", "sigma1": {"type": "klein", "n": 2, "k": 0}, "sigma2": {"type": "klein", "n": 3, "k": 0}}
 
 
 # -- the sampler ------------------------------------------------------------------
@@ -104,6 +108,44 @@ def test_draw_matches_choice():
         rng, ref = random.Random(n), random.Random(n)
         assert [seq[draw(rng, 0, n - 1)] for _ in range(64)] == [ref.choice(seq) for _ in range(64)]
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.fixture
+def within_5_s():
+    """Fail a test that runs past 5 s (an empty range once looped forever)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_empty_range_raises_before_drawing(within_5_s):
+    """``draw`` and a positive count of ``draws`` refuse high < low, as
+    ``randint`` does, and leave the generator as it was; zero draws of an
+    empty range are an empty array, as zero ``randint`` calls are nothing."""
+    rng = random.Random(3)
+    state = rng.getstate()
+    for call in (partial(draw, rng, 0, -1), partial(draws, rng, 1, 0, 3), partial(draws, rng, 2**40, 0, 2)):
+        with pytest.raises(ValueError, match="empty range"):
+            call()
+        assert rng.getstate() == state
+    empty = draws(rng, 1, 0, 0)
+    assert empty.shape == (0,) and empty.dtype == np.int64 and rng.getstate() == state
+
+
+@pytest.mark.parametrize("spec", [TORUS, G3, FREE], ids=["torus", "g3", "free product"])
+def test_validate_refuses_a_negative_box(spec, within_5_s):
+    sigma = decode_multiplier(spec)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        validate(sigma, rng, 5, box=-1)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("spec", [TORUS, G3, {**TORUS, "n": 8, "theta": {}}], ids=["torus5", "g3", "torus8"])
@@ -193,7 +235,7 @@ def _check_pair(sigma, x, y):
     assert fp.multiply(x, y) == multiply_ref(fp, x, y)
     assert fp.factor_images(x) == factor_images_ref(fp, x)
     assert fp.inverse(x) == tuple(fp.inverse_letter(letter) for letter in reversed(x))
-    assert tuple(sigma._tau(x, y)) == tuple(tau_ref(sigma, x, y))
+    assert tuple(sigma._meet(x, y)[1]) == tuple(tau_ref(sigma, x, y))
     got = sigma.vector(x, y)
     assert type(got) is list and got == vector_ref(sigma, x, y)
     return got != list(tau_ref(sigma, x, y))
@@ -243,7 +285,7 @@ def test_word_arithmetic_hand_made_cases():
     cases += [(w, v) for w in kernel for v in (*kernel, x, fp.inverse(w), c1, ())]
     for p, q in cases:
         _check_pair(sigma, p, q)
-    assert fp.multiply(x, fp.inverse(x)) == () and sigma._tau(x, fp.inverse(x)) is sigma._zero
+    assert fp.multiply(x, fp.inverse(x)) == () and sigma._meet(x, fp.inverse(x))[1] is sigma._zero
     assert fp.multiply((a, b), ((2, 2), (1, 2))) == ((1, 3),)
 
 

@@ -118,6 +118,14 @@ def test_coboundary_twist_is_similar_and_valid():
         assert is_similar(base, tau, beta.__getitem__)
 
 
+def test_coboundary_twist_refuses_a_bad_beta():
+    base = klein(2, 1)
+    with pytest.raises(DomainMismatch, match="beta length"):
+        coboundary_twist(base, [ZERO] * 3)
+    with pytest.raises(ValueError, match=r"beta\(e\) must be 1"):
+        coboundary_twist(base, [rot("1/2"), ZERO, ZERO, ZERO])
+
+
 def test_normalize_already_normalized_is_stable():
     s, _ = normalize(klein(4, 2))
     again, witness = normalize(s)

@@ -23,7 +23,7 @@ from reference import regularity_identity_check, two_of_three_loop
 
 import twistk as tk
 from twistk.groups import cyclic, direct_product
-from twistk.multipliers import TableMultiplier, coboundary_twist, trivial_multiplier, validate
+from twistk.multipliers import DomainMismatch, TableMultiplier, coboundary_twist, trivial_multiplier, validate
 from twistk.products import (
     Bihomomorphism,
     DegeneracyReport,
@@ -48,6 +48,20 @@ def test_bihom_rejects_broken_table():
     table = [[ZERO, ZERO], [ZERO, rot("1/3")]]
     with pytest.raises(InvalidBihomomorphism):
         Bihomomorphism(g2, g2, table)
+
+
+def test_bihom_rejects_a_table_of_the_wrong_shape():
+    with pytest.raises(InvalidBihomomorphism, match="shape"):
+        Bihomomorphism(cyclic(2), cyclic(3), [[ZERO, ZERO], [ZERO, ZERO]])
+
+
+def test_factors_must_match_the_bihom_groups():
+    s1, s2 = trivial_multiplier(cyclic(2)), trivial_multiplier(cyclic(3))
+    f = trivial_bihom(cyclic(2), cyclic(4))
+    with pytest.raises(DomainMismatch, match="bihomomorphism groups"):
+        ProductMultiplier(s1, s2, f)
+    with pytest.raises(DomainMismatch, match="bihomomorphism groups"):
+        f_degeneracy(s1, s2, f)
 
 
 def test_assemble_sum_of_components_when_f_trivial():
