@@ -166,14 +166,21 @@ def expand_syllable(fp: FreeProduct, gen: Generator, power: int) -> FPWord:
 
 
 def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
-    """Express a kernel word over the commutator alphabet.
+    """Express a reduced kernel word over the commutator alphabet.
 
     Scan the letters carrying the coset state (c1, c2), starting and
     ending at (e, e).  With the transversal {c1 c2}, a G1-letter g emits
     [c1, c2] [c1 g, c2]^-1 (factors with a trivial component dropped) and
-    a G2-letter emits nothing; the emitted stream is freely reduced into
-    syllables.  Multiplying the syllables back must reproduce x exactly.
-    The scan ends at the factor images of x: NotInKernel unless both are e.
+    a G2-letter emits nothing; the emitted stream is merged into syllables.
+    Multiplying the syllables back must reproduce x exactly.  The scan ends
+    at the factor images of x: NotInKernel unless both are e.
+
+    No emission cancels the one before it, so powers only grow and
+    consecutive generators differ.  One G1 letter g's two emissions differ
+    in c1.  The next G1 letter k that emits, at (c1', c2'), has c2' != c2
+    or, after one silent letter h, c1' = c1 g h != c1 g (a G1 letter is
+    silent only at c2 = e, and each G2 letter moves c2).  In either sign
+    case g's last emission cancels k's first only if k is at (c1 g, c2).
     """
     _, t1, t2 = fp._mul
     _, e1, e2 = fp._identity
@@ -183,8 +190,6 @@ def rewrite_to_X(fp: FreeProduct, x: FPWord) -> XWord:
     def emit(gen: Generator, power: int):
         if syllables and syllables[-1][0] == gen:
             syllables[-1][1] += power
-            if syllables[-1][1] == 0:
-                syllables.pop()
         else:
             syllables.append([gen, power])
 
@@ -385,14 +390,16 @@ def decompose(
         beta = b0 + beta_candidate,
         (sigma1 * sigma2)(x, y) = beta(x) + beta(y) - beta(xy) + sigma(x, y).
 
-    beta_candidate cancels from that identity, which is checked as
-    b0(x) + b0(y) - b0(xy) + sigma(x, y) = tau(x, y) on `pairs` sampled
-    word pairs of length <= max_len, in integer vectors in one frame: the
-    restrictions are tabulated in sigma's (``sigma.exponents()``, its
-    labels sorted like every compiled frame's), so the candidate built from
-    them shares it.  The first failing pair raises SimilarityFailure.  The
-    witness returns RotationNumbers.
+    beta_candidate cancels from that identity, which is checked as b0(x) +
+    b0(y) - b0(xy) + sigma(x, y) = tau(x, y) on `pairs` sampled word pairs
+    of length <= max_len, in integer vectors in one frame: the restrictions
+    are tabulated in sigma's (``sigma.exponents()``, its labels sorted like
+    every compiled frame's), so the candidate built from them shares it.
+    The first failing pair raises SimilarityFailure, and a negative `pairs`
+    ValueError before any draw.  The witness returns RotationNumbers.
     """
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, not {pairs}")
     rng = rng or random.Random(0)
     ex = sigma.exponents()
     sigma1 = _restriction_table(sigma, g1, 1)

@@ -152,18 +152,13 @@ class Exponents:
     def _weight(self) -> int:
         return max(1, len(self.array) * int(abs(self.array).max(initial=0)))
 
-def common_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...]]:
-    """The lcm of the parts' denominators and the sorted union of their labels."""
-    return math.lcm(*(p.D for p in parts)), tuple(sorted(set().union(*(p.labels for p in parts))))
-
-
 def one_frame(parts: Sequence[Exponents]) -> tuple[int, tuple[str, ...], tuple[np.ndarray, ...]]:
-    """The common D and labels of the parts (``common_frame``) and their
-    arrays recast to them: every slot times D / part.D, a symbol slot moved
-    to its label's, in a dtype that holds a sum of one entry of each.  A
-    part in that frame already is its own array, so no caller writes to
-    what it gets."""
-    D, labels = common_frame(parts)
+    """The lcm D of the parts' denominators, the sorted union of their
+    labels, and their arrays recast to them: every slot times D / part.D, a
+    symbol slot moved to its label's, in a dtype that holds a sum of one
+    entry of each.  A part in that frame already is its own array, so no
+    caller writes to what it gets."""
+    D, labels = math.lcm(*(p.D for p in parts)), tuple(sorted(set().union(*(p.labels for p in parts))))
     bound = sum(int(abs(p.array).max(initial=0)) * (D // p.D) for p in parts)
     dtype = exact_dtype(max(D, bound))
     arrays = [p.array for p in parts]
@@ -441,7 +436,7 @@ def validate(
     every coordinate and sum below 2^63, exact Python ints otherwise.  A
     failing chunk rewinds ``rng`` and draws again up to its first failing
     triple, so the report and the state of ``rng`` are the loop's over
-    single triples.
+    single triples.  A negative `triples` raises ValueError before any draw.
     """
     if isinstance(sigma, FiniteMultiplier):
         g = sigma.group
@@ -458,6 +453,8 @@ def validate(
             return ValidationReport(False, checked, "exhaustive", witness, "cocycle identity")
         return ValidationReport(True, n**3, "exhaustive")
 
+    if triples < 0:
+        raise ValueError(f"triples must be >= 0, not {triples}")
     rng = rng or random.Random(0)
     e = sigma.identity_element()
     dtype = sigma.column_dtype(box)
@@ -564,13 +561,8 @@ def coboundary_twist(sigma: FiniteMultiplier, beta: Sequence[RotationNumber]) ->
         raise DomainMismatch("beta length != group order")
     if not (-beta[g.identity]).is_integral():
         raise ValueError("beta(e) must be 1")
-    return _twist(sigma, compile_params(beta))
-
-
-def _twist(sigma: FiniteMultiplier, beta: Exponents) -> TableMultiplier:
-    """The array body of ``coboundary_twist``: beta, checked, as a (|G|, 1+k) array."""
-    g = sigma.group
-    D, labels, (b, e) = one_frame((beta, sigma.exponents()))
+    D, labels, (grid, e) = one_frame((compile_grid([beta]), sigma.exponents()))
+    b = grid[0]
     table = b[:, None] + b[None, :] - b[g.array] + e
     table[..., 0] %= D
     table = table.astype(exact_dtype(max(D, int(abs(table).max()))))
@@ -589,10 +581,7 @@ def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, tuple[RotationN
     r^-1 gets -2 E[r, r^-1] = conj(sigma(r, r^-1)) and r gets 0; an
     involution a gets -E[a, a], the conjugate of half of sigma(a, a)'s
     exponent in [0, 1); e gets 0.  Since any multiplier has
-    sigma(a, a^-1) = sigma(a^-1, a), this normalizes both orders.  The
-    twist takes that array in lowest terms (``_lowest_terms``), the frame
-    ``coboundary_twist`` compiles the returned RotationNumbers to, which
-    are made only to be returned, one per distinct beta.
+    sigma(a, a^-1) = sigma(a^-1, a), this normalizes both orders.
     """
     g, ex = sigma.group, sigma.exponents()
     a, inv = np.arange(g.order), g.inverses
@@ -603,17 +592,4 @@ def normalize(sigma: FiniteMultiplier) -> tuple[TableMultiplier, tuple[RotationN
     rows = list(map(tuple, beta.tolist()))
     rotations = {x: halves.rotation(x) for x in set(rows)}  # one RotationNumber per distinct beta
     betas = tuple(map(rotations.__getitem__, rows))
-    return _twist(sigma, _lowest_terms(halves)), betas
-
-
-def _lowest_terms(ex: Exponents) -> Exponents:
-    """A (P, 1+k) array as ``compile_entries`` compiles its exponents: over
-    the lcm of their denominators, D / g for g the gcd of D and every
-    entry, slot 0 reduced mod that, without the labels no entry uses."""
-    g = math.gcd(ex.D, *np.unique(ex.array).tolist())
-    D, array = ex.D // g, ex.array // g
-    array[:, 0] %= D
-    used = [0] + [slot for slot in range(1, array.shape[1]) if array[:, slot].any()]
-    array = array[:, used]
-    dtype = exact_dtype(max(D, int(abs(array).max(initial=0))))
-    return Exponents(D, tuple(ex.labels[slot - 1] for slot in used[1:]), array.astype(dtype))
+    return coboundary_twist(sigma, betas), betas

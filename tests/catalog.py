@@ -1,6 +1,6 @@
 """Shared finite catalogs for the test suites, and the groups they are
 built on that the package has no constructor for: the trivial group,
-D_n, S_n (``_from_function``) and Q8.
+D_n, S_n (``_from_function``), Q8 and the Heisenberg group mod p.
 
 Everything is deterministic: generators take explicit seeds, so the same
 catalog is rebuilt identically in every run.
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 import twistk as tk
-from twistk.groups import FiniteGroup, cyclic, direct_product
+from twistk.groups import FiniteGroup, build, cyclic, direct_product
 from twistk.multipliers import (
     Exponents,
     FiniteMultiplier,
@@ -94,6 +94,15 @@ def quaternion() -> FiniteGroup:
 
     table = [[units.index(mul(p, q)) for q in units] for p in units]
     return FiniteGroup(table, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
+
+
+def heisenberg(p: int) -> FiniteGroup:
+    """The Heisenberg group mod p, of order p^3: (x, y, z)(x', y', z') =
+    (x + x', y + y', z + z' + x y') mod p, its table proven by ``groups.build``."""
+    elems = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
+    index = {elem: i for i, elem in enumerate(elems)}
+    table = [[index[(x + u) % p, (y + v) % p, (z + w + x * v) % p] for u, v, w in elems] for x, y, z in elems]
+    return build(table, ["".join(map(str, elem)) for elem in elems])
 
 
 def abelian_group(orders: Sequence[int]) -> FiniteGroup:
@@ -219,7 +228,7 @@ def relabelled(sigma: FiniteMultiplier, rng: random.Random) -> TableMultiplier:
 def _echelon_mod_p(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """The reduced row echelon form of an integer matrix mod a prime p, and
     its pivot columns."""
-    m = rows % p
+    m = (rows % p).astype(np.int32)
     pivots: list[int] = []
     for c in range(m.shape[1]):
         r = len(pivots)
@@ -230,33 +239,40 @@ def _echelon_mod_p(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
         others = np.flatnonzero(m[:, c])
         others = others[others != r]
-        m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        # the rows from r on vanish left of c, so the update starts at c
+        m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         if len(pivots) == len(m):
             break
     return m[: len(pivots)], pivots
 
 
-def schur_classes_mod_p(group: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def schur_classes_mod_p(
+    group: FiniteGroup, p: int, middles: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bases, as rows of |G|^2 values in Z_p (x stands for x/p at (a, b),
     a |G| a + b), of the normalized 2-cocycles Z^2 with values in (1/p)Z,
     of the coboundaries B^2 among them and of a complement of B^2 in Z^2,
     whose rows represent H^2(G, Z_p).
 
-    Z^2 is the null space mod p of the cocycle equations
-    x(a,b) + x(ab,c) - x(a,bc) - x(b,c) on all triples with x(a,e) =
-    x(e,a) = 0; B^2 is spanned by the coboundaries of the indicators of
-    the elements other than e; the complement takes each null-space vector
-    (in the order of the free columns) that raises the rank of B^2 and the
-    vectors taken so far."""
+    Z^2 is the null space mod p of x(a,e) = x(e,a) = 0 and the cocycle
+    equations x(a,s) + x(as,c) - x(a,sc) - x(s,c) on the triples (a, s, c)
+    with s in ``middles``: by default ``generators()``, which is Light's
+    test that ``validate`` proves complete, and all of G for the full
+    |G|^3 system.  B^2 is spanned by the coboundaries of the indicators
+    of the elements other than e; the complement takes each null-space
+    vector (in the order of the free columns) that raises the rank of B^2
+    and the vectors taken so far."""
     n, t, e = group.order, group.array, group.identity
-    a, b, c = (x.ravel() for x in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
-    equations = np.zeros((n**3 + 2 * n, n * n), dtype=np.int64)
-    rows = np.arange(n**3)
+    s = np.asarray(group.generators() if middles is None else middles, dtype=np.intp)
+    a, b, c = (x.ravel() for x in np.meshgrid(np.arange(n), s, np.arange(n), indexing="ij"))
+    m = len(a)
+    equations = np.zeros((m + 2 * n, n * n), dtype=np.int64)
+    rows = np.arange(m)
     for sign, (x, y) in ((1, (a, b)), (1, (t[a, b], c)), (-1, (a, t[b, c])), (-1, (b, c))):
         np.add.at(equations, (rows, n * x + y), sign)
-    equations[n**3 + np.arange(n), n * np.arange(n) + e] = 1
-    equations[n**3 + n + np.arange(n), n * e + np.arange(n)] = 1
+    equations[m + np.arange(n), n * np.arange(n) + e] = 1
+    equations[m + n + np.arange(n), n * e + np.arange(n)] = 1
     reduced, pivots = _echelon_mod_p(equations, p)
     free = [col for col in range(n * n) if col not in pivots]
     cocycles = np.zeros((len(free), n * n), dtype=np.int64)

@@ -9,7 +9,9 @@
   ``randrange`` or ``getrandbits`` rule differs fails here, before any
   sampled triple changes.
 - An empty range raises ValueError before any draw, so ``validate`` with
-  a negative box refuses on every infinite family instead of looping.
+  a negative box refuses on every infinite family instead of looping; a
+  negative count of ``validate`` triples or ``decompose`` pairs raises
+  ValueError before any draw too, and a count of 0 answers, 0 checked.
 - ``FreeProduct.random_word`` is reduced also when a factor is trivial,
   and ``validate`` / ``decompose`` answer yes on such a product.
 - ``multiply``, ``factor_images``, ``inverse``, ``_meet`` and ``vector``
@@ -145,6 +147,31 @@ def test_validate_refuses_a_negative_box(spec, within_5_s):
     state = rng.getstate()
     with pytest.raises(ValueError, match="empty range"):
         validate(sigma, rng, 5, box=-1)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("spec", [TORUS, G3, FREE], ids=["torus", "g3", "free product"])
+def test_validate_refuses_a_negative_count(spec, within_5_s):
+    sigma = decode_multiplier(spec)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="triples must be >= 0"):
+        validate(sigma, rng, -5)
+    assert rng.getstate() == state
+    report = validate(sigma, rng, 0)
+    assert (report.ok, report.checked, report.mode) == (True, 0, "fuzz")
+    assert rng.getstate() == state
+
+
+def test_decompose_refuses_a_negative_count(within_5_s):
+    sigma = decode_multiplier(FREE)
+    g1, g2 = sigma.fp.g1, sigma.fp.g2
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="pairs must be >= 0"):
+        decompose(sigma, g1, g2, pairs=-3, rng=rng)
+    assert rng.getstate() == state
+    assert decompose(sigma, g1, g2, pairs=0, rng=rng).pairs_checked == 0
     assert rng.getstate() == state
 
 

@@ -22,6 +22,7 @@ from twistk.multipliers import (
     Exponents,
     TableMultiplier,
     coboundary_twist,
+    compile_grid,
     klein,
     normalize,
     one_frame,
@@ -183,6 +184,31 @@ def test_normalize_matches_the_element_loop():
         assert (got.D, got.labels, got.array.dtype) == (want.D, want.labels, want.array.dtype)
         assert np.array_equal(got.array, want.array)
         assert table.is_normalized()
+
+
+def test_coboundary_twist_matches_the_rotation_sums():
+    """The stored array of ``coboundary_twist`` is beta(a) + beta(b) -
+    beta(ab) + sigma(a, b), summed as RotationNumbers and compiled by
+    ``compile_grid``, recast to the twist's frame: on every finite_catalog()
+    entry under ``random_coboundary``, and for beta over the primes
+    2^61 - 1 and 2^64 + 13 of ``_normalize_cases()`` on trivial D4 and on
+    its six cases off the catalog (four with symbols, two already twisted
+    over those primes), so int64 and object arrays both occur."""
+    rng = random.Random(33)
+    cases = [(sigma, random_coboundary(sigma.group, rng)) for _, sigma in finite_catalog()]
+    for p in (2**61 - 1, 2**64 + 13):
+        for base in (trivial_multiplier(dihedral(4)), *_normalize_cases()[-6:]):
+            cases.append((base, [ZERO] + [rot(Fraction(rng.randrange(p), p)) for _ in range(base.group.order - 1)]))
+    dtypes = set()
+    for sigma, beta in cases:
+        g = sigma.group
+        sums = [[beta[a] + beta[b] - beta[int(g.array[a, b])] + sigma.value(a, b) for b in g.elements()] for a in g.elements()]
+        got = coboundary_twist(sigma, beta).exponents()
+        D, labels, (x, y) = one_frame((got, compile_grid(sums)))
+        assert (D, labels) == (got.D, got.labels)
+        assert np.array_equal(x, y)
+        dtypes.add((got.array.dtype, 4 * got.D > 2**62, 4 * got.D > 2**63))
+    assert {(np.dtype(np.int64), True, False), (np.dtype(object), True, True)} <= dtypes
 
 
 def test_similarity_preserves_regularity():
